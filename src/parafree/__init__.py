@@ -6,8 +6,6 @@ from .exact import (
     G,
     H,
     Mat2,
-    MatPoly,
-    Rational,
     UniPoly,
     eval_word,
     eval_word_symbolic,
@@ -54,8 +52,8 @@ from .search import (
 
 __all__ = [
     "AccumulationTarget", "ExpWord", "FamilyInstance", "G", "H", "Mat2",
-    "MatPoly", "Rational", "RelationKind", "RelationWitness", "SearchEffort",
-    "SearchQuery", "SearchReport", "SignMode", "TauClassification", "UniPoly",
+    "RelationKind", "RelationWitness", "SearchEffort", "SearchQuery",
+    "SearchReport", "SignMode", "TauClassification", "UniPoly",
     "accumulation_report", "accumulation_target", "build_relation",
     "build_semigroup_witness", "classify_signs", "classify_tau", "defect",
     "enumerate_n_values", "eval_word", "eval_word_symbolic", "family_instance",

@@ -80,7 +80,7 @@ def _witness_json(w: RelationWitness) -> dict:
         "lhs": _word_json(w.lhs),
         "rhs": _word_json(w.rhs),
         "kind": w.kind.value,
-        "verified": w.verified,
+        "verified": w.check(),
     }
 
 
@@ -155,8 +155,6 @@ def cmd_family(args, emit: Emitter) -> int:
         base = {"general": "C_general", "even": "C_even", "quad": "C_quad"}[
             args.variant or "general"
         ]
-    if base is None:
-        raise InputError(f"unknown family {args.name!r}")
     sigma = None
     if args.sigma is not None:
         parts = _parse_seq(args.sigma)
@@ -192,7 +190,7 @@ def cmd_family(args, emit: Emitter) -> int:
             "inputs": {"name": base, "k": k, "sigma": list(sigma) if sigma else None,
                        "x": inst.x},
             "result": result,
-            "verified": witness.verified,
+            "verified": witness.check(),
         }
         emit.emit(record)
         emitted = True
@@ -218,6 +216,8 @@ def cmd_search(args, emit: Emitter) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    if args.workers < 1:
+        raise InputError("workers must be >= 1")
     started = time.monotonic()
     report = search_half_relations(query, workers=args.workers)
     elapsed = time.monotonic() - started
@@ -233,7 +233,7 @@ def cmd_search(args, emit: Emitter) -> int:
             "command": "search",
             "inputs": inputs,
             "result": {"hit": list(hit)},
-            "verified": True,
+            "verified": defect(hit, tau) == 0,
         })
     emit.emit({
         "command": "search",
@@ -250,7 +250,10 @@ def cmd_search(args, emit: Emitter) -> int:
 
 def cmd_classify(args, emit: Emitter) -> int:
     tau = _parse_tau(args.tau)
-    effort = SearchEffort(max_len=args.max_len, bound=args.bound, workers=args.workers)
+    try:
+        effort = SearchEffort(max_len=args.max_len, bound=args.bound, workers=args.workers)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     cls = classify_tau(tau, effort)
     result = {
         "group_status": cls.group_status,
@@ -319,20 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, help="free trailing exponent (families c, e)")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("search", parents=[common], help="bounded exhaustive half-relation search")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int, default=4)
-    p.add_argument("--bound", type=int, default=8)
+    # the options shared by search and classify
+    effort = argparse.ArgumentParser(add_help=False, parents=[common])
+    effort.add_argument("--tau", required=True)
+    effort.add_argument("--max-len", dest="max_len", type=int, default=4)
+    effort.add_argument("--bound", type=int, default=8)
+    effort.add_argument("--workers", type=int, default=_default_workers())
+
+    p = sub.add_parser("search", parents=[effort], help="bounded exhaustive half-relation search")
     p.add_argument("--signs", choices=sorted(_SIGN_MODES), default="nonzero")
     p.add_argument("--limit", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("classify", parents=[common], help="classify a rational tau")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int, default=4)
-    p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p = sub.add_parser("classify", parents=[effort], help="classify a rational tau")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("poly", parents=[common], help="print the factored defect polynomial")
@@ -342,9 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite "--tau -5/2" as "--tau=-5/2", and likewise for the other
+    options whose values may start with "-": argparse reads such a value
+    as an option unless it is attached to its own."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--tau", "--seq", "--sigma", "--k-range"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     emit = Emitter(args.table)
     try:
         code = args.func(args, emit)

@@ -1,6 +1,6 @@
-"""Exact arithmetic substrate: rationals, 2x2 rational matrices, dense
-integer polynomials in tau, and evaluation of alternating words in the two
-parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).
+"""Exact arithmetic substrate: rationals, 2x2 matrices over a ring of tau,
+dense integer polynomials in tau, and evaluation of alternating words in the
+two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).
 
 Everything here is immutable and pure; safe for concurrent use.
 """
@@ -10,9 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
-
-Rational = Fraction
+from typing import Any, Iterator, Sequence
 
 G = "G"
 H = "H"
@@ -44,15 +42,18 @@ def other_tag(tag: str) -> str:
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 matrix with exact rational entries."""
+    """2x2 matrix with exact entries in the ring of tau: Fraction for a
+    rational tau, UniPoly for the symbolic product at tau = UniPoly.var().
+    `inverse` needs a field."""
 
-    e11: Fraction
-    e12: Fraction
-    e21: Fraction
-    e22: Fraction
+    e11: Any
+    e12: Any
+    e21: Any
+    e22: Any
 
     @staticmethod
     def identity() -> "Mat2":
+        """The identity with Fraction entries."""
         return Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
 
     def __mul__(self, other: "Mat2") -> "Mat2":
@@ -63,7 +64,7 @@ class Mat2:
             self.e21 * other.e12 + self.e22 * other.e22,
         )
 
-    def det(self) -> Fraction:
+    def det(self):
         return self.e11 * self.e22 - self.e12 * self.e21
 
     def transpose(self) -> "Mat2":
@@ -78,16 +79,23 @@ class Mat2:
     def is_identity(self) -> bool:
         return self == Mat2.identity()
 
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def entries(self) -> tuple:
         return (self.e11, self.e12, self.e21, self.e22)
 
+    def specialize(self, tau: Fraction) -> "Mat2":
+        """Evaluate each UniPoly entry at tau."""
+        return Mat2(*(e.evaluate(tau) for e in self.entries()))
 
-def gen_power(tag: str, a: int, tau: Fraction) -> Mat2:
-    """g^a or h^a in closed form (both generators are parabolic)."""
+
+def gen_power(tag: str, a: int, tau) -> Mat2:
+    """g^a or h^a in closed form (both generators are parabolic), with
+    entries in the ring of tau."""
+    zero = tau * 0
+    one = zero + 1
     if tag == G:
-        return Mat2(Fraction(1), Fraction(a), Fraction(0), Fraction(1))
+        return Mat2(one, zero + a, zero, one)
     if tag == H:
-        return Mat2(Fraction(1), Fraction(0), a * tau, Fraction(1))
+        return Mat2(one, zero, a * tau, one)
     raise ValueError(f"unknown generator tag {tag!r}")
 
 
@@ -139,10 +147,12 @@ class ExpWord:
         return all(a > 0 for a in self.exponents)
 
 
-def eval_word(word: ExpWord, tau: Fraction) -> Mat2:
-    """Left-to-right product of generator powers; always has determinant 1."""
-    m = Mat2.identity()
-    for tag, a in word.letters():
+def eval_word(word: ExpWord, tau) -> Mat2:
+    """Left-to-right product of generator powers over the ring of tau;
+    always has determinant 1."""
+    letters = word.letters()
+    m = gen_power(*next(letters), tau)
+    for tag, a in letters:
         m = m * gen_power(tag, a, tau)
     return m
 
@@ -150,7 +160,8 @@ def eval_word(word: ExpWord, tau: Fraction) -> Mat2:
 @dataclass(frozen=True)
 class UniPoly:
     """Dense univariate polynomial in tau with integer coefficients,
-    lowest degree first, trailing zeros trimmed."""
+    lowest degree first, trailing zeros trimmed.  An int operand of +, -
+    or * is read as a constant polynomial."""
 
     coeffs: tuple[int, ...]
 
@@ -179,7 +190,9 @@ class UniPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
+    def __add__(self, other: "UniPoly | int") -> "UniPoly":
+        if isinstance(other, int):
+            other = UniPoly.const(other)
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (n - len(self.coeffs))
         b = other.coeffs + (0,) * (n - len(other.coeffs))
@@ -188,10 +201,12 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-x for x in self.coeffs))
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
+    def __sub__(self, other: "UniPoly | int") -> "UniPoly":
         return self + (-other)
 
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
+    def __mul__(self, other: "UniPoly | int") -> "UniPoly":
+        if isinstance(other, int):
+            return self.scale(other)
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -201,6 +216,8 @@ class UniPoly:
             for j, y in enumerate(other.coeffs):
                 out[i + j] += x * y
         return UniPoly(tuple(out))
+
+    __rmul__ = __mul__
 
     def scale(self, c: int) -> "UniPoly":
         return UniPoly(tuple(c * x for x in self.coeffs))
@@ -243,55 +260,9 @@ class UniPoly:
         return text
 
 
-@dataclass(frozen=True)
-class MatPoly:
-    """2x2 matrix of UniPoly entries (symbolic carrier for word products)."""
-
-    e11: UniPoly
-    e12: UniPoly
-    e21: UniPoly
-    e22: UniPoly
-
-    @staticmethod
-    def identity() -> "MatPoly":
-        one, zero = UniPoly.const(1), UniPoly.zero()
-        return MatPoly(one, zero, zero, one)
-
-    def __mul__(self, other: "MatPoly") -> "MatPoly":
-        return MatPoly(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
-
-    def det(self) -> UniPoly:
-        return self.e11 * self.e22 - self.e12 * self.e21
-
-    def specialize(self, tau: Fraction) -> Mat2:
-        return Mat2(
-            self.e11.evaluate(tau),
-            self.e12.evaluate(tau),
-            self.e21.evaluate(tau),
-            self.e22.evaluate(tau),
-        )
-
-
-def gen_power_symbolic(tag: str, a: int) -> MatPoly:
-    one, zero = UniPoly.const(1), UniPoly.zero()
-    if tag == G:
-        return MatPoly(one, UniPoly.const(a), zero, one)
-    if tag == H:
-        return MatPoly(one, zero, UniPoly((0, a)), one)
-    raise ValueError(f"unknown generator tag {tag!r}")
-
-
-def eval_word_symbolic(word: ExpWord) -> MatPoly:
+def eval_word_symbolic(word: ExpWord) -> Mat2:
     """Word product with tau left as the polynomial indeterminate."""
-    m = MatPoly.identity()
-    for tag, a in word.letters():
-        m = m * gen_power_symbolic(tag, a)
-    return m
+    return eval_word(word, UniPoly.var())
 
 
 def word_from_exponents(exponents: Sequence[int], start: str = G) -> ExpWord:

@@ -29,6 +29,7 @@ from .exact import ExpWord, G, eval_word
 from .halfrel import (
     Candidate,
     RelationKind,
+    RelationWitness,
     build_relation,
     classify_signs,
     is_half_relation,
@@ -50,18 +51,14 @@ def u_seq(sigma: Sequence[int], k: int) -> int:
     """The doubly infinite sequence with u_0 = u_1 = 1 and
     u_{k+1} = 2*sigma_{k mod 2}*u_k - u_{k-1}."""
     s = validate_sigma(sigma)
-    if k in (0, 1):
-        return 1
-    if k > 1:
-        prev, cur = 1, 1  # u_0, u_1
-        for i in range(1, k):
-            prev, cur = cur, 2 * s[i % 2] * cur - prev
-        return cur
-    # run the recurrence backwards: u_{i-1} = 2*sigma_{i mod 2}*u_i - u_{i+1}
-    above, cur = 1, 1  # u_1, u_0
-    for i in range(0, k, -1):
-        above, cur = cur, 2 * s[i % 2] * cur - above
-    return cur
+    if k < 0:
+        # the recurrence run backwards is the recurrence run forwards for
+        # the swapped pair: u_k = u'_{1-k}
+        return u_seq((s[1], s[0]), 1 - k)
+    u, u_next = 1, 1  # u_0, u_1
+    for i in range(1, k + 1):
+        u, u_next = u_next, 2 * s[i % 2] * u_next - u
+    return u
 
 
 def fib(k: int) -> int:
@@ -139,39 +136,32 @@ def family_tau(
     family: str, k: int, sigma: Optional[Sequence[int]] = None
 ) -> Fraction:
     """The tau value of a family member (preconditions checked)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if k == 0 and family != "B":
+        raise ValueError(f"family {family} requires k != 0")
     if family == "A":
-        if k == 0:
-            raise ValueError("family A requires k != 0")
         return Fraction((2 * k - 1) ** 2, (2 * k) ** 2)
     if family == "B":
         if sigma is None:
             raise ValueError("family B requires sigma")
-        s = validate_sigma(sigma)
-        n = (6 // (s[0] * s[1])) * u_seq(s, k) * u_seq(s, k + 1)
+        n = family_n(sigma, k)
         if n == 1:
             raise ValueError("degenerate tau=0 (n = 1)")
         return Fraction((n - 1) ** 2, n * n)
     if family in ("C_general", "C_even", "C_quad"):
-        if k == 0:
-            raise ValueError("family C requires k != 0")
         if family == "C_even" and k % 2 != 0:
             raise ValueError("family C_even requires even k")
         if family == "C_quad":
             _quad_param(k)
         return Fraction(2 * k + 1, k)
     if family == "D":
-        if k == 0:
-            raise ValueError("family D requires k != 0")
         if k == -2:
             raise ValueError("degenerate tau=0 (k = -2)")
         return Fraction(fib(k + 2), fib(k))
-    if family == "E":
-        if k == 0:
-            raise ValueError("family E requires k != 0")
-        h_next, _ = pell(k + 1)
-        _, p_k = pell(k)
-        return Fraction(h_next, p_k)
-    raise ValueError(f"unknown family {family!r}")
+    # family E: H_{k+1} = H_k + 2 P_k
+    h_k, p_k = pell(k)
+    return Fraction(h_k + 2 * p_k, p_k)
 
 
 def family_n(sigma: Sequence[int], k: int) -> int:
@@ -229,8 +219,8 @@ def family_instance(
             exceptional = True
             identity_word = EXCEPTIONAL_TAU2_WORD
     elif family == "E":
-        _, p_prev = pell(k - 1)
-        _, p_k = pell(k)
+        h_k, p_k = pell(k)
+        p_prev = h_k - p_k  # P_{k-1}
         parity = 1 if k % 2 == 0 else -1
         n_val = parity * p_prev * p_k
         if k == 1:
@@ -240,8 +230,6 @@ def family_instance(
         else:
             used_x = x if x is not None else (-1 if n_val > 0 else 1)
         candidate = (n_val, -1, 1, -1, 1, -1, 1, -1, n_val, used_x)
-    else:
-        raise ValueError(f"unknown family {family!r}")
 
     if not is_half_relation(candidate, tau):
         raise AssertionError(f"family {family} k={k}: candidate failed verification")
@@ -250,15 +238,13 @@ def family_instance(
     return FamilyInstance(family, k, sig, used_x, tau, candidate, exceptional, identity_word)
 
 
-def instance_witness(inst: FamilyInstance):
+def instance_witness(inst: FamilyInstance) -> RelationWitness:
     """A verified RelationWitness for the instance (identity-word relation
     for the exceptional cases, the symmetric relation otherwise)."""
-    from .halfrel import RelationWitness
-
     if inst.identity_word is not None:
         zero = ExpWord(G, (0,))  # evaluates to the identity
         return RelationWitness(
-            inst.tau, inst.identity_word, zero, RelationKind.GROUP_NONTRIVIAL, True
+            inst.tau, inst.identity_word, zero, RelationKind.GROUP_NONTRIVIAL
         )
     return build_relation(inst.candidate, inst.tau)
 
@@ -304,36 +290,26 @@ def accumulation_target(family: str, direction: int, digits: int = 50) -> Accumu
     raise ValueError(f"unknown family {family!r}")
 
 
-def _family_k_valid(family: str, k: int) -> bool:
-    if k == 0:
-        return False
-    if family == "D" and k == -2:
-        return False
-    if family == "C_even" and k % 2 != 0:
-        return False
-    if family == "C_quad":
-        try:
-            _quad_param(k)
-        except ValueError:
-            return False
-    return True
-
-
 def accumulation_report(
     family: str,
     k_range: Iterable[int],
     sigma: Optional[Sequence[int]] = None,
     digits: int = 50,
 ) -> list[tuple[int, Fraction, Fraction]]:
-    """(k, tau_k, |tau_k - target|) for each valid k, using the matching
-    sign-branch target at the given precision."""
+    """(k, tau_k, |tau_k - target|) for each k that meets the family's
+    preconditions, using the matching sign-branch target at the given
+    precision."""
+    # a bad family or sigma fails every k: raise rather than skip them all
+    targets = {d: accumulation_target(family, d, digits).approx for d in (1, -1)}
+    if family == "B":
+        validate_sigma(sigma or ())
     rows = []
     for k in k_range:
-        if family != "B" and not _family_k_valid(family, k):
+        try:
+            tau = family_tau(family, k, sigma)
+        except ValueError:
             continue
-        tau = family_tau(family, k, sigma)
-        target = accumulation_target(family, 1 if k > 0 else -1, digits)
-        rows.append((k, tau, abs(tau - target.approx)))
+        rows.append((k, tau, abs(tau - targets[1 if k > 0 else -1])))
     return rows
 
 

@@ -10,17 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
-from .families import (
-    FamilyInstance,
-    family_instance,
-    family_n,
-    family_tau,
-    fib,
-    instance_witness,
-    pell,
-)
+from .families import FamilyInstance, family_instance, family_tau, instance_witness
 from .halfrel import (
     RelationKind,
     RelationWitness,
@@ -45,6 +37,12 @@ class SearchEffort:
     bound: int = 8
     workers: int = 1
 
+    def __post_init__(self) -> None:
+        # checked even when no search runs (a threshold or family settles tau)
+        SearchQuery(Fraction(1), self.max_len, self.bound)
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
+
 
 @dataclass(frozen=True)
 class TauClassification:
@@ -65,80 +63,69 @@ def _square_root_of(tau: Fraction) -> Optional[Fraction]:
     return Fraction(sp, sq)
 
 
+def _b_indices(sigma: tuple[int, int], n: int) -> list[int]:
+    """The k >= 0 with family_n(sigma, k) == n: one walk of the
+    u-recurrence carrying (u_k, u_{k+1}); the products grow with k."""
+    c = 6 // (sigma[0] * sigma[1])
+    out, k, u, u_next = [], 0, 1, 1
+    while c * u * u_next <= n:
+        if c * u * u_next == n:
+            out.append(k)
+        k, u, u_next = k + 1, u_next, 2 * sigma[(k + 1) % 2] * u_next - u
+    return out
+
+
+def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[tuple[int, int]]]]:
+    """(family, k, sigma) for each member that may have this tau, found by
+    inverting each family formula, in lookup order."""
+    s = _square_root_of(tau)
+    if s is not None:
+        # family A: s = (2k-1)/(2k) in lowest terms, negative k folds (2k+1)/(2k)
+        half = s.denominator // 2
+        yield from (("A", half, None), ("A", -half, None))
+        # family B: s = (n-1)/n, then match n against each u-sequence
+        # product; family_n(sigma, -j) = family_n(swapped sigma, j)
+        for sigma in _SIGMA_PAIRS:
+            back = _b_indices(sigma[::-1], s.denominator)
+            for k in _b_indices(sigma, s.denominator) + [-j for j in back if j > 0]:
+                yield "B", k, sigma
+    # family C: k = 1/(tau - 2)
+    if tau != 2 and (inv := 1 / (tau - 2)).denominator == 1:
+        for family in ("C_general", "C_even", "C_quad"):
+            yield family, inv.numerator, None
+    # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
+    # |F_k| (|P_k|) is tau's denominator; walk X_{m+1} = c X_m + X_{m-1} up to
+    # it; try every k = m, then every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
+    for family, c, x, x_next in (("D", 1, 1, 1), ("E", 2, 1, 2)):
+        ms, m = [], 1
+        while x <= tau.denominator:
+            if x == tau.denominator:
+                ms.append(m)
+            m, x, x_next = m + 1, x_next, c * x_next + x
+        for k in ms + [-m for m in ms]:
+            yield family, k, None
+
+
 def family_lookup(tau: Fraction) -> list[FamilyInstance]:
     """All family instances whose tau equals the input, found by exact
     inversion of each family formula; each is verified before return."""
     out: list[FamilyInstance] = []
-    s = _square_root_of(tau)
-    if s is not None:
-        # family A: s = (2k-1)/(2k) in lowest terms, negative k folds (2k+1)/(2k)
-        if s.denominator % 2 == 0:
-            half = s.denominator // 2
-            if s.numerator == s.denominator - 1:
-                out.append(family_instance("A", half))
-            elif s.numerator == s.denominator + 1:
-                out.append(family_instance("A", -half))
-        # family B: s = (n-1)/n, then match n against each u-sequence product
-        if s.numerator == s.denominator - 1:
-            n = s.denominator
-            for sigma in _SIGMA_PAIRS:
-                for step in (1, -1):
-                    k = 0 if step == 1 else -1
-                    while True:
-                        nv = family_n(sigma, k)
-                        if nv == n and nv != 1:
-                            out.append(family_instance("B", k, sigma=sigma))
-                        if nv > n:
-                            break
-                        k += step
-    # family C: k = 1/(tau - 2)
-    if tau != 2:
-        inv = 1 / (tau - 2)
-        if inv.denominator == 1:
-            k = inv.numerator
-            out.append(family_instance("C_general", k))
-            if k % 2 == 0:
-                out.append(family_instance("C_even", k))
-            disc = 8 * k + 9
-            if disc >= 0 and isqrt(disc) ** 2 == disc and isqrt(disc) % 2 == 1:
-                out.append(family_instance("C_quad", k))
-    # families D and E: scan k until the sequence outgrows tau's terms
-    limit = max(abs(tau.numerator), tau.denominator)
-    for direction in (1, -1):
-        k = direction
-        while True:
-            if not (k == 0 or (k == -2)):
-                f_k, f_k2 = fib(k), fib(k + 2)
-                if f_k != 0 and Fraction(f_k2, f_k) == tau:
-                    out.append(family_instance("D", k))
-                if min(abs(f_k), abs(f_k2)) > limit:
-                    break
-            k += direction
-            if abs(k) > 300:
-                break
-    for direction in (1, -1):
-        k = direction
-        while True:
-            h_next, _ = pell(k + 1)
-            _, p_k = pell(k)
-            if p_k != 0 and Fraction(h_next, p_k) == tau:
-                out.append(family_instance("E", k))
-            if min(abs(p_k), abs(h_next)) > limit and abs(k) > 2:
-                break
-            k += direction
-            if abs(k) > 300:
-                break
+    for family, k, sigma in _family_candidates(tau):
+        try:
+            if family_tau(family, k, sigma) == tau:
+                out.append(family_instance(family, k, sigma=sigma))
+        except ValueError:
+            pass  # k fails the family's preconditions
     return out
 
 
-def _group_witness_from_instance(inst: FamilyInstance, at_minus_tau: bool) -> RelationWitness:
+def _mirrored_witness(inst: FamilyInstance) -> RelationWitness:
+    """The instance's relation, rewritten by diag(1,-1) conjugation into
+    one at -inst.tau."""
     w = instance_witness(inst)
-    if not at_minus_tau:
-        return w
-    # rewrite the relation at -tau into one at tau via diag(1,-1) conjugation
     lhs = minus_tau_transform(w.lhs)
     rhs = minus_tau_transform(w.rhs)
-    new = RelationWitness(-inst.tau, lhs, rhs, RelationKind.GROUP_NONTRIVIAL, True)
+    new = RelationWitness(-inst.tau, lhs, rhs, RelationKind.GROUP_NONTRIVIAL)
     if not new.check():
         raise AssertionError("minus-tau rewrite failed to verify")
     return new
@@ -154,30 +141,30 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     group_status, group_witness = UNKNOWN, None
     semi_status, semi_witness = UNKNOWN, None
 
+    at_tau: list[FamilyInstance] = []
+    at_minus: list[FamilyInstance] = []
+
     if abs(tau) >= 4:
         group_status = FREE_SCHOTTKY
     elif tau != 0:
-        insts = family_lookup(tau)
-        if insts:
-            group_status, group_witness = NON_FREE, _group_witness_from_instance(insts[0], False)
+        at_tau, at_minus = family_lookup(tau), family_lookup(-tau)
+        if at_tau:
+            group_status, group_witness = NON_FREE, instance_witness(at_tau[0])
+        elif at_minus:
+            group_status, group_witness = NON_FREE, _mirrored_witness(at_minus[0])
         else:
-            mirror = family_lookup(-tau)
-            if mirror:
+            report = search_half_relations(
+                SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY),
+                workers=effort.workers,
+            )
+            if report.hits:
                 group_status = NON_FREE
-                group_witness = _group_witness_from_instance(mirror[0], True)
-            else:
-                report = search_half_relations(
-                    SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY),
-                    workers=effort.workers,
-                )
-                if report.hits:
-                    group_status = NON_FREE
-                    group_witness = build_relation(report.hits[0], tau)
+                group_witness = build_relation(report.hits[0], tau)
 
     if tau >= 1 or tau <= -4:
         semi_status = FREE_SCHOTTKY
     elif tau != 0:
-        semi_witness = _find_semigroup_witness(tau, effort)
+        semi_witness = _find_semigroup_witness(tau, effort, at_tau, at_minus)
         if semi_witness is not None:
             semi_status = NON_SEMIGROUP_FREE
 
@@ -188,27 +175,29 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     return TauClassification(tau, group_status, group_witness, semi_status, semi_witness, effort)
 
 
-def _find_semigroup_witness(tau: Fraction, effort: SearchEffort) -> Optional[RelationWitness]:
-    # positive words at tau, directly
-    for inst in family_lookup(tau):
-        if not inst.exceptional and inst.kind is RelationKind.SEMIGROUP_AT_TAU:
-            return build_semigroup_witness(inst.candidate, tau)
-    # alternating half-relation at -tau gives positive words at tau
-    for inst in family_lookup(-tau):
-        if not inst.exceptional and inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
-            return build_semigroup_witness(inst.candidate, -tau)
-    report = search_half_relations(
-        SearchQuery(tau, effort.max_len, effort.bound, SignMode.ALL_POSITIVE),
-        workers=effort.workers,
+def _find_semigroup_witness(
+    tau: Fraction,
+    effort: SearchEffort,
+    at_tau: list[FamilyInstance],
+    at_minus: list[FamilyInstance],
+) -> Optional[RelationWitness]:
+    """Positive words at tau, from a family member at tau and then at -tau
+    (at_tau and at_minus are the lookups there), then from a search at tau
+    and then at -tau.  An alternating half-relation at -tau gives positive
+    words at tau."""
+    sides = (
+        (tau, RelationKind.SEMIGROUP_AT_TAU, SignMode.ALL_POSITIVE, at_tau),
+        (-tau, RelationKind.SEMIGROUP_AT_MINUS_TAU, SignMode.ALTERNATING, at_minus),
     )
-    for hit in report.hits:
-        if classify_signs(hit) is RelationKind.SEMIGROUP_AT_TAU:
-            return build_semigroup_witness(hit, tau)
-    report = search_half_relations(
-        SearchQuery(-tau, effort.max_len, effort.bound, SignMode.ALTERNATING),
-        workers=effort.workers,
-    )
-    for hit in report.hits:
-        if classify_signs(hit) is RelationKind.SEMIGROUP_AT_MINUS_TAU:
-            return build_semigroup_witness(hit, -tau)
+    for t, kind, _, insts in sides:
+        for inst in insts:
+            if not inst.exceptional and inst.kind is kind:
+                return build_semigroup_witness(inst.candidate, t)
+    for t, kind, mode, _ in sides:
+        report = search_half_relations(
+            SearchQuery(t, effort.max_len, effort.bound, mode), workers=effort.workers
+        )
+        for hit in report.hits:
+            if classify_signs(hit) is kind:
+                return build_semigroup_witness(hit, t)
     return None

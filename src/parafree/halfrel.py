@@ -43,7 +43,8 @@ class RelationKind(enum.Enum):
 
 @dataclass(frozen=True)
 class RelationWitness:
-    """A verified pair of words with equal matrix value.
+    """A pair of words with equal matrix value, verified by its builder;
+    `check` re-verifies it.
 
     `tau` is the parameter of the originating half-relation; `word_tau`
     is the parameter at which the two words evaluate equal (these differ
@@ -55,7 +56,6 @@ class RelationWitness:
     lhs: ExpWord
     rhs: ExpWord
     kind: RelationKind
-    verified: bool
     word_tau: Fraction = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -66,19 +66,19 @@ class RelationWitness:
         return eval_word(self.lhs, self.word_tau) == eval_word(self.rhs, self.word_tau)
 
 
+def _defect_of(m: Mat2, tau, length: int):
+    """The defect read off the word's matrix m, in the ring of tau."""
+    return tau * m.e12 - m.e21 if length % 2 == 1 else m.e11 - m.e22
+
+
 def defect(candidate: Sequence[int], tau: Fraction) -> Fraction:
     """tau*c12 - c21 (odd length) or c11 - c22 (even length) of the word."""
-    m = eval_word(word_from_exponents(candidate), tau)
-    if len(candidate) % 2 == 1:
-        return tau * m.e12 - m.e21
-    return m.e11 - m.e22
+    return _defect_of(eval_word(word_from_exponents(candidate), tau), tau, len(candidate))
 
 
 def symbolic_defect(candidate: Sequence[int]) -> UniPoly:
     m = eval_word_symbolic(word_from_exponents(candidate))
-    if len(candidate) % 2 == 1:
-        return UniPoly.var() * m.e12 - m.e21
-    return m.e11 - m.e22
+    return _defect_of(m, UniPoly.var(), len(candidate))
 
 
 def poly_hr(candidate: Sequence[int]) -> UniPoly:
@@ -140,24 +140,32 @@ def minus_tau_transform(word: ExpWord) -> ExpWord:
     return ExpWord(word.start, tuple(exps))
 
 
+def _half_relation(candidate: Sequence[int], tau: Fraction) -> Candidate:
+    """The candidate as a tuple; rejects tau = 0 (for which the odd-length
+    symmetry argument degenerates) and candidates that are not
+    half-relations for tau."""
+    exps = tuple(candidate)
+    if tau == 0:
+        raise ValueError("tau = 0 is degenerate; no relation is built")
+    if not is_half_relation(exps, tau):
+        raise ValueError(f"{exps} is not a half-relation for tau = {tau}")
+    return exps
+
+
 def build_relation(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
     """Build and verify the symmetric relation induced by a half-relation.
 
     Rejects candidates that are not half-relations for tau, and tau = 0
     (for which the odd-length symmetry argument degenerates).
     """
-    exps = tuple(candidate)
-    if tau == 0:
-        raise ValueError("tau = 0 is degenerate; no relation is built")
-    if not is_half_relation(exps, tau):
-        raise ValueError(f"{exps} is not a half-relation for tau = {tau}")
+    exps = _half_relation(candidate, tau)
     lhs, rhs = relation_words(exps)
     m_lhs = eval_word(lhs, tau)
     if m_lhs != eval_word(rhs, tau):
         raise AssertionError("half-relation did not induce a matrix identity")
     if not eval_word(relator(exps), tau).is_identity():
         raise AssertionError("relator did not evaluate to the identity")
-    return RelationWitness(tau, lhs, rhs, classify_signs(exps), True)
+    return RelationWitness(tau, lhs, rhs, classify_signs(exps))
 
 
 def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
@@ -170,17 +178,10 @@ def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> Relation
     positive on both sides, so the relation is presented as (w * g, g)
     where w is the (positive) conjugated relator.
     """
-    exps = tuple(candidate)
-    if tau == 0:
-        raise ValueError("tau = 0 is degenerate; no relation is built")
-    if not is_half_relation(exps, tau):
-        raise ValueError(f"{exps} is not a half-relation for tau = {tau}")
+    exps = _half_relation(candidate, tau)
     kind = classify_signs(exps)
     if kind is RelationKind.SEMIGROUP_AT_TAU:
-        lhs, rhs = relation_words(exps)
-        if eval_word(lhs, tau) != eval_word(rhs, tau):
-            raise AssertionError("positive relation failed to verify")
-        return RelationWitness(tau, lhs, rhs, kind, True)
+        return build_relation(exps, tau)
     if kind is not RelationKind.SEMIGROUP_AT_MINUS_TAU:
         raise ValueError(
             f"{exps} has mixed signs ({kind.value}); no semigroup relation"
@@ -203,5 +204,5 @@ def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> Relation
     if eval_word(pos_lhs, -tau) != eval_word(pos_rhs, -tau):
         raise AssertionError("transformed relation failed to verify at -tau")
     return RelationWitness(
-        tau, pos_lhs, pos_rhs, RelationKind.SEMIGROUP_AT_MINUS_TAU, True, word_tau=-tau
+        tau, pos_lhs, pos_rhs, RelationKind.SEMIGROUP_AT_MINUS_TAU, word_tau=-tau
     )

@@ -111,8 +111,7 @@ def _search_branch(args: tuple) -> list[Candidate]:
     p, q, a1, max_len, bound, mode_value = args
     mode = SignMode(mode_value)
     out: list[Candidate] = []
-    if max_len >= 2:
-        _dfs(p, q, (a1,), 1, a1, 0, 1, max_len, bound, mode, out)
+    _dfs(p, q, (a1,), 1, a1, 0, 1, max_len, bound, mode, out)
     return out
 
 

@@ -55,6 +55,16 @@ def test_verify_malformed_inputs(capsys):
     assert main(["verify", "--tau", "2", "--seq", "1,a"]) == 2
 
 
+def test_verify_negative_values(capsys):
+    code, recs = run(capsys, "verify", "--tau", "1", "--seq", "-1,-1,1,-1,-1,1")
+    assert code == 0
+    assert recs[0]["inputs"]["seq"] == [-1, -1, 1, -1, -1, 1]
+    assert recs[0]["result"]["is_half_relation"] is True
+    code, recs = run(capsys, "verify", "--tau", "-9/4", "--seq", "1,-1,-2,12")
+    assert code == 1
+    assert recs[0]["inputs"] == {"tau": "-9/4", "seq": [1, -1, -2, 12]}
+
+
 def test_verify_round_trip(capsys):
     code, recs = run(capsys, "verify", "--tau", "16/25", "--seq", "1,3,50,1")
     (rec,) = recs
@@ -108,6 +118,15 @@ def test_family_exceptional_record(capsys):
 def test_family_bad_sigma(capsys):
     assert main(["family", "--name", "b", "--sigma", "1", "--k", "1"]) == 2
     assert main(["family", "--name", "b", "--sigma", "4,1", "--k", "1"]) == 2
+    assert main(["family", "--name", "b", "--sigma", "-1,2", "--k", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_family_negative_k_range(capsys):
+    code, recs = run(capsys, "family", "--name", "d", "--k-range", "-3..-1")
+    assert code == 0
+    # k = -2 (tau = 0) is skipped inside a range sweep
+    assert [r["inputs"]["k"] for r in recs] == [-3, -1]
 
 
 # --- search ------------------------------------------------------------
@@ -118,6 +137,7 @@ def test_search_records_and_summary(capsys):
     assert code == 0
     hits = [tuple(r["result"]["hit"]) for r in recs if "hit" in r["result"]]
     assert (1, -1, 1, 14, 2) in hits
+    assert all(r["verified"] is True for r in recs if "hit" in r["result"])
     summary = recs[-1]["result"]
     assert summary["hit_count"] == len(hits)
     assert summary["exhausted"] is True
@@ -143,6 +163,9 @@ def test_search_invalid_query(capsys):
     assert main(["search", "--tau", "2", "--max-len", "0"]) == 2
     assert main(["search", "--tau", "2", "--max-len", "13"]) == 2
     assert main(["search", "--tau", "x"]) == 2
+    assert main(["search", "--tau", "2", "--workers", "-3"]) == 2
+    assert main(["search", "--tau", "2", "--workers", "0"]) == 2
+    assert "error: workers must be >= 1" in capsys.readouterr().err
 
 
 # --- classify ----------------------------------------------------------
@@ -175,6 +198,23 @@ def test_classify_semigroup_witness(capsys):
 
 def test_classify_malformed(capsys):
     assert main(["classify", "--tau", "7/"]) == 2
+    # bad effort is rejected even where no search would run (|tau| >= 4)
+    for tau in ("7/13", "9/2"):
+        assert main(["classify", "--tau", tau, "--max-len", "0"]) == 2
+        assert main(["classify", "--tau", tau, "--max-len", "13"]) == 2
+        assert main(["classify", "--tau", tau, "--bound", "0"]) == 2
+        assert main(["classify", "--tau", tau, "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(line.startswith("error:") for line in err.splitlines())
+
+
+def test_classify_negative_tau(capsys):
+    code, recs = run(capsys, "classify", "--tau", "-5/2")
+    assert code == 0
+    assert recs[0]["inputs"]["tau"] == "-5/2"
+    assert recs[0]["result"]["group_status"] == "non_free"
+    assert reverify_witness(recs[0]["result"]["group_witness"])
 
 
 # --- poly --------------------------------------------------------------

@@ -16,7 +16,6 @@ from parafree.exact import (
     eval_word_symbolic,
     format_rational,
     gen_power,
-    gen_power_symbolic,
     other_tag,
     parse_rational,
     word_from_exponents,
@@ -236,4 +235,4 @@ def test_symbolic_det_is_one():
 
 def test_gen_power_symbolic_bad_tag():
     with pytest.raises(ValueError):
-        gen_power_symbolic("Z", 1)
+        gen_power("Z", 1, UniPoly.var())

@@ -3,6 +3,7 @@ exact formula inversion, and witness soundness."""
 
 from fractions import Fraction
 
+from parafree.families import family_n, family_tau
 from parafree.freeness import (
     FREE_SCHOTTKY,
     NON_FREE,
@@ -61,6 +62,17 @@ def test_lookup_empty():
 def test_lookup_negative_fibonacci_branch():
     # 1/3 = F_{-2} / F_{-4}; the negative branch of family D covers it
     assert ("D", -4) in fams(Fraction(1, 3))
+
+
+def test_lookup_finds_every_member_past_300():
+    # brute-force oracle: each member's own tau must lead back to it
+    members = [(fam, k, None) for fam in ("D", "E")
+               for k in range(-400, 401) if k not in (0, -2)]
+    members += [("B", k, sigma) for sigma in [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+                for k in range(-40, 41) if family_n(sigma, k) != 1]
+    for fam, k, sigma in members:
+        found = family_lookup(family_tau(fam, k, sigma))
+        assert (fam, k, sigma) in {(i.family, i.k, i.sigma) for i in found}
 
 
 def test_lookup_results_verify():

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafree.exact import (
     ExpWord,
@@ -100,6 +103,28 @@ def test_poly_hr_small_cases():
     assert poly_hr((5,)) == UniPoly((5,))                   # P_1 = a_1
     assert poly_hr((3, 4)) == UniPoly((12,))                # P_2 = a_1 a_2
     assert poly_hr((1, -1, 1, -1, 7)) == UniPoly((11, -23, 7))
+
+
+TAU = sympy.Symbol("tau")
+
+
+def sympy_defect(candidate):
+    """The defect of the candidate's word, expanded by sympy."""
+    m = sympy.eye(2)
+    for i, a in enumerate(candidate):
+        m = m * (sympy.Matrix([[1, a], [0, 1]]) if i % 2 == 0
+                 else sympy.Matrix([[1, 0], [a * TAU, 1]]))
+    if len(candidate) % 2 == 1:
+        return TAU * m[0, 1] - m[1, 0]
+    return m[0, 0] - m[1, 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=6))
+def test_poly_hr_matches_sympy(candidate):
+    expected = sympy.Poly(sympy.cancel(sympy_defect(candidate) / TAU), TAU)
+    coeffs = tuple(int(c) for c in reversed(expected.all_coeffs()))
+    assert poly_hr(candidate) == UniPoly(coeffs)
 
 
 def test_negation_preserves_half_relations():
@@ -201,7 +226,7 @@ def test_minus_tau_transform_conjugation():
 
 def test_build_relation_verified():
     w = build_relation((1, -1, 1, 14, 2), Fraction(9, 4))
-    assert w.verified and w.check()
+    assert w.check()
     assert w.kind is RelationKind.GROUP_NONTRIVIAL
     assert w.word_tau == w.tau == Fraction(9, 4)
 
@@ -254,6 +279,6 @@ def test_semigroup_witness_rejects_mixed_signs():
 def test_witness_check_detects_forgery():
     fake = RelationWitness(
         Fraction(2), ExpWord(G, (1,)), ExpWord(G, (2,)),
-        RelationKind.GROUP_NONTRIVIAL, True,
+        RelationKind.GROUP_NONTRIVIAL,
     )
     assert not fake.check()
