@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import ExpWord, eval_word, format_rational, parse_rational
-from .families import family_instance, family_n, instance_witness
+from .families import family_instance, family_n, instance_witness, validate_sigma
 from .freeness import SearchEffort, classify_tau
 from .halfrel import (
     RelationKind,
@@ -157,10 +157,12 @@ def cmd_family(args, emit: Emitter) -> int:
         ]
     sigma = None
     if args.sigma is not None:
-        parts = _parse_seq(args.sigma)
-        if len(parts) != 2:
-            raise InputError("sigma must be two comma-separated values")
-        sigma = parts
+        try:
+            sigma = validate_sigma(_parse_seq(args.sigma))
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
+    elif base == "B":
+        raise InputError("family B requires sigma")
     if args.k is not None:
         ks: Sequence[int] = [args.k]
     elif args.k_range is not None:
@@ -228,12 +230,13 @@ def cmd_search(args, emit: Emitter) -> int:
         "signs": args.signs,
         "workers": args.workers,
     }
-    for hit in report.hits:
+    checks = [defect(hit, tau) == 0 for hit in report.hits]
+    for hit, ok in zip(report.hits, checks):
         emit.emit({
             "command": "search",
             "inputs": inputs,
             "result": {"hit": list(hit)},
-            "verified": defect(hit, tau) == 0,
+            "verified": ok,
         })
     emit.emit({
         "command": "search",
@@ -243,7 +246,7 @@ def cmd_search(args, emit: Emitter) -> int:
             "exhausted": report.exhausted,
             "elapsed_s": round(elapsed, 3),
         },
-        "verified": True,
+        "verified": bool(checks) and all(checks),
     })
     return 0 if report.hits else 1
 
@@ -276,6 +279,9 @@ def cmd_classify(args, emit: Emitter) -> int:
 def cmd_poly(args, emit: Emitter) -> int:
     seq = _parse_seq(args.seq)
     poly = poly_hr(seq)
+    # the defect has degree <= l//2 + 1 in tau, so agreeing with tau*P(tau)
+    # at l//2 + 2 distinct points proves the identity
+    points = [Fraction(t) for t in range(1, len(seq) // 2 + 3)]
     emit.emit({
         "command": "poly",
         "inputs": {"seq": list(seq)},
@@ -283,7 +289,7 @@ def cmd_poly(args, emit: Emitter) -> int:
             "coefficients": list(poly.coeffs),
             "rendering": poly.render(),
         },
-        "verified": True,
+        "verified": all(defect(seq, t) == t * poly.evaluate(t) for t in points),
     })
     return 0
 

@@ -145,38 +145,77 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     return SearchReport(query, tuple(hits), exhausted)
 
 
-def search_len4_positive(n_from: int, n_to: int, bound: int) -> dict[int, list[Candidate]]:
+def _factorize(m: int, into: dict[int, int]) -> None:
+    """Add the prime factorisation of m >= 1 to `into`, by trial division."""
+    d = 2
+    while d * d <= m:
+        while m % d == 0:
+            into[d] = into.get(d, 0) + 1
+            m //= d
+        d += 1 if d == 2 else 2
+    if m > 1:
+        into[m] = into.get(m, 0) + 1
+
+
+def _divisors(factors: dict[int, int], limit: int | None) -> list[int]:
+    """The divisors of the factored number, only those <= limit if given.
+
+    Every divisor of a divisor <= limit is itself <= limit, so stopping a
+    prime's powers at the limit loses nothing."""
+    divs = [1]
+    for p, e in factors.items():
+        more = []
+        for d in divs:
+            for _ in range(e):
+                d *= p
+                if limit is not None and d > limit:
+                    break
+                more.append(d)
+        divs += more
+    return divs
+
+
+def search_len4_positive(n_from: int, n_to: int,
+                         bound: int | None) -> dict[int, list[Candidate]]:
     """All-positive length-4 half-relations for tau = ((n-1)/n)^2.
 
     For positive solutions, a_1*a_4 < (n/(n-1))^2 is forced, so a_1 and
-    a_4 are tiny; the relation is then affine in a_3 for each a_2, and a_3
-    is solved exactly (a_2 enumerated up to the bound, the solved a_3
-    accepted at any positive size so that no solution pair is missed).
-    Returns only n with a nonempty hit list.
+    a_4 are tiny.  With c = n^2 - a_1*a_4*(n-1)^2, X = c*a_2 - a_4*n^2 and
+    Y = c*a_3 - a_1*n^2, the length-4 condition is exactly
+
+        X*Y = a_1*a_4*n^2*(2n^2 - a_1*a_4*(n-1)^2),
+
+    and a_3 >= 1 forces X, Y > 0.  So the solutions are the divisor pairs
+    (X, Y) of that product with X + a_4*n^2 and Y + a_1*n^2 both divisible
+    by c; no exponent is scanned.  `bound` caps a_2 only (a_3 is accepted
+    at any size); `bound=None` gives every solution.  Returns only n with
+    a nonempty hit list.
     """
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
-    if bound < 1:
+    if bound is not None and bound < 1:
         raise ValueError("bound must be >= 1")
     found: dict[int, list[Candidate]] = {}
     for n in range(n_from, n_to + 1):
         n2 = n * n
         m2 = (n - 1) * (n - 1)
+        n_factors: dict[int, int] = {}
+        _factorize(n, n_factors)
         hits: list[Candidate] = []
         a1 = 1
         while a1 * m2 < n2:
             a4 = 1
-            while True:
-                c = n2 - a1 * a4 * m2
-                if c <= 0:
-                    break
-                # a3 * (c*a2 - a4*n2) = a1*(a2 + a4)*n2, need a3 >= 1
-                a2_min = a4 * n2 // c + 1
-                for a2 in range(max(1, a2_min), bound + 1):
-                    den = c * a2 - a4 * n2
-                    num = a1 * (a2 + a4) * n2
-                    if num % den == 0:
-                        hits.append((a1, a2, num // den, a4))
+            while (c := n2 - a1 * a4 * m2) > 0:
+                limit = None if bound is None else bound * c - a4 * n2
+                if limit is None or limit >= 1:
+                    factors = {p: 2 * e for p, e in n_factors.items()}
+                    for m in (a1, a4, n2 + c):
+                        _factorize(m, factors)
+                    xy = a1 * a4 * n2 * (n2 + c)
+                    for x in _divisors(factors, limit):
+                        x2, y3 = x + a4 * n2, xy // x + a1 * n2
+                        if x2 % c == 0 and y3 % c == 0:
+                            hits.append((a1, x2 // c, y3 // c, a4))
                 a4 += 1
             a1 += 1
         if hits:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from parafree.cli import main
 from parafree.exact import ExpWord, eval_word, parse_rational
 from parafree.halfrel import defect
+from parafree.search import SearchReport
 
 
 def run(capsys, *argv):
@@ -122,6 +123,16 @@ def test_family_bad_sigma(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_family_bad_sigma_in_range(capsys):
+    # a bad or missing sigma is an input error before any k is tried, not
+    # a reason to skip every k of the sweep
+    for argv in (["--sigma", "4,1"], ["--sigma", "1,1"], []):
+        code, recs = run(capsys, "family", "--name", "b", *argv, "--k-range", "1..3")
+        assert code == 2 and recs == []
+    assert main(["family", "--name", "b", "--sigma", "4,1", "--k-range", "1..3"]) == 2
+    assert "error: sigma must be" in capsys.readouterr().err
+
+
 def test_family_negative_k_range(capsys):
     code, recs = run(capsys, "family", "--name", "d", "--k-range", "-3..-1")
     assert code == 0
@@ -148,6 +159,26 @@ def test_search_no_hits_exit_one(capsys):
                      "--bound", "6")
     assert code == 1
     assert recs[-1]["result"]["hit_count"] == 0
+
+
+def test_search_summary_verified_means_rechecked(capsys, monkeypatch):
+    code, recs = run(capsys, "search", "--tau", "2", "--max-len", "2",
+                     "--bound", "1")
+    assert code == 1 and recs[-1]["result"]["hit_count"] == 0
+    assert recs[-1]["verified"] is False
+    code, recs = run(capsys, "search", "--tau", "2", "--max-len", "3",
+                     "--bound", "2")
+    assert code == 0 and recs[-1]["result"]["hit_count"] == len(recs) - 1 > 0
+    assert recs[-1]["verified"] is True
+    # one forged hit among true ones makes the summary unverified
+    import parafree.cli as cli
+    real = cli.search_half_relations
+    monkeypatch.setattr(cli, "search_half_relations", lambda query, workers: SearchReport(
+        query, real(query, workers).hits + ((1, 1),), True))
+    code, recs = run(capsys, "search", "--tau", "2", "--max-len", "3",
+                     "--bound", "2")
+    assert [r["verified"] for r in recs[-2:]] == [False, False]
+    assert all(r["verified"] for r in recs[:-2])
 
 
 def test_search_worker_determinism(capsys):
@@ -230,6 +261,18 @@ def test_poly_constant(capsys):
     code, recs = run(capsys, "poly", "--seq", "5")
     assert code == 0
     assert recs[0]["result"]["rendering"] == "5"
+
+
+def test_poly_verified_is_a_recheck(capsys, monkeypatch):
+    for seq in ("1,-1,1,-1,7", "5", "2,3", "1,6,27,1", "3,-2,0,4,-1,2"):
+        code, recs = run(capsys, "poly", "--seq", seq)
+        assert code == 0 and recs[0]["verified"] is True
+    # a wrong polynomial must not be reported as verified
+    import parafree.cli as cli
+    real = cli.poly_hr
+    monkeypatch.setattr(cli, "poly_hr", lambda seq: real(seq) + 1)
+    code, recs = run(capsys, "poly", "--seq", "1,-1,1,-1,7")
+    assert recs[0]["verified"] is False
 
 
 def test_poly_malformed(capsys):

@@ -5,6 +5,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafree.halfrel import defect, is_half_relation
 from parafree.search import (
@@ -145,6 +147,46 @@ def test_len4_positive_known_keys():
     assert set(got) >= {2, 3, 5, 9, 10, 45, 51, 90, 95}
     assert (1, 6, 27, 1) in got[9]
     assert (1, 50, 1083, 1) in got[95]
+
+
+def len4_brute(n, bound, a3_cap):
+    """Every all-positive length-4 tuple with a2 <= bound and a3 < a3_cap
+    whose defect at ((n-1)/n)^2 vanishes, by exhaustion (a1*a4 < 4 is
+    forced for n >= 2)."""
+    m2, n2 = (n - 1) ** 2, n * n
+    return sorted(
+        (a1, a2, a3, a4)
+        for a1 in range(1, 4) for a4 in range(1, 4)
+        for a2 in range(1, bound + 1) for a3 in range(1, a3_cap)
+        if a1 * a2 * a3 * a4 * m2
+        + (a1 * a2 - a2 * a3 + a3 * a4 + a1 * a4) * n2 == 0
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 120), bound=st.integers(1, 30))
+def test_len4_positive_matches_brute_force_at_random(n, bound):
+    a3_cap = 300
+    got = search_len4_positive(n, n, bound).get(n, [])
+    assert all(1 <= h[1] <= bound for h in got)
+    assert [h for h in got if h[2] < a3_cap] == len4_brute(n, bound, a3_cap)
+
+
+def test_len4_positive_complete_census():
+    # a2 above 1e4: missed by a scan over a2, found by the divisor pairs;
+    # each is the reversal of a hit with small a2
+    assert (1, 12675, 578, 1) in search_len4_positive(1105, 1105, None)[1105]
+    assert (1, 23762, 1083, 1) in search_len4_positive(2071, 2071, None)[2071]
+    complete = search_len4_positive(2, 3000, None)
+    assert set(complete) == {2, 3, 5, 9, 10, 45, 51, 90, 95, 255,
+                             882, 1105, 1479, 2071}
+    for n, hits in complete.items():
+        # reversing a half-relation gives a half-relation
+        assert all(hit[::-1] in hits for hit in hits), f"n={n}"
+    # the bounded census is the complete one cut at a2 <= bound
+    bounded = search_len4_positive(2, 3000, 10**4)
+    assert bounded == {n: [h for h in hits if h[1] <= 10**4]
+                       for n, hits in complete.items()}
 
 
 def test_len4_positive_validation():
