@@ -21,7 +21,7 @@ from .halfrel import (
     classify_signs,
     minus_tau_transform,
 )
-from .search import SearchQuery, SignMode, search_half_relations
+from .search import SearchQuery, SearchReport, SignMode, search_half_relations
 
 FREE_SCHOTTKY = "free_schottky"
 NON_FREE = "non_free"
@@ -143,6 +143,7 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
 
     at_tau: list[FamilyInstance] = []
     at_minus: list[FamilyInstance] = []
+    group_report: Optional[SearchReport] = None
 
     if abs(tau) >= 4:
         group_status = FREE_SCHOTTKY
@@ -153,18 +154,18 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
         elif at_minus:
             group_status, group_witness = NON_FREE, _mirrored_witness(at_minus[0])
         else:
-            report = search_half_relations(
+            group_report = search_half_relations(
                 SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY),
                 workers=effort.workers,
             )
-            if report.hits:
+            if group_report.hits:
                 group_status = NON_FREE
-                group_witness = build_relation(report.hits[0], tau)
+                group_witness = build_relation(group_report.hits[0], tau)
 
     if tau >= 1 or tau <= -4:
         semi_status = FREE_SCHOTTKY
     elif tau != 0:
-        semi_witness = _find_semigroup_witness(tau, effort, at_tau, at_minus)
+        semi_witness = _find_semigroup_witness(tau, effort, at_tau, at_minus, group_report)
         if semi_witness is not None:
             semi_status = NON_SEMIGROUP_FREE
 
@@ -180,11 +181,17 @@ def _find_semigroup_witness(
     effort: SearchEffort,
     at_tau: list[FamilyInstance],
     at_minus: list[FamilyInstance],
+    group_report: Optional[SearchReport],
 ) -> Optional[RelationWitness]:
     """Positive words at tau, from a family member at tau and then at -tau
     (at_tau and at_minus are the lookups there), then from a search at tau
     and then at -tau.  An alternating half-relation at -tau gives positive
-    words at tau."""
+    words at tau.
+
+    group_report is the NONZERO_ANY search at tau with the same effort, if
+    one ran.  When it is exhausted it holds every all-positive hit in
+    shortlex order, so its first one is the first ALL_POSITIVE hit and
+    that search is skipped."""
     sides = (
         (tau, RelationKind.SEMIGROUP_AT_TAU, SignMode.ALL_POSITIVE, at_tau),
         (-tau, RelationKind.SEMIGROUP_AT_MINUS_TAU, SignMode.ALTERNATING, at_minus),
@@ -194,9 +201,12 @@ def _find_semigroup_witness(
             if not inst.exceptional and inst.kind is kind:
                 return build_semigroup_witness(inst.candidate, t)
     for t, kind, mode, _ in sides:
-        report = search_half_relations(
-            SearchQuery(t, effort.max_len, effort.bound, mode), workers=effort.workers
-        )
+        if mode is SignMode.ALL_POSITIVE and group_report is not None and group_report.exhausted:
+            report = group_report
+        else:
+            report = search_half_relations(
+                SearchQuery(t, effort.max_len, effort.bound, mode), workers=effort.workers
+            )
         for hit in report.hits:
             if classify_signs(hit) is kind:
                 return build_semigroup_witness(hit, t)

@@ -2,9 +2,19 @@
 
 The enumeration is depth-first over exponent prefixes; the defect is an
 affine function of the final exponent, so the last position is solved
-exactly instead of enumerated (O(B^{l-1}) instead of O(B^l)).  All matrix
-arithmetic is done on integer matrices scaled by q^(#h-letters), where
-tau = p/q, so the hot loop never touches rational numbers.
+exactly instead of enumerated (O(B^{l-1}) instead of O(B^l)).  Most nodes
+are one step from the last position, so the last two positions are done
+in one loop: for each a_{l-1} the solve's two coefficients are affine in
+a_{l-1}, and a_l is read off inline.  All matrix arithmetic is done on
+integer matrices scaled by q^(#h-letters), where tau = p/q, so the hot
+loop never touches rational numbers.
+
+Conjugating by diag(1,-1) maps the word of a to the word of -a with c12
+and c21 negated, so defect(-a) = +-defect(a) and the half-relations are
+closed under negation.  NONZERO_ANY therefore searches only a_1 > 0 and
+adds the negation of every hit.  `freeness.classify_tau` reads the
+all-positive hits off an exhausted NONZERO_ANY report instead of running
+an ALL_POSITIVE search.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .halfrel import Candidate, defect
+from .halfrel import Candidate, defect, negate
 
 
 class SignMode(enum.Enum):
@@ -36,6 +46,8 @@ class SearchQuery:
     result_limit: int = DEFAULT_RESULT_LIMIT
 
     def __post_init__(self) -> None:
+        if self.tau == 0:
+            raise ValueError("tau must be nonzero (every tuple is a half-relation at 0)")
         if not 1 <= self.max_len <= MAX_LEN_LIMIT:
             raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
         if self.bound < 1:
@@ -51,67 +63,88 @@ class SearchReport:
     exhausted: bool
 
 
-def _allowed_values(position: int, bound: int, mode: SignMode) -> range | list[int]:
-    """Allowed exponents at 1-indexed position under the sign mode.
+# per 1-indexed position: the allowed exponents and their range (lo, hi)
+Positions = list[tuple[range | list[int], int, int]]
+
+
+def _positions(max_len: int, bound: int, mode: SignMode) -> Positions:
+    """The allowed exponents at positions 1..max_len (index 0 unused).
 
     ALTERNATING is canonicalized to the orientation with a_1 < 0."""
+    pos = range(1, bound + 1), 1, bound
+    neg = range(-bound, 0), -bound, -1
     if mode is SignMode.ALL_POSITIVE:
-        return range(1, bound + 1)
-    if mode is SignMode.ALTERNATING:
-        if position % 2 == 1:
-            return range(-bound, 0)
-        return range(1, bound + 1)
-    return [a for a in range(-bound, bound + 1) if a != 0]
+        odd = even = pos
+    elif mode is SignMode.ALTERNATING:
+        odd, even = neg, pos
+    else:
+        odd = even = [*neg[0], *pos[0]], -bound, bound
+    return [odd if l % 2 == 1 else even for l in range(max_len + 1)]
 
 
-def _value_allowed(a: int, position: int, bound: int, mode: SignMode) -> bool:
-    if abs(a) > bound or a == 0:
-        return False
-    if mode is SignMode.ALL_POSITIVE:
-        return a > 0
-    if mode is SignMode.ALTERNATING:
-        return a < 0 if position % 2 == 1 else a > 0
-    return True
+def _solve(coeff: int, const: int, exps: tuple[int, ...],
+           allowed: tuple[range | list[int], int, int], out: list[Candidate]) -> None:
+    """Append exps + (a,) for every allowed a with coeff*a + const == 0."""
+    values, lo, hi = allowed
+    if coeff:
+        if const % coeff == 0:
+            a = -const // coeff
+            if lo <= a <= hi and a:  # NONZERO_ANY's range holds 0
+                out.append(exps + (a,))
+    elif const == 0:
+        out.extend(exps + (a,) for a in values)
 
 
 def _dfs(p: int, q: int, exps: tuple[int, ...],
          n11: int, n12: int, n21: int, n22: int,
-         max_len: int, bound: int, mode: SignMode,
-         out: list[Candidate]) -> None:
+         max_len: int, positions: Positions, out: list[Candidate]) -> None:
     l = len(exps) + 1  # length completed by solving the final position
     if l % 2 == 1:
         # final letter g^a: defect ~ p*(n11*a + n12) - q*n21
-        coeff, const = p * n11, p * n12 - q * n21
+        _solve(p * n11, p * n12 - q * n21, exps, positions[l], out)
     else:
         # final letter h^a: defect ~ (n11 - n22)*q + n12*p*a
-        coeff, const = p * n12, q * (n11 - n22)
-    if coeff != 0:
-        if const % coeff == 0:
-            a = -const // coeff
-            if _value_allowed(a, l, bound, mode):
-                out.append(exps + (a,))
-    elif const == 0:
-        for a in _allowed_values(l, bound, mode):
-            out.append(exps + (a,))
-    if l < max_len:
+        _solve(p * n12, q * (n11 - n22), exps, positions[l], out)
+    if l == max_len:
+        return
+    values = positions[l][0]
+    if l + 1 < max_len:
         if l % 2 == 1:
-            for a in _allowed_values(l, bound, mode):
+            for a in values:
                 _dfs(p, q, exps + (a,),
                      n11, n11 * a + n12, n21, n21 * a + n22,
-                     max_len, bound, mode, out)
+                     max_len, positions, out)
         else:
-            for a in _allowed_values(l, bound, mode):
+            for a in values:
                 _dfs(p, q, exps + (a,),
                      n11 * q + n12 * a * p, n12 * q, n21 * q + n22 * a * p, n22 * q,
-                     max_len, bound, mode, out)
+                     max_len, positions, out)
+        return
+    # a_l is the last but one: the solve for a_{l+1} after a_l has
+    # coeff = c1*a_l + c0 and const = k0 + k1*a_l
+    if l % 2 == 1:
+        # after g^a: coeff p*(n11*a + n12), const q*(n11 - n21*a - n22)
+        c1, c0, k0, k1 = p * n11, p * n12, q * (n11 - n22), -q * n21
+    else:
+        # after h^a: coeff p*(q*n11 + p*n12*a), const q*(p*n12 - q*n21 - p*n22*a)
+        c1, c0, k0, k1 = p * p * n12, p * q * n11, q * (p * n12 - q * n21), -q * p * n22
+    last_values, lo, hi = positions[l + 1]
+    for a in values:
+        coeff, const = c1 * a + c0, k0 + k1 * a
+        if coeff:
+            if const % coeff == 0:
+                b = -const // coeff
+                if lo <= b <= hi and b:
+                    out.append(exps + (a, b))
+        elif const == 0:
+            out.extend(exps + (a, b) for b in last_values)
 
 
 def _search_branch(args: tuple) -> list[Candidate]:
     """One top-level branch (fixed a_1); the parallelization unit."""
-    p, q, a1, max_len, bound, mode_value = args
-    mode = SignMode(mode_value)
+    p, q, a1, max_len, positions = args
     out: list[Candidate] = []
-    _dfs(p, q, (a1,), 1, a1, 0, 1, max_len, bound, mode, out)
+    _dfs(p, q, (a1,), 1, a1, 0, 1, max_len, positions, out)
     return out
 
 
@@ -119,24 +152,30 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     """Enumerate all half-relations for the query, in shortlex order.
 
     Deterministic and worker-count independent: branches are split on the
-    value of a_1 and merged with a canonical sort.
+    value of a_1 and merged with a canonical sort.  At most one worker per
+    branch is started.
     """
     p, q = query.tau.numerator, query.tau.denominator
+    positions = _positions(query.max_len, query.bound, query.sign_mode)
+    mirror = query.sign_mode is SignMode.NONZERO_ANY
     hits: list[Candidate] = []
     # length-1 hits (empty prefix, solve the single position)
-    _dfs(p, q, (), 1, 0, 0, 1, 1, query.bound, query.sign_mode, hits)
+    _dfs(p, q, (), 1, 0, 0, 1, 1, positions, hits)
     branch_args = [
-        (p, q, a1, query.max_len, query.bound, query.sign_mode.value)
-        for a1 in _allowed_values(1, query.bound, query.sign_mode)
+        (p, q, a1, query.max_len, positions)
+        for a1 in positions[1][0] if a1 > 0 or not mirror
     ]
     if query.max_len >= 2:
+        workers = min(workers, len(branch_args))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for branch_hits in pool.map(_search_branch, branch_args):
-                    hits.extend(branch_hits)
+                branches = list(pool.map(_search_branch, branch_args))
         else:
-            for args in branch_args:
-                hits.extend(_search_branch(args))
+            branches = [_search_branch(args) for args in branch_args]
+        for branch_hits in branches:
+            hits.extend(branch_hits)
+            if mirror:  # the a_1 < 0 branch is the negation of this one
+                hits.extend(negate(hit) for hit in branch_hits)
     hits = sorted(set(hits), key=lambda c: (len(c), c))
     exhausted = True
     if query.result_limit is not None and len(hits) > query.result_limit:

@@ -199,6 +199,13 @@ def test_search_invalid_query(capsys):
     assert "error: workers must be >= 1" in capsys.readouterr().err
 
 
+def test_search_tau_zero_is_an_error(capsys):
+    assert main(["search", "--tau", "0", "--max-len", "4", "--bound", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tau must be nonzero")
+
+
 # --- classify ----------------------------------------------------------
 
 def test_classify_family_value(capsys):

@@ -1,8 +1,10 @@
 """Tests for tau classification: Schottky thresholds, family lookup by
 exact formula inversion, and witness soundness."""
 
+import dataclasses
 from fractions import Fraction
 
+import parafree.freeness as freeness
 from parafree.families import family_n, family_tau
 from parafree.freeness import (
     FREE_SCHOTTKY,
@@ -13,7 +15,8 @@ from parafree.freeness import (
     classify_tau,
     family_lookup,
 )
-from parafree.halfrel import RelationKind
+from parafree.halfrel import RelationKind, build_semigroup_witness
+from parafree.search import SearchQuery, SignMode, search_half_relations
 
 
 def fams(tau):
@@ -95,6 +98,58 @@ def test_classify_tau_zero_is_unknown():
     cls = classify_tau(Fraction(0))
     assert cls.group_status == UNKNOWN
     assert cls.semigroup_status == UNKNOWN
+
+
+def spy_searches(monkeypatch, change_query=lambda query: query):
+    """Record the sign mode of every search classify runs; each query
+    passes through change_query first."""
+    modes = []
+
+    def spy(query, workers=1):
+        modes.append(query.sign_mode)
+        return search_half_relations(change_query(query), workers)
+
+    monkeypatch.setattr(freeness, "search_half_relations", spy)
+    return modes
+
+
+def test_classify_tau_zero_runs_no_search(monkeypatch):
+    modes = spy_searches(monkeypatch)
+    cls = classify_tau(Fraction(0))
+    assert (cls.group_status, cls.semigroup_status) == (UNKNOWN, UNKNOWN)
+    assert modes == []
+
+
+def positive_search_witness(tau, effort):
+    report = search_half_relations(SearchQuery(tau, effort.max_len, effort.bound,
+                                               SignMode.ALL_POSITIVE))
+    return build_semigroup_witness(report.hits[0], tau)
+
+
+def test_semigroup_witness_read_from_the_group_search(monkeypatch):
+    # in no family at +-tau, with all-positive hits at effort (4, 8)
+    effort = SearchEffort()
+    for tau in (Fraction(2, 3), Fraction(-4, 3), Fraction(5, 7), Fraction(1, 10)):
+        modes = spy_searches(monkeypatch)
+        cls = classify_tau(tau, effort)
+        assert modes == [SignMode.NONZERO_ANY]  # no ALL_POSITIVE search ran
+        assert cls.semigroup_status == NON_SEMIGROUP_FREE
+        assert cls.semigroup_witness == positive_search_witness(tau, effort)
+
+
+def test_truncated_group_search_still_runs_the_positive_search(monkeypatch):
+    def truncate_group_search(query):
+        if query.sign_mode is SignMode.NONZERO_ANY:
+            return dataclasses.replace(query, result_limit=1)
+        return query
+
+    effort = SearchEffort()
+    for tau in (Fraction(2, 3), Fraction(-4, 3)):
+        modes = spy_searches(monkeypatch, truncate_group_search)
+        cls = classify_tau(tau, effort)
+        assert modes == [SignMode.NONZERO_ANY, SignMode.ALL_POSITIVE]
+        assert cls.group_status == NON_FREE
+        assert cls.semigroup_witness == positive_search_witness(tau, effort)
 
 
 def test_classify_family_values():

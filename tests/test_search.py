@@ -5,10 +5,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parafree.halfrel import defect, is_half_relation
+import parafree.search as search_module
+from parafree.halfrel import defect, is_half_relation, negate
 from parafree.search import (
     SearchQuery,
     SignMode,
@@ -88,11 +89,84 @@ def test_sign_modes_restrict():
         assert all(a < 0 if i % 2 == 0 else a > 0 for i, a in enumerate(hit))
 
 
+def test_tau_zero_is_rejected():
+    # every tuple has zero defect at 0, so the "search" would list all of them
+    for mode in SignMode:
+        with pytest.raises(ValueError, match="tau must be nonzero"):
+            SearchQuery(Fraction(0), 5, 12, mode)
+
+
 def test_worker_counts_agree():
-    query = SearchQuery(Fraction(2), 4, 5)
-    base = search_half_relations(query, workers=1)
-    for workers in (2, 8):
-        assert search_half_relations(query, workers=workers) == base
+    # -1/2 has hits in every sign mode; 2 has no all-positive ones
+    queries = [SearchQuery(Fraction(2), 4, 5)] + [
+        SearchQuery(Fraction(-1, 2), 4, 5, mode) for mode in SignMode]
+    for query in queries:
+        base = search_half_relations(query, workers=1)
+        assert base.hits
+        for workers in (1, 2, 8):
+            assert search_half_relations(query, workers=workers) == base
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor and records its max_workers."""
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_clamped_to_branches(monkeypatch):
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
+    _SerialPool.sizes = []
+    tau = Fraction(-1, 2)
+    # NONZERO_ANY branches on a_1 > 0 only; the signed modes on B values
+    for mode, bound, workers, size in (
+        (SignMode.NONZERO_ANY, 3, 8, 3),
+        (SignMode.ALL_POSITIVE, 3, 2, 2),
+        (SignMode.ALTERNATING, 4, 8, 4),
+    ):
+        query = SearchQuery(tau, 4, bound, mode)
+        report = search_half_relations(query, workers=workers)
+        assert _SerialPool.sizes[-1] == size
+        assert list(report.hits) == naive_search(tau, 4, bound, mode)
+    # one branch runs in-process, without a pool
+    search_half_relations(SearchQuery(tau, 4, 1), workers=8)
+    assert len(_SerialPool.sizes) == 3
+
+
+small_tau = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]),
+    st.builds(Fraction, st.integers(-23, 23).filter(bool), st.integers(1, 6)),
+).filter(lambda t: abs(t) < 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, mode=st.sampled_from(SignMode),
+       max_len=st.integers(1, 4), bound=st.integers(1, 4))
+# the coeff == const == 0 branch, where a whole range of a_l is a hit
+@example(tau=Fraction(1), mode=SignMode.NONZERO_ANY, max_len=4, bound=4)
+@example(tau=Fraction(-1), mode=SignMode.NONZERO_ANY, max_len=4, bound=4)
+@example(tau=Fraction(2), mode=SignMode.ALL_POSITIVE, max_len=4, bound=4)
+@example(tau=Fraction(-2), mode=SignMode.ALTERNATING, max_len=4, bound=4)
+# length-3 hits at q > 1, where the last two positions follow an h-letter
+@example(tau=Fraction(-2, 3), mode=SignMode.ALL_POSITIVE, max_len=3, bound=4)
+@example(tau=Fraction(1, 2), mode=SignMode.ALTERNATING, max_len=3, bound=4)
+def test_matches_naive_oracle_at_random(tau, mode, max_len, bound):
+    report = search_half_relations(SearchQuery(tau, max_len, bound, mode, None))
+    assert report.exhausted
+    assert list(report.hits) == naive_search(tau, max_len, bound, mode)
+    if mode is SignMode.NONZERO_ANY:
+        # diag(1,-1) conjugation: the hit set is closed under negation
+        assert {negate(h) for h in report.hits} == set(report.hits)
 
 
 def test_result_limit_truncates():
