@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -27,9 +26,6 @@ from .halfrel import (
     poly_hr,
 )
 from .search import SearchQuery, SignMode, search_half_relations
-
-WORKERS_ENV = "PARAFREE_WORKERS"
-
 
 class InputError(Exception):
     pass
@@ -294,13 +290,6 @@ def cmd_poly(args, emit: Emitter) -> int:
     return 0
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parafree",
@@ -333,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     effort.add_argument("--tau", required=True)
     effort.add_argument("--max-len", dest="max_len", type=int, default=4)
     effort.add_argument("--bound", type=int, default=8)
-    effort.add_argument("--workers", type=int, default=_default_workers())
+    effort.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("search", parents=[effort], help="bounded exhaustive half-relation search")
     p.add_argument("--signs", choices=sorted(_SIGN_MODES), default="nonzero")

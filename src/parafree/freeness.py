@@ -154,8 +154,10 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
         elif at_minus:
             group_status, group_witness = NON_FREE, _mirrored_witness(at_minus[0])
         else:
+            # no result limit: the search builds every hit before the cut
+            # anyway, and _find_semigroup_witness reads all of them
             group_report = search_half_relations(
-                SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY),
+                SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY, None),
                 workers=effort.workers,
             )
             if group_report.hits:
@@ -188,10 +190,10 @@ def _find_semigroup_witness(
     and then at -tau.  An alternating half-relation at -tau gives positive
     words at tau.
 
-    group_report is the NONZERO_ANY search at tau with the same effort, if
-    one ran.  When it is exhausted it holds every all-positive hit in
-    shortlex order, so its first one is the first ALL_POSITIVE hit and
-    that search is skipped."""
+    group_report is the unlimited NONZERO_ANY search at tau with the same
+    effort, if one ran.  It holds every all-positive hit in shortlex
+    order, so its first one is the first ALL_POSITIVE hit and that search
+    is skipped."""
     sides = (
         (tau, RelationKind.SEMIGROUP_AT_TAU, SignMode.ALL_POSITIVE, at_tau),
         (-tau, RelationKind.SEMIGROUP_AT_MINUS_TAU, SignMode.ALTERNATING, at_minus),
@@ -201,7 +203,7 @@ def _find_semigroup_witness(
             if not inst.exceptional and inst.kind is kind:
                 return build_semigroup_witness(inst.candidate, t)
     for t, kind, mode, _ in sides:
-        if mode is SignMode.ALL_POSITIVE and group_report is not None and group_report.exhausted:
+        if mode is SignMode.ALL_POSITIVE and group_report is not None:
             report = group_report
         else:
             report = search_half_relations(

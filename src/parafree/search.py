@@ -1,19 +1,19 @@
 """Bounded exhaustive discovery of half-relations with exact pruning.
 
-The enumeration is depth-first over exponent prefixes; the defect is an
-affine function of the final exponent, so the last position is solved
-exactly instead of enumerated (O(B^{l-1}) instead of O(B^l)).  Most nodes
-are one step from the last position, so the last two positions are done
-in one loop: for each a_{l-1} the solve's two coefficients are affine in
-a_{l-1}, and a_l is read off inline.  All matrix arithmetic is done on
-integer matrices scaled by q^(#h-letters), where tau = p/q, so the hot
-loop never touches rational numbers.
+The enumeration is depth-first over exponent prefixes.  The defect is
+affine in the final exponent, and the solve's two coefficients are affine
+in the one before it, so each node extends its prefix by two positions in
+one loop: for each a the next b is read off exactly (O(B^{l-1}) instead of
+O(B^l)).  A nonzero tuple of length 1 or 2 has defect tau*a_1 or
+tau*a_1*a_2, so those lengths have no solutions and are skipped.  All
+matrix arithmetic is done on integer matrices scaled by q^(#h-letters),
+where tau = p/q, so the hot loop never touches rational numbers.
 
 Conjugating by diag(1,-1) maps the word of a to the word of -a with c12
 and c21 negated, so defect(-a) = +-defect(a) and the half-relations are
 closed under negation.  NONZERO_ANY therefore searches only a_1 > 0 and
 adds the negation of every hit.  `freeness.classify_tau` reads the
-all-positive hits off an exhausted NONZERO_ANY report instead of running
+all-positive hits off its unlimited NONZERO_ANY report instead of running
 an ALL_POSITIVE search.
 """
 
@@ -82,62 +82,40 @@ def _positions(max_len: int, bound: int, mode: SignMode) -> Positions:
     return [odd if l % 2 == 1 else even for l in range(max_len + 1)]
 
 
-def _solve(coeff: int, const: int, exps: tuple[int, ...],
-           allowed: tuple[range | list[int], int, int], out: list[Candidate]) -> None:
-    """Append exps + (a,) for every allowed a with coeff*a + const == 0."""
-    values, lo, hi = allowed
-    if coeff:
-        if const % coeff == 0:
-            a = -const // coeff
-            if lo <= a <= hi and a:  # NONZERO_ANY's range holds 0
-                out.append(exps + (a,))
-    elif const == 0:
-        out.extend(exps + (a,) for a in values)
-
-
 def _dfs(p: int, q: int, exps: tuple[int, ...],
          n11: int, n12: int, n21: int, n22: int,
          max_len: int, positions: Positions, out: list[Candidate]) -> None:
-    l = len(exps) + 1  # length completed by solving the final position
-    if l % 2 == 1:
-        # final letter g^a: defect ~ p*(n11*a + n12) - q*n21
-        _solve(p * n11, p * n12 - q * n21, exps, positions[l], out)
-    else:
-        # final letter h^a: defect ~ (n11 - n22)*q + n12*p*a
-        _solve(p * n12, q * (n11 - n22), exps, positions[l], out)
-    if l == max_len:
-        return
-    values = positions[l][0]
-    if l + 1 < max_len:
-        if l % 2 == 1:
-            for a in values:
-                _dfs(p, q, exps + (a,),
-                     n11, n11 * a + n12, n21, n21 * a + n22,
-                     max_len, positions, out)
-        else:
-            for a in values:
-                _dfs(p, q, exps + (a,),
-                     n11 * q + n12 * a * p, n12 * q, n21 * q + n22 * a * p, n22 * q,
-                     max_len, positions, out)
-        return
-    # a_l is the last but one: the solve for a_{l+1} after a_l has
-    # coeff = c1*a_l + c0 and const = k0 + k1*a_l
+    """Extend exps, whose word is the scaled matrix (n11 n12; n21 n22), by
+    (a, b): b is solved for each allowed a, and exps + (a,) is recursed
+    into while a longer hit fits."""
+    l = len(exps) + 1  # the position of a
+    # the solve for b after a has coeff = c1*a + c0 and const = k0 + k1*a
     if l % 2 == 1:
         # after g^a: coeff p*(n11*a + n12), const q*(n11 - n21*a - n22)
         c1, c0, k0, k1 = p * n11, p * n12, q * (n11 - n22), -q * n21
     else:
         # after h^a: coeff p*(q*n11 + p*n12*a), const q*(p*n12 - q*n21 - p*n22*a)
         c1, c0, k0, k1 = p * p * n12, p * q * n11, q * (p * n12 - q * n21), -q * p * n22
+    deeper = len(exps) + 3 <= max_len  # the child's hits have that length
     last_values, lo, hi = positions[l + 1]
-    for a in values:
+    for a in positions[l][0]:
         coeff, const = c1 * a + c0, k0 + k1 * a
         if coeff:
             if const % coeff == 0:
                 b = -const // coeff
-                if lo <= b <= hi and b:
+                if lo <= b <= hi and b:  # NONZERO_ANY's range holds 0
                     out.append(exps + (a, b))
         elif const == 0:
             out.extend(exps + (a, b) for b in last_values)
+        if deeper:
+            if l % 2 == 1:
+                _dfs(p, q, exps + (a,),
+                     n11, n11 * a + n12, n21, n21 * a + n22,
+                     max_len, positions, out)
+            else:
+                _dfs(p, q, exps + (a,),
+                     n11 * q + n12 * a * p, n12 * q, n21 * q + n22 * a * p, n22 * q,
+                     max_len, positions, out)
 
 
 def _search_branch(args: tuple) -> list[Candidate]:
@@ -159,13 +137,13 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     positions = _positions(query.max_len, query.bound, query.sign_mode)
     mirror = query.sign_mode is SignMode.NONZERO_ANY
     hits: list[Candidate] = []
-    # length-1 hits (empty prefix, solve the single position)
-    _dfs(p, q, (), 1, 0, 0, 1, 1, positions, hits)
-    branch_args = [
-        (p, q, a1, query.max_len, positions)
-        for a1 in positions[1][0] if a1 > 0 or not mirror
-    ]
-    if query.max_len >= 2:
+    # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
+    # never zero at tau != 0, so every hit has length >= 3
+    if query.max_len >= 3:
+        branch_args = [
+            (p, q, a1, query.max_len, positions)
+            for a1 in positions[1][0] if a1 > 0 or not mirror
+        ]
         workers = min(workers, len(branch_args))
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,7 +1,6 @@
 """Tests for tau classification: Schottky thresholds, family lookup by
 exact formula inversion, and witness soundness."""
 
-import dataclasses
 from fractions import Fraction
 
 import parafree.freeness as freeness
@@ -100,14 +99,13 @@ def test_classify_tau_zero_is_unknown():
     assert cls.semigroup_status == UNKNOWN
 
 
-def spy_searches(monkeypatch, change_query=lambda query: query):
-    """Record the sign mode of every search classify runs; each query
-    passes through change_query first."""
+def spy_searches(monkeypatch):
+    """Record the sign mode of every search classify runs."""
     modes = []
 
     def spy(query, workers=1):
         modes.append(query.sign_mode)
-        return search_half_relations(change_query(query), workers)
+        return search_half_relations(query, workers)
 
     monkeypatch.setattr(freeness, "search_half_relations", spy)
     return modes
@@ -137,19 +135,17 @@ def test_semigroup_witness_read_from_the_group_search(monkeypatch):
         assert cls.semigroup_witness == positive_search_witness(tau, effort)
 
 
-def test_truncated_group_search_still_runs_the_positive_search(monkeypatch):
-    def truncate_group_search(query):
-        if query.sign_mode is SignMode.NONZERO_ANY:
-            return dataclasses.replace(query, result_limit=1)
-        return query
-
-    effort = SearchEffort()
-    for tau in (Fraction(2, 3), Fraction(-4, 3)):
-        modes = spy_searches(monkeypatch, truncate_group_search)
-        cls = classify_tau(tau, effort)
-        assert modes == [SignMode.NONZERO_ANY, SignMode.ALL_POSITIVE]
-        assert cls.group_status == NON_FREE
-        assert cls.semigroup_witness == positive_search_witness(tau, effort)
+def test_over_limit_group_search_still_gives_the_semigroup_witness(monkeypatch):
+    # 1,146 hits at effort (5, 8), past the default result limit of 1,000:
+    # the group search runs without a limit, so no second search is needed
+    effort = SearchEffort(max_len=5, bound=8)
+    tau = Fraction(2, 3)
+    modes = spy_searches(monkeypatch)
+    cls = classify_tau(tau, effort)
+    assert modes == [SignMode.NONZERO_ANY]
+    assert cls.group_status == NON_FREE
+    assert cls.semigroup_status == NON_SEMIGROUP_FREE
+    assert cls.semigroup_witness == positive_search_witness(tau, effort)
 
 
 def test_classify_family_values():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parafree.search as search_module
-from parafree.halfrel import defect, is_half_relation, negate
+from parafree.halfrel import defect, is_half_relation, negate, poly_hr
 from parafree.search import (
     SearchQuery,
     SignMode,
@@ -53,9 +53,18 @@ def test_matches_naive_oracle():
     grid = [Fraction(2), Fraction(1, 4), Fraction(9, 4), Fraction(-3, 2)]
     for tau in grid:
         for mode in SignMode:
-            got = search_half_relations(SearchQuery(tau, 4, 6, mode))
-            assert got.exhausted
-            assert list(got.hits) == naive_search(tau, 4, 6, mode)
+            # 1, 2 and 3 bracket the recursion guard: hits start at length 3
+            for max_len in (1, 2, 3, 4):
+                got = search_half_relations(SearchQuery(tau, max_len, 6, mode))
+                assert got.exhausted
+                assert list(got.hits) == naive_search(tau, max_len, 6, mode)
+
+
+@given(st.lists(st.integers(-50, 50).filter(bool), min_size=1, max_size=2))
+def test_no_half_relation_shorter_than_three(candidate):
+    # the defect is tau*a_1 (length 1) or tau*a_1*a_2 (length 2): a nonzero
+    # constant times tau, with no root tau != 0, so the search skips both
+    assert poly_hr(candidate).degree() == 0
 
 
 def test_all_hits_are_half_relations():
