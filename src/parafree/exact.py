@@ -149,12 +149,24 @@ class ExpWord:
 
 def eval_word(word: ExpWord, tau) -> Mat2:
     """Left-to-right product of generator powers over the ring of tau;
-    always has determinant 1."""
-    letters = word.letters()
-    m = gen_power(*next(letters), tau)
-    for tag, a in letters:
-        m = m * gen_power(tag, a, tau)
-    return m
+    always has determinant 1.
+
+    Each letter is applied to the running product as a column operation:
+    right-multiplying by g^a adds a*col1 to col2, and by h^a adds
+    (a*tau)*col2 to col1.  This equals the product of `gen_power` letters
+    under `Mat2.__mul__`, which the tests keep as its reference.
+    """
+    zero = tau * 0
+    e11, e12, e21, e22 = zero + 1, zero, zero, zero + 1
+    on_g = word.start == G
+    for a in word.exponents:
+        if on_g:
+            e12, e22 = e12 + a * e11, e22 + a * e21
+        else:
+            at = a * tau
+            e11, e21 = e11 + at * e12, e21 + at * e22
+        on_g = not on_g
+    return Mat2(e11, e12, e21, e22)
 
 
 @dataclass(frozen=True)

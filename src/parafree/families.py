@@ -50,15 +50,20 @@ def validate_sigma(sigma: Sequence[int]) -> SigmaPair:
 def u_seq(sigma: Sequence[int], k: int) -> int:
     """The doubly infinite sequence with u_0 = u_1 = 1 and
     u_{k+1} = 2*sigma_{k mod 2}*u_k - u_{k-1}."""
-    s = validate_sigma(sigma)
+    return _u_pair(validate_sigma(sigma), k)[0]
+
+
+def _u_pair(s: SigmaPair, k: int) -> tuple[int, int]:
+    """(u_k, u_{k+1}) for a validated sigma, in one walk of the recurrence."""
     if k < 0:
         # the recurrence run backwards is the recurrence run forwards for
-        # the swapped pair: u_k = u'_{1-k}
-        return u_seq((s[1], s[0]), 1 - k)
+        # the swapped pair: u_k = u'_{1-k}, so (u_k, u_{k+1}) = (u'_{1-k}, u'_{-k})
+        u_next, u = _u_pair((s[1], s[0]), -k)
+        return u, u_next
     u, u_next = 1, 1  # u_0, u_1
     for i in range(1, k + 1):
         u, u_next = u_next, 2 * s[i % 2] * u_next - u
-    return u
+    return u, u_next
 
 
 def fib(k: int) -> int:
@@ -167,7 +172,8 @@ def family_tau(
 def family_n(sigma: Sequence[int], k: int) -> int:
     """n = 6/(s0 s1) * u_k * u_{k+1} for family B."""
     s = validate_sigma(sigma)
-    return (6 // (s[0] * s[1])) * u_seq(s, k) * u_seq(s, k + 1)
+    u, u_next = _u_pair(s, k)
+    return (6 // (s[0] * s[1])) * u * u_next
 
 
 def family_instance(
@@ -197,7 +203,7 @@ def family_instance(
             candidate = (1, -1, -k, k * (4 * k + 4))
     elif family == "B":
         assert sig is not None
-        uk, uk1 = u_seq(sig, k), u_seq(sig, k + 1)
+        uk, uk1 = _u_pair(sig, k)
         s_k, s_k1 = sig[k % 2], sig[(k + 1) % 2]
         candidate = (1, (6 // s_k1) * uk * uk, (6 // s_k) * uk1 * uk1, 1)
     elif family == "C_general":

@@ -68,8 +68,8 @@ def _b_indices(sigma: tuple[int, int], n: int) -> list[int]:
     u-recurrence carrying (u_k, u_{k+1}); the products grow with k."""
     c = 6 // (sigma[0] * sigma[1])
     out, k, u, u_next = [], 0, 1, 1
-    while c * u * u_next <= n:
-        if c * u * u_next == n:
+    while (n_k := c * u * u_next) <= n:
+        if n_k == n:
             out.append(k)
         k, u, u_next = k + 1, u_next, 2 * sigma[(k + 1) % 2] * u_next - u
     return out
@@ -96,10 +96,11 @@ def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[tuple
     # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
     # |F_k| (|P_k|) is tau's denominator; walk X_{m+1} = c X_m + X_{m-1} up to
     # it; try every k = m, then every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
+    den = tau.denominator
     for family, c, x, x_next in (("D", 1, 1, 1), ("E", 2, 1, 2)):
         ms, m = [], 1
-        while x <= tau.denominator:
-            if x == tau.denominator:
+        while x <= den:
+            if x == den:
                 ms.append(m)
             m, x, x_next = m + 1, x_next, c * x_next + x
         for k in ms + [-m for m in ms]:

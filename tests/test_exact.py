@@ -3,8 +3,11 @@ words, polynomials)."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafree.exact import (
     ExpWord,
@@ -161,6 +164,23 @@ def test_expword_flags():
     assert not ExpWord(G, (1, -2)).is_positive
     assert ExpWord(G, (1, -2)).is_reduced
     assert not ExpWord(G, (1, 0, 2)).is_reduced
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.sampled_from([G, H]),
+    exps=st.lists(st.integers(-9, 9), min_size=1, max_size=12),
+    tau=st.one_of(
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.just(UniPoly.var()),
+    ),
+)
+def test_eval_word_matches_the_product_of_generator_powers(start, exps, tau):
+    # the column-operation loop against the left-to-right Mat2 product;
+    # zero exponents included
+    w = ExpWord(start, tuple(exps))
+    expected = reduce(Mat2.__mul__, (gen_power(tag, a, tau) for tag, a in w.letters()))
+    assert eval_word(w, tau) == expected
 
 
 def test_eval_word_unimodular():

@@ -29,11 +29,18 @@ from parafree.halfrel import RelationKind, is_half_relation
 
 # --- integer sequences -------------------------------------------------
 
+# u_k for k = -6..7, from the recurrence run by hand in both directions
+U_GOLDEN = {
+    (1, 2): [99, 29, 17, 5, 3, 1, 1, 1, 3, 5, 17, 29, 99, 169],
+    (1, 3): [485, 89, 49, 9, 5, 1, 1, 1, 5, 9, 49, 89, 485, 881],
+    (2, 3): [8189, 1427, 373, 65, 17, 3, 1, 1, 5, 19, 109, 417, 2393, 9155],
+}
+U_GOLDEN_KS = range(-6, 8)
+
+
 def test_u_seq_golden_values():
-    assert [u_seq((1, 2), k) for k in range(8)] == [1, 1, 3, 5, 17, 29, 99, 169]
-    assert [u_seq((1, 3), k) for k in range(8)] == [1, 1, 5, 9, 49, 89, 485, 881]
-    assert [u_seq((2, 3), k) for k in range(-5, 7)] == \
-        [1427, 373, 65, 17, 3, 1, 1, 5, 19, 109, 417, 2393]
+    for sigma, values in U_GOLDEN.items():
+        assert [u_seq(sigma, k) for k in U_GOLDEN_KS] == values
 
 
 def test_u_seq_recurrence_both_directions():
@@ -41,6 +48,17 @@ def test_u_seq_recurrence_both_directions():
         for k in range(-10, 10):
             assert u_seq(sigma, k - 1) - 2 * sigma[k % 2] * u_seq(sigma, k) \
                 + u_seq(sigma, k + 1) == 0
+
+
+def test_family_n_from_the_golden_u_values():
+    # all six sigma and k in -5..6; for the swapped pair u'_k = u_{1-k},
+    # which is the walk family_n takes for negative k
+    for (s0, s1), values in U_GOLDEN.items():
+        u = dict(zip(U_GOLDEN_KS, values))
+        swapped = {k: u[1 - k] for k in U_GOLDEN_KS}
+        for sigma, seq in (((s0, s1), u), ((s1, s0), swapped)):
+            for k in range(-5, 7):
+                assert family_n(sigma, k) == (6 // (s0 * s1)) * seq[k] * seq[k + 1]
 
 
 def test_validate_sigma():

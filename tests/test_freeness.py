@@ -2,9 +2,10 @@
 exact formula inversion, and witness soundness."""
 
 from fractions import Fraction
+from math import gcd
 
 import parafree.freeness as freeness
-from parafree.families import family_n, family_tau
+from parafree.families import family_instance, family_n, family_tau, instance_witness
 from parafree.freeness import (
     FREE_SCHOTTKY,
     NON_FREE,
@@ -82,6 +83,38 @@ def test_lookup_results_verify():
                 Fraction(16, 25), Fraction(3)]:
         for inst in family_lookup(tau):
             assert inst.tau == tau
+
+
+def test_every_emitted_witness_proves_a_nontrivial_relation():
+    # RelationWitness.check() also requires lhs * rhs^{-1} to freely reduce
+    # to a nonempty word; every witness the builders emit passes it
+    insts = [family_instance(fam, k) for fam in ("A", "C_general", "C_even", "C_quad", "D", "E")
+             for k in range(-40, 41) if _is_member(fam, k, None)]
+    insts += [family_instance("B", k, sigma=sigma) for sigma in freeness._SIGMA_PAIRS
+              for k in range(-10, 11) if _is_member("B", k, sigma)]
+    assert {(i.family, i.k) for i in insts if i.identity_word is not None} == {("D", 1), ("E", 1)}
+    for inst in insts:
+        assert instance_witness(inst).check(), (inst.family, inst.k, inst.sigma)
+        assert freeness._mirrored_witness(inst).check(), (inst.family, inst.k, inst.sigma)
+    witnesses = 0
+    for q in range(1, 21):
+        for p in range(-4 * q + 1, 4 * q):
+            if p == 0 or gcd(p, q) != 1:
+                continue
+            cls = classify_tau(Fraction(p, q))
+            for w in (cls.group_witness, cls.semigroup_witness):
+                if w is not None:
+                    assert w.check(), (p, q, w)
+                    witnesses += 1
+    assert witnesses > 100
+
+
+def _is_member(family, k, sigma):
+    try:
+        family_tau(family, k, sigma)
+    except ValueError:
+        return False
+    return True
 
 
 def test_classify_thresholds():

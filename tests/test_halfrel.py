@@ -282,3 +282,18 @@ def test_witness_check_detects_forgery():
         RelationKind.GROUP_NONTRIVIAL,
     )
     assert not fake.check()
+    # equal matrices, but lhs * rhs^{-1} freely reduces to the empty word
+    g1h2 = ExpWord(G, (1, 2))
+    trivial_pairs = [
+        (g1h2, g1h2),
+        (g1h2, ExpWord(G, (1, 2, 0))),            # g^0 appended
+        (ExpWord(H, (2, 1)), ExpWord(G, (0, 2, 1))),  # g^0 in front
+    ]
+    for lhs, rhs in trivial_pairs:
+        for kind in RelationKind:
+            w = RelationWitness(Fraction(1, 3), lhs, rhs, kind)
+            assert eval_word(lhs, w.tau) == eval_word(rhs, w.tau)
+            assert not w.check()
+    # a half-relation with a zero entry builds a trivial relation: both
+    # sides reduce to h^5
+    assert not build_relation((1, 0, -1, 5), Fraction(7, 5)).check()
