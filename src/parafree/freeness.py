@@ -194,7 +194,14 @@ def _find_semigroup_witness(
     group_report is the unlimited NONZERO_ANY search at tau with the same
     effort, if one ran.  It holds every all-positive hit in shortlex
     order, so its first one is the first ALL_POSITIVE hit and that search
-    is skipped."""
+    is skipped.
+
+    The ALTERNATING search at -tau covers odd lengths only (max_len rounded
+    down to odd).  Conjugating by diag(1,-1) turns an even-length
+    alternating half-relation at -tau, entry by entry in |a_i|, into an
+    all-positive one at tau.  That search runs only after the all-positive
+    hits at tau, with the same effort, came out empty, so it has no
+    even-length hit and its first hit is unchanged."""
     sides = (
         (tau, RelationKind.SEMIGROUP_AT_TAU, SignMode.ALL_POSITIVE, at_tau),
         (-tau, RelationKind.SEMIGROUP_AT_MINUS_TAU, SignMode.ALTERNATING, at_minus),
@@ -207,8 +214,11 @@ def _find_semigroup_witness(
         if mode is SignMode.ALL_POSITIVE and group_report is not None:
             report = group_report
         else:
+            max_len = effort.max_len
+            if mode is SignMode.ALTERNATING:
+                max_len -= 1 - max_len % 2
             report = search_half_relations(
-                SearchQuery(t, effort.max_len, effort.bound, mode), workers=effort.workers
+                SearchQuery(t, max_len, effort.bound, mode), workers=effort.workers
             )
         for hit in report.hits:
             if classify_signs(hit) is kind:

@@ -157,11 +157,14 @@ def minus_tau_transform(word: ExpWord) -> ExpWord:
 
 def _half_relation(candidate: Sequence[int], tau: Fraction) -> Candidate:
     """The candidate as a tuple; rejects tau = 0 (for which the odd-length
-    symmetry argument degenerates) and candidates that are not
-    half-relations for tau."""
+    symmetry argument degenerates), candidates with a zero entry (of kind
+    TRIVIAL; their two sides may reduce to the same word) and candidates
+    that are not half-relations for tau."""
     exps = tuple(candidate)
     if tau == 0:
         raise ValueError("tau = 0 is degenerate; no relation is built")
+    if 0 in exps:
+        raise ValueError(f"{exps} has a zero entry; no relation is built")
     if not is_half_relation(exps, tau):
         raise ValueError(f"{exps} is not a half-relation for tau = {tau}")
     return exps
@@ -170,10 +173,11 @@ def _half_relation(candidate: Sequence[int], tau: Fraction) -> Candidate:
 def build_relation(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
     """Build and verify the symmetric relation induced by a half-relation.
 
-    Rejects candidates that are not half-relations for tau, and tau = 0
-    (for which the odd-length symmetry argument degenerates).  The one
-    matrix check is M(lhs) == M(rhs); that the relator lhs * rhs^{-1}
-    evaluates to the identity follows from it.
+    Rejects candidates that are not half-relations for tau, candidates
+    with a zero entry, and tau = 0 (for which the odd-length symmetry
+    argument degenerates).  The one matrix check is M(lhs) == M(rhs);
+    that the relator lhs * rhs^{-1} evaluates to the identity follows
+    from it.
     """
     exps = _half_relation(candidate, tau)
     lhs, rhs = relation_words(exps)

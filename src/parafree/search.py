@@ -1,28 +1,43 @@
 """Bounded exhaustive discovery of half-relations with exact pruning.
 
-The enumeration is depth-first over exponent prefixes.  The defect is
-affine in the final exponent, and the solve's two coefficients are affine
-in the one before it, so each node extends its prefix by two positions in
-one loop: for each a the next b is read off exactly (O(B^{l-1}) instead of
-O(B^l)).  A nonzero tuple of length 1 or 2 has defect tau*a_1 or
-tau*a_1*a_2, so those lengths have no solutions and are skipped.  All
-matrix arithmetic is done on integer matrices scaled by q^(#h-letters),
-where tau = p/q, so the hot loop never touches rational numbers.
+The search runs one length l = 3..max_len at a time.  A nonzero tuple of
+length 1 or 2 has defect tau*a_1 or tau*a_1*a_2, so those lengths have no
+solutions and are skipped.  For each l it fixes both ends, a_1 and a_l,
+walks the middle positions depth-first, and solves the last free
+position exactly: the defect is a linear functional of the prefix
+matrix with a_l folded in, affine in a_{l-1} with coefficients affine in
+a_{l-2}, so one loop over a_{l-2} reads off every a_{l-1}.  All matrix
+arithmetic is done on integer matrices scaled by q^(#h-letters), where
+tau = p/q, so the hot loop never touches rational numbers.
 
-Conjugating by diag(1,-1) maps the word of a to the word of -a with c12
-and c21 negated, so defect(-a) = +-defect(a) and the half-relations are
-closed under negation.  NONZERO_ANY therefore searches only a_1 > 0 and
-adds the negation of every hit.  `freeness.classify_tau` reads the
-all-positive hits off its unlimited NONZERO_ANY report instead of running
-an ALL_POSITIVE search.
+Two symmetries prune the walk.  Conjugating by diag(1,-1) maps the word
+of a to the word of -a with c12 and c21 negated, so defect(-a) =
++-defect(a).  Reversal keeps the defect.  For even l the reversal's word
+has matrix S M^T S^-1 with S = diag(1, tau), an anti-automorphism that
+swaps g^a and h^a and keeps c11 and c22; for odd l it has J M^T J with
+J = (0 1; 1 0), which fixes g^a and h^a, swaps c11 and c22 and keeps
+c12 and c21.  Each length therefore walks only the end pairs with
+|a_1| <= |a_l|, and a_1 > 0 for NONZERO_ANY, and adds each hit's images:
+the reversal (the negated reversal for even-length ALTERNATING, whose
+reversal starts positive), and for NONZERO_ANY the negation and negated
+reversal too.  `freeness.classify_tau` reads the all-positive hits off
+its unlimited NONZERO_ANY report instead of running an ALL_POSITIVE
+search.
+
+Hits are ordered by (length, tuple), so once the hits of lengths <= l
+exceed the result limit, the reported ones are all known and the search
+stops.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .halfrel import Candidate, defect, negate
 
@@ -64,101 +79,124 @@ class SearchReport:
 
 
 # per 1-indexed position: the allowed exponents and their range (lo, hi)
-Positions = list[tuple[range | list[int], int, int]]
+Positions = list[tuple[Sequence[int], int, int]]
 
 
 def _positions(max_len: int, bound: int, mode: SignMode) -> Positions:
-    """The allowed exponents at positions 1..max_len (index 0 unused).
+    """The allowed exponents at positions 1..max_len (index 0 unused), in
+    increasing magnitude.
 
     ALTERNATING is canonicalized to the orientation with a_1 < 0."""
     pos = range(1, bound + 1), 1, bound
-    neg = range(-bound, 0), -bound, -1
+    neg = range(-1, -bound - 1, -1), -bound, -1
     if mode is SignMode.ALL_POSITIVE:
         odd = even = pos
     elif mode is SignMode.ALTERNATING:
         odd, even = neg, pos
     else:
-        odd = even = [*neg[0], *pos[0]], -bound, bound
+        odd = even = [a for m in pos[0] for a in (m, -m)], -bound, bound
     return [odd if l % 2 == 1 else even for l in range(max_len + 1)]
+
+
+def _orbit(hit: Candidate, mode: SignMode) -> tuple[Candidate, ...]:
+    """The hit and its images under the mode's symmetry group."""
+    rev = hit[::-1]
+    if mode is SignMode.NONZERO_ANY:
+        return hit, rev, negate(hit), negate(rev)
+    if mode is SignMode.ALTERNATING and len(hit) % 2 == 0:
+        return hit, negate(rev)  # reversal alone swaps the sign pattern
+    return hit, rev
 
 
 def _dfs(p: int, q: int, exps: tuple[int, ...],
          n11: int, n12: int, n21: int, n22: int,
-         max_len: int, positions: Positions, out: list[Candidate]) -> None:
-    """Extend exps, whose word is the scaled matrix (n11 n12; n21 n22), by
-    (a, b): b is solved for each allowed a, and exps + (a,) is recursed
-    into while a longer hit fits."""
-    l = len(exps) + 1  # the position of a
-    # the solve for b after a has coeff = c1*a + c0 and const = k0 + k1*a
-    if l % 2 == 1:
-        # after g^a: coeff p*(n11*a + n12), const q*(n11 - n21*a - n22)
-        c1, c0, k0, k1 = p * n11, p * n12, q * (n11 - n22), -q * n21
-    else:
-        # after h^a: coeff p*(q*n11 + p*n12*a), const q*(p*n12 - q*n21 - p*n22*a)
-        c1, c0, k0, k1 = p * p * n12, p * q * n11, q * (p * n12 - q * n21), -q * p * n22
-    deeper = len(exps) + 3 <= max_len  # the child's hits have that length
-    last_values, lo, hi = positions[l + 1]
-    for a in positions[l][0]:
-        coeff, const = c1 * a + c0, k0 + k1 * a
-        if coeff:
-            if const % coeff == 0:
-                b = -const // coeff
-                if lo <= b <= hi and b:  # NONZERO_ANY's range holds 0
-                    out.append(exps + (a, b))
-        elif const == 0:
-            out.extend(exps + (a, b) for b in last_values)
-        if deeper:
-            if l % 2 == 1:
-                _dfs(p, q, exps + (a,),
-                     n11, n11 * a + n12, n21, n21 * a + n22,
-                     max_len, positions, out)
+         positions: Positions, out: list[Candidate]) -> None:
+    """Extend exps, whose word is the scaled matrix (n11 n12; n21 n22), to
+    length l = len(positions) - 1: walk the middle positions up to l - 3,
+    then for each a at l - 2 and c at l solve the b at l - 1 exactly."""
+    pos, l = len(exps) + 1, len(positions) - 1  # next position, length
+    if pos < l - 2:
+        for a in positions[pos][0]:
+            if pos % 2 == 1:
+                _dfs(p, q, exps + (a,), n11, n11 * a + n12, n21, n21 * a + n22,
+                     positions, out)
             else:
                 _dfs(p, q, exps + (a,),
                      n11 * q + n12 * a * p, n12 * q, n21 * q + n22 * a * p, n22 * q,
-                     max_len, positions, out)
+                     positions, out)
+        return
+    last_values, lo, hi = positions[l - 1]
+    a_values = positions[pos][0]
+    u, v, qn21, qn22 = p * n11, p * n12, q * n21, q * n22
+    for c in positions[l][0]:
+        # the scaled defect of exps + (a, b, c) is coeff*b + const with
+        # coeff = c1*a + c0 and const = k1*a + k0
+        if l % 2 == 1:  # g^a h^b g^c: functional (p*c, p, -q, 0)
+            c1, c0 = p * (u * c - qn21), p * (v * c - qn22)
+            k1, k0 = q * u, q * (u * c + v - qn21)
+        else:  # h^a g^b h^c: functional (q, p*c, 0, -q)
+            c1, c0 = p * (v * c - qn22), q * (u * c - qn21)
+            k1, k0 = q * v, q * (q * n11 + v * c - qn22)
+        for a in a_values:
+            coeff, const = c1 * a + c0, k1 * a + k0
+            if coeff:
+                if const % coeff == 0:
+                    b = -const // coeff
+                    if lo <= b <= hi and b:  # NONZERO_ANY's range holds 0
+                        out.append(exps + (a, b, c))
+            elif const == 0:
+                out.extend(exps + (a, b, c) for b in last_values)
 
 
 def _search_branch(args: tuple) -> list[Candidate]:
-    """One top-level branch (fixed a_1); the parallelization unit."""
-    p, q, a1, max_len, positions = args
+    """The hits of one length with a fixed a_1 and |a_1| <= |a_l|; the
+    parallelization unit."""
+    p, q, a1, positions = args
+    ends, lo, hi = positions[-1]
+    branch = [*positions]
+    branch[1] = [a1], a1, a1
+    branch[-1] = ends[bisect_left(ends, abs(a1), key=abs):], lo, hi
     out: list[Candidate] = []
-    _dfs(p, q, (a1,), 1, a1, 0, 1, max_len, positions, out)
+    _dfs(p, q, (), 1, 0, 0, 1, branch, out)
     return out
 
 
 def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     """Enumerate all half-relations for the query, in shortlex order.
 
-    Deterministic and worker-count independent: branches are split on the
-    value of a_1 and merged with a canonical sort.  At most one worker per
-    branch is started.
+    Lengths run in increasing order, and the search stops after the first
+    length at which the hits exceed the result limit.  Deterministic and
+    worker-count independent: each length is split on the value of a_1
+    and the hits are merged with a canonical sort.  At most one worker
+    per branch is started, in one pool per query.
     """
     p, q = query.tau.numerator, query.tau.denominator
-    positions = _positions(query.max_len, query.bound, query.sign_mode)
-    mirror = query.sign_mode is SignMode.NONZERO_ANY
-    hits: list[Candidate] = []
+    mode, limit = query.sign_mode, query.result_limit
+    positions = _positions(query.max_len, query.bound, mode)
+    firsts = [a1 for a1 in positions[1][0]
+              if a1 > 0 or mode is not SignMode.NONZERO_ANY]
     # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
     # never zero at tau != 0, so every hit has length >= 3
-    if query.max_len >= 3:
-        branch_args = [
-            (p, q, a1, query.max_len, positions)
-            for a1 in positions[1][0] if a1 > 0 or not mirror
-        ]
-        workers = min(workers, len(branch_args))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                branches = list(pool.map(_search_branch, branch_args))
-        else:
-            branches = [_search_branch(args) for args in branch_args]
-        for branch_hits in branches:
-            hits.extend(branch_hits)
-            if mirror:  # the a_1 < 0 branch is the negation of this one
-                hits.extend(negate(hit) for hit in branch_hits)
-    hits = sorted(set(hits), key=lambda c: (len(c), c))
+    lengths = range(3, query.max_len + 1)
+    workers = min(workers, len(firsts)) if lengths else 1
+    found: set[Candidate] = set()
     exhausted = True
-    if query.result_limit is not None and len(hits) > query.result_limit:
-        hits = hits[: query.result_limit]
-        exhausted = False
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        run = pool.map if pool is not None else map
+        for length in lengths:
+            prefix = positions[:length + 1]
+            args = [(p, q, a1, prefix) for a1 in firsts]
+            for branch_hits in run(_search_branch, args):
+                for hit in branch_hits:
+                    found.update(_orbit(hit, mode))
+            if limit is not None and len(found) > limit:
+                # the first `limit` hits in shortlex order are all known
+                exhausted = False
+                break
+    hits = sorted(found, key=lambda c: (len(c), c))
+    if not exhausted:
+        hits = hits[:limit]
     return SearchReport(query, tuple(hits), exhausted)
 
 

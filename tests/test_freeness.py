@@ -1,8 +1,12 @@
 """Tests for tau classification: Schottky thresholds, family lookup by
 exact formula inversion, and witness soundness."""
 
+import dataclasses
 from fractions import Fraction
 from math import gcd
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import parafree.freeness as freeness
 from parafree.families import family_instance, family_n, family_tau, instance_witness
@@ -179,6 +183,50 @@ def test_over_limit_group_search_still_gives_the_semigroup_witness(monkeypatch):
     assert cls.group_status == NON_FREE
     assert cls.semigroup_status == NON_SEMIGROUP_FREE
     assert cls.semigroup_witness == positive_search_witness(tau, effort)
+
+
+small_tau = st.builds(Fraction, st.integers(-23, 23).filter(bool),
+                      st.integers(1, 6)).filter(lambda t: abs(t) < 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, max_len=st.integers(1, 6), bound=st.integers(1, 5))
+def test_even_alternating_hits_at_minus_tau_are_positive_hits_at_tau(tau, max_len, bound):
+    # diag(1,-1) conjugation: why classify's ALTERNATING search skips even
+    # lengths once the ALL_POSITIVE hits at tau came out empty
+    alt = search_half_relations(
+        SearchQuery(-tau, max_len, bound, SignMode.ALTERNATING, None))
+    pos = search_half_relations(
+        SearchQuery(tau, max_len, bound, SignMode.ALL_POSITIVE, None))
+    assert ({tuple(map(abs, h)) for h in alt.hits if len(h) % 2 == 0}
+            == {h for h in pos.hits if len(h) % 2 == 0})
+
+
+def test_alternating_search_at_odd_lengths_gives_the_same_classification(monkeypatch):
+    effort = SearchEffort(4, 8)
+    alternating_lengths = []
+
+    def odd_only(query, workers=1):
+        if query.sign_mode is SignMode.ALTERNATING:
+            alternating_lengths.append(query.max_len)
+        return search_half_relations(query, workers)
+
+    def full_length(query, workers=1):
+        if query.sign_mode is SignMode.ALTERNATING:
+            query = dataclasses.replace(query, max_len=effort.max_len)
+        return search_half_relations(query, workers)
+
+    taus = {Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q) if p}
+    compared = 0
+    for tau in sorted(taus):
+        ran = len(alternating_lengths)
+        monkeypatch.setattr(freeness, "search_half_relations", odd_only)
+        got = classify_tau(tau, effort)
+        if len(alternating_lengths) > ran:  # otherwise both runs are the same
+            monkeypatch.setattr(freeness, "search_half_relations", full_length)
+            assert classify_tau(tau, effort) == got, tau
+            compared += 1
+    assert compared > 0 and set(alternating_lengths) == {3}
 
 
 def test_classify_family_values():

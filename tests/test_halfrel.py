@@ -99,6 +99,15 @@ def test_defect_divisible_by_tau():
         assert tau * q.evaluate(tau) == defect(cand, tau)
 
 
+def test_reversal_keeps_the_defect_polynomial():
+    # the reversal's matrix is S M^T S^-1 (even length, S = diag(1, tau))
+    # or J M^T J (odd length, J = (0 1; 1 0)), which keep the defect, so
+    # the search may walk only |a_1| <= |a_l|
+    for _ in range(300):
+        cand = rand_candidate(max_len=9)
+        assert symbolic_defect(cand[::-1]) == symbolic_defect(cand), cand
+
+
 def test_poly_hr_small_cases():
     assert poly_hr((5,)) == UniPoly((5,))                   # P_1 = a_1
     assert poly_hr((3, 4)) == UniPoly((12,))                # P_2 = a_1 a_2
@@ -294,6 +303,8 @@ def test_witness_check_detects_forgery():
             w = RelationWitness(Fraction(1, 3), lhs, rhs, kind)
             assert eval_word(lhs, w.tau) == eval_word(rhs, w.tau)
             assert not w.check()
-    # a half-relation with a zero entry builds a trivial relation: both
-    # sides reduce to h^5
-    assert not build_relation((1, 0, -1, 5), Fraction(7, 5)).check()
+    # a half-relation with a zero entry would give a trivial relation (both
+    # sides reduce to h^5), so the builder refuses it
+    assert is_half_relation((1, 0, -1, 5), Fraction(7, 5))
+    with pytest.raises(ValueError, match="zero entry"):
+        build_relation((1, 0, -1, 5), Fraction(7, 5))

@@ -178,6 +178,88 @@ def test_matches_naive_oracle_at_random(tau, mode, max_len, bound):
         assert {negate(h) for h in report.hits} == set(report.hits)
 
 
+def _in_domain(hit, bound, mode):
+    """hit lies within the bound and the mode's sign pattern."""
+    if not all(0 < abs(a) <= bound for a in hit):
+        return False
+    if mode is SignMode.ALL_POSITIVE:
+        return all(a > 0 for a in hit)
+    if mode is SignMode.ALTERNATING:
+        return all(a < 0 if i % 2 == 0 else a > 0 for i, a in enumerate(hit))
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, mode=st.sampled_from(SignMode),
+       max_len=st.integers(1, 6), bound=st.integers(1, 5))
+@example(tau=Fraction(1), mode=SignMode.ALTERNATING, max_len=6, bound=5)
+@example(tau=Fraction(-1, 2), mode=SignMode.ALL_POSITIVE, max_len=6, bound=5)
+def test_hits_are_closed_under_the_mode_symmetries(tau, mode, max_len, bound):
+    # the search walks only a_1, a_l with |a_1| <= |a_l| (and a_1 > 0 for
+    # NONZERO_ANY) and adds each hit's images, so every image must be a
+    # half-relation in the mode's domain
+    hits = set(search_half_relations(
+        SearchQuery(tau, max_len, bound, mode, None)).hits)
+    for hit in hits:
+        assert _in_domain(hit, bound, mode)
+        assert defect(hit, tau) == 0
+        rev = hit[::-1]
+        if mode is SignMode.ALTERNATING and len(hit) % 2 == 0:
+            # reversal swaps the sign pattern; negated reversal keeps it
+            assert negate(rev) in hits
+        else:
+            assert rev in hits
+        if mode is SignMode.NONZERO_ANY:
+            assert negate(hit) in hits and negate(rev) in hits
+
+
+# (tau, mode, max_len, bound, limits beyond 1, 7, N - 1 and N); N is the
+# unlimited hit count
+LIMIT_QUERIES = [
+    (Fraction(2), SignMode.NONZERO_ANY, 5, 4, ()),        # 6 / 56 / 90 hits
+    (Fraction(3), SignMode.NONZERO_ANY, 5, 4, ()),        # 2 / 0 / 10
+    (Fraction(-1, 2), SignMode.ALL_POSITIVE, 5, 4, ()),   # 2 / 23 / 20
+    (Fraction(-2), SignMode.ALL_POSITIVE, 5, 4, ()),      # 0 / 7 / 6
+    (Fraction(1, 4), SignMode.ALTERNATING, 5, 4, ()),     # 0 / 17 / 35
+    (Fraction(2, 3), SignMode.ALTERNATING, 5, 4, (22,)),  # 6 / 16 / 25
+]
+
+
+def test_result_limit_stops_after_the_length_that_crosses_it(monkeypatch):
+    walked = []
+    real_branch = search_module._search_branch
+
+    def spy(args):
+        walked.append(len(args[3]) - 1)  # the length of the branch
+        return real_branch(args)
+
+    crossed = set()
+    # 1/4 at l6 b10 has 131,254 hits (48 / 1,048 / 4,650 / 125,508): limits
+    # N - 1 and N would walk all of it at both worker counts
+    queries = [(*q, True) for q in LIMIT_QUERIES]
+    queries.append((Fraction(1, 4), SignMode.NONZERO_ANY, 6, 10, (1000,), False))
+    for tau, mode, max_len, bound, extra, near_count in queries:
+        full = search_half_relations(SearchQuery(tau, max_len, bound, mode, None))
+        n = len(full.hits)
+        limits = {1, 7, *extra} | ({n - 1, n} if near_count else set())
+        for limit in sorted(l for l in limits if l >= 1):
+            query = SearchQuery(tau, max_len, bound, mode, limit)
+            for workers in (1, 2):
+                report = search_half_relations(query, workers=workers)
+                assert report.hits == full.hits[:limit]
+                assert report.exhausted == (n <= limit)
+            # no length past the one whose hits first exceed the limit
+            monkeypatch.setattr(search_module, "_search_branch", spy)
+            walked.clear()
+            search_half_relations(query)
+            monkeypatch.undo()
+            stop = len(full.hits[limit]) if n > limit else max_len
+            assert max(walked, default=max_len) == stop
+            if n > limit:
+                crossed.add(stop)
+    assert crossed >= {3, 4, 5}
+
+
 def test_result_limit_truncates():
     query = SearchQuery(Fraction(2), 4, 6, result_limit=3)
     report = search_half_relations(query)
