@@ -47,6 +47,13 @@ def validate_sigma(sigma: Sequence[int]) -> SigmaPair:
     return s  # type: ignore[return-value]
 
 
+def validate_x(family: str, x: Optional[int]) -> None:
+    """The free trailing exponent of C_general and E must be nonzero (a
+    zero entry gives no relation); the other families ignore x."""
+    if x == 0 and family in ("C_general", "E"):
+        raise ValueError(f"family {family} requires x != 0")
+
+
 def u_seq(sigma: Sequence[int], k: int) -> int:
     """The doubly infinite sequence with u_0 = u_1 = 1 and
     u_{k+1} = 2*sigma_{k mod 2}*u_k - u_{k-1}."""
@@ -190,6 +197,7 @@ def family_instance(
     candidate acquires a zero coefficient there.
     """
     tau = family_tau(family, k, sigma)
+    validate_x(family, x)
     sig: Optional[SigmaPair] = validate_sigma(sigma) if family == "B" else None
     identity_word = None
     exceptional = False
@@ -208,8 +216,6 @@ def family_instance(
         candidate = (1, (6 // s_k1) * uk * uk, (6 // s_k) * uk1 * uk1, 1)
     elif family == "C_general":
         used_x = x if x is not None else (-1 if k > 0 else 1)
-        if used_x == 0:
-            raise ValueError("family C_general requires x != 0")
         candidate = (k, -1, 1, -1, k, used_x)
     elif family == "C_even":
         t = k // 2

@@ -155,19 +155,20 @@ def minus_tau_transform(word: ExpWord) -> ExpWord:
     return ExpWord(word.start, tuple(exps))
 
 
-def _half_relation(candidate: Sequence[int], tau: Fraction) -> Candidate:
-    """The candidate as a tuple; rejects tau = 0 (for which the odd-length
-    symmetry argument degenerates), candidates with a zero entry (of kind
-    TRIVIAL; their two sides may reduce to the same word) and candidates
-    that are not half-relations for tau."""
+def _half_relation(candidate: Sequence[int], tau: Fraction) -> tuple[Candidate, Mat2]:
+    """The candidate as a tuple and the matrix of its word; rejects tau = 0
+    (for which the odd-length symmetry argument degenerates), candidates
+    with a zero entry (of kind TRIVIAL; their two sides may reduce to the
+    same word) and candidates that are not half-relations for tau."""
     exps = tuple(candidate)
     if tau == 0:
         raise ValueError("tau = 0 is degenerate; no relation is built")
     if 0 in exps:
         raise ValueError(f"{exps} has a zero entry; no relation is built")
-    if not is_half_relation(exps, tau):
+    m = eval_word(word_from_exponents(exps), tau)
+    if _defect_of(m, tau, len(exps)) != 0:
         raise ValueError(f"{exps} is not a half-relation for tau = {tau}")
-    return exps
+    return exps, m
 
 
 def build_relation(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
@@ -175,13 +176,14 @@ def build_relation(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
 
     Rejects candidates that are not half-relations for tau, candidates
     with a zero entry, and tau = 0 (for which the odd-length symmetry
-    argument degenerates).  The one matrix check is M(lhs) == M(rhs);
-    that the relator lhs * rhs^{-1} evaluates to the identity follows
-    from it.
+    argument degenerates).  Two words are evaluated: M(lhs), whose defect
+    is the precondition, and M(rhs); the one matrix check is
+    M(lhs) == M(rhs), and that the relator lhs * rhs^{-1} evaluates to
+    the identity follows from it.
     """
-    exps = _half_relation(candidate, tau)
+    exps, m_lhs = _half_relation(candidate, tau)
     lhs, rhs = relation_words(exps)
-    if eval_word(lhs, tau) != eval_word(rhs, tau):
+    if m_lhs != eval_word(rhs, tau):
         raise AssertionError("half-relation did not induce a matrix identity")
     return RelationWitness(tau, lhs, rhs, classify_signs(exps))
 
@@ -196,10 +198,10 @@ def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> Relation
     positive on both sides, so the relation is presented as (w * g, g)
     where w is the (positive) conjugated relator.
     """
-    exps = _half_relation(candidate, tau)
-    kind = classify_signs(exps)
+    kind = classify_signs(candidate)
     if kind is RelationKind.SEMIGROUP_AT_TAU:
-        return build_relation(exps, tau)
+        return build_relation(candidate, tau)
+    exps, _ = _half_relation(candidate, tau)
     if kind is not RelationKind.SEMIGROUP_AT_MINUS_TAU:
         raise ValueError(
             f"{exps} has mixed signs ({kind.value}); no semigroup relation"

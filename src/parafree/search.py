@@ -27,6 +27,17 @@ search.
 Hits are ordered by (length, tuple), so once the hits of lengths <= l
 exceed the result limit, the reported ones are all known and the search
 stops.
+
+A rational-root test settles many tau before any walk.  The defect of a
+nonzero tuple is tau * P_l(tau), where P_l has integer coefficients,
+degree floor((l-1)/2) and leading coefficient a_1 * a_2 * ... * a_l
+(the one path through the word's product that takes an off-diagonal
+entry at every letter).  By the rational-root theorem, a half-relation
+at tau = p/q in lowest terms therefore has q | a_1 * ... * a_l, and with
+|a_i| <= bound every prime factor of q is <= bound.  So a query whose q
+has a larger prime factor has no hit in any sign mode, and the search
+returns the empty, exhausted report without walking or starting a pool.
+The test is trial division by d <= min(bound, sqrt(q)).
 """
 
 from __future__ import annotations
@@ -148,6 +159,18 @@ def _dfs(p: int, q: int, exps: tuple[int, ...],
                 out.extend(exps + (a, b, c) for b in last_values)
 
 
+def _is_smooth(q: int, bound: int) -> bool:
+    """True iff every prime factor of q >= 1 is <= bound, by trial division
+    by d <= min(bound, sqrt(q)): whatever is left of q then is 1, a prime,
+    or (once d passes the bound) a product of primes above the bound."""
+    d = 2
+    while d <= bound and d * d <= q:
+        while q % d == 0:
+            q //= d
+        d += 1 if d == 2 else 2
+    return q <= bound
+
+
 def _search_branch(args: tuple) -> list[Candidate]:
     """The hits of one length with a fixed a_1 and |a_1| <= |a_l|; the
     parallelization unit."""
@@ -171,6 +194,9 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     per branch is started, in one pool per query.
     """
     p, q = query.tau.numerator, query.tau.denominator
+    if not _is_smooth(q, query.bound):
+        # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
+        return SearchReport(query, (), True)
     mode, limit = query.sign_mode, query.result_limit
     positions = _positions(query.max_len, query.bound, mode)
     firsts = [a1 for a1 in positions[1][0]

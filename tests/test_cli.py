@@ -1,8 +1,13 @@
 """Tests for the command-line surface: exit codes, JSON-lines records,
 and the round-trip property (records re-verify from their own data)."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafree.cli import main
 from parafree.exact import ExpWord, eval_word, parse_rational
@@ -138,6 +143,55 @@ def test_family_negative_k_range(capsys):
     assert code == 0
     # k = -2 (tau = 0) is skipped inside a range sweep
     assert [r["inputs"]["k"] for r in recs] == [-3, -1]
+
+
+def test_family_zero_x_is_an_error(capsys):
+    # x = 0 would put a zero entry in the candidate: an input error before
+    # any k, not a skipped k or a traceback
+    for name in ("e", "c"):
+        for ks in (["--k", "2"], ["--k-range", "1..3"]):
+            code, recs = run(capsys, "family", "--name", name, *ks, "--x", "0")
+            assert code == 2 and recs == []
+            assert main(["family", "--name", name, *ks, "--x", "0"]) == 2
+            assert "error: family " in capsys.readouterr().err
+
+
+family_argv = st.tuples(
+    st.sampled_from("abcde"),
+    st.one_of(st.none(), st.sampled_from(["general", "even", "quad"])),
+    st.one_of(
+        st.none(),
+        st.integers(-8, 8).map(lambda k: ["--k", str(k)]),
+        st.tuples(st.integers(-6, 6), st.integers(-1, 4)).map(
+            lambda r: ["--k-range", f"{r[0]}..{r[0] + r[1]}"]),
+    ),
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.one_of(st.none(), st.sampled_from(
+        ["1,2", "2,3", "3,1", "2,1", "1,1", "4,1", "-1,2", "1", "1,2,3", "a", ""])),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_argv)
+def test_family_never_raises(args):
+    name, variant, ks, x, sigma = args
+    argv = ["family", "--name", name]
+    if variant is not None:
+        argv += ["--variant", variant]
+    argv += ks or []
+    if x is not None:
+        argv += ["--x", str(x)]
+    if sigma is not None:
+        argv += ["--sigma", sigma]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert all(r["verified"] is True for r in records)
+    assert (code == 0) == bool(records)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
 
 
 # --- search ------------------------------------------------------------

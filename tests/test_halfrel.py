@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parafree.halfrel as halfrel
 from parafree.exact import (
     ExpWord,
     G,
@@ -245,6 +246,23 @@ def test_build_relation_rejections():
         build_relation((1, 1, 1), Fraction(2))      # not a half-relation
     with pytest.raises(ValueError):
         build_relation((1, 0, -1), Fraction(0))     # tau = 0 degenerate
+
+
+def test_build_relation_evaluates_two_words(monkeypatch):
+    # M(lhs) gives both the defect precondition and the matrix check
+    evaluated = []
+
+    def spy(word, tau):
+        evaluated.append(word)
+        return eval_word(word, tau)
+
+    monkeypatch.setattr(halfrel, "eval_word", spy)
+    w = build_relation((1, -1, 1, 14, 2), Fraction(9, 4))
+    assert evaluated == [w.lhs, w.rhs]
+    evaluated.clear()
+    with pytest.raises(ValueError, match="not a half-relation"):
+        build_relation((1, 1, 1), Fraction(2))
+    assert len(evaluated) == 1
 
 
 def test_semigroup_witness_positive():

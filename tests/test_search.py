@@ -2,6 +2,7 @@
 against a naive no-pruning oracle."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,71 @@ def test_canonical_order():
     report = search_half_relations(SearchQuery(Fraction(2), 4, 4))
     keys = [(len(h), h) for h in report.hits]
     assert keys == sorted(keys)
+
+
+# --- rational-root prune -----------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=9))
+def test_poly_hr_degree_and_leading_coefficient(candidate):
+    # the theorem behind the prune: a root p/q of P_l (lowest terms) has
+    # q | a_1*...*a_l, so every prime factor of q is at most the bound
+    poly = poly_hr(candidate)
+    assert poly.degree() == (len(candidate) - 1) // 2
+    assert poly.coeffs[-1] == math.prod(candidate)
+
+
+def test_prune_edges_match_naive_oracle():
+    # -8/5 at bound 5: q's largest prime equals the bound, so no prune;
+    # -7/4 at bound 2: q exceeds the bound but is 2-smooth, so no prune
+    for tau, bound in ((Fraction(-8, 5), 5), (Fraction(-7, 4), 2)):
+        for mode in SignMode:
+            report = search_half_relations(SearchQuery(tau, 4, bound, mode, None))
+            assert report.exhausted
+            assert list(report.hits) == naive_search(tau, 4, bound, mode)
+            if mode is not SignMode.ALTERNATING:
+                assert report.hits
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau=st.builds(Fraction, st.integers(-119, 119).filter(bool), st.integers(1, 30))
+       .filter(lambda t: abs(t) < 4),
+       mode=st.sampled_from(SignMode),
+       max_len=st.integers(1, 4), bound=st.integers(1, 4))
+@example(tau=Fraction(-7, 4), mode=SignMode.ALL_POSITIVE, max_len=4, bound=2)
+@example(tau=Fraction(-2, 9), mode=SignMode.NONZERO_ANY, max_len=4, bound=3)
+def test_pruned_search_matches_naive_oracle_at_random(tau, mode, max_len, bound):
+    report = search_half_relations(SearchQuery(tau, max_len, bound, mode, None))
+    assert report.exhausted
+    assert list(report.hits) == naive_search(tau, max_len, bound, mode)
+
+
+def test_pruned_query_walks_nothing_and_starts_no_pool(monkeypatch):
+    walked = []
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(search_module, "_search_branch", walked.append)
+    _SerialPool.sizes = []
+    # 13 is a prime above the bound 10
+    query = SearchQuery(Fraction(7, 13), 6, 10)
+    report = search_half_relations(query, workers=2)
+    assert report == search_module.SearchReport(query, (), True)
+    assert walked == [] and _SerialPool.sizes == []
+
+
+def test_smoothness_test_stops_at_the_bound_and_at_the_square_root():
+    for q in range(1, 200):
+        for bound in range(1, 15):
+            factors = {}
+            search_module._factorize(q, factors)
+            assert search_module._is_smooth(q, bound) == all(p <= bound for p in factors)
+    # both stops are needed: without the bound the Mersenne prime would be
+    # divided up to its square root, and without the square root the
+    # smooth numbers would be divided up to the bound
+    assert not search_module._is_smooth(2**127 - 1, 10)
+    assert search_module._is_smooth(2**100 * 3**50, 10**40)
+    assert search_module._is_smooth(1009 * 1013, 10**40)
+    report = search_half_relations(SearchQuery(Fraction(1, 2**127 - 1), 12, 10))
+    assert report.hits == () and report.exhausted
 
 
 # --- length-4 positive scan --------------------------------------------
