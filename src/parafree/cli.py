@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import ExpWord, eval_word, format_rational, parse_rational
-from .families import family_instance, family_n, instance_witness, validate_sigma, validate_x
+from .families import family_instance, family_n, instance_witness, validate_options
 from .freeness import SearchEffort, classify_tau
 from .halfrel import (
     RelationKind,
@@ -151,17 +151,17 @@ def cmd_family(args, emit: Emitter) -> int:
         base = {"general": "C_general", "even": "C_even", "quad": "C_quad"}[
             args.variant or "general"
         ]
-    # sigma and x are checked before any k, so that a sweep does not skip
-    # every k for them
-    sigma = None
+    elif args.variant is not None:
+        raise InputError(f"family {base} takes no variant")
+    if args.k is not None and args.k_range is not None:
+        raise InputError("give one of --k and --k-range, not both")
+    # the options are checked before any k, so that a sweep does not skip
+    # every k for them, and one the family does not use is an error
+    sigma = None if args.sigma is None else _parse_seq(args.sigma)
     try:
-        if args.sigma is not None:
-            sigma = validate_sigma(_parse_seq(args.sigma))
-        validate_x(base, args.x)
+        sigma = validate_options(base, sigma, args.x)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if sigma is None and base == "B":
-        raise InputError("family B requires sigma")
     if args.k is not None:
         ks: Sequence[int] = [args.k]
     elif args.k_range is not None:

@@ -47,11 +47,22 @@ def validate_sigma(sigma: Sequence[int]) -> SigmaPair:
     return s  # type: ignore[return-value]
 
 
-def validate_x(family: str, x: Optional[int]) -> None:
-    """The free trailing exponent of C_general and E must be nonzero (a
-    zero entry gives no relation); the other families ignore x."""
-    if x == 0 and family in ("C_general", "E"):
+def validate_options(
+    family: str, sigma: Optional[Sequence[int]], x: Optional[int]
+) -> Optional[SigmaPair]:
+    """The validated sigma of a member's options, or raise: family B needs
+    sigma and no other family takes one; only C_general and E take the
+    free trailing exponent x, which must be nonzero (a zero entry gives no
+    relation)."""
+    if family == "B" and sigma is None:
+        raise ValueError("family B requires sigma")
+    if family != "B" and sigma is not None:
+        raise ValueError(f"family {family} takes no sigma")
+    if x is not None and family not in ("C_general", "E"):
+        raise ValueError(f"family {family} takes no x")
+    if x == 0:
         raise ValueError(f"family {family} requires x != 0")
+    return None if sigma is None else validate_sigma(sigma)
 
 
 def u_seq(sigma: Sequence[int], k: int) -> int:
@@ -191,14 +202,16 @@ def family_instance(
 ) -> FamilyInstance:
     """Construct and verify one family member.
 
+    Raises ValueError when k fails the family's preconditions or when the
+    options do not fit the family (`validate_options`).
+
     Exceptional substitutions: (A, k=-1) returns the length-5 candidate
     (1,-1,1,14,2) for tau = 9/4; (D, k=1) and (E, k=1) carry the explicit
     relation words for tau = 2 and tau = 3 respectively, since the formula
     candidate acquires a zero coefficient there.
     """
     tau = family_tau(family, k, sigma)
-    validate_x(family, x)
-    sig: Optional[SigmaPair] = validate_sigma(sigma) if family == "B" else None
+    sig = validate_options(family, sigma, x)
     identity_word = None
     exceptional = False
     used_x: Optional[int] = None

@@ -36,6 +36,12 @@ Candidate = tuple[int, ...]
 
 
 class RelationKind(enum.Enum):
+    """As a candidate's sign class (`classify_signs`), the most specific
+    relation it induces.  As a witness's kind, what the witness proves:
+    a group relation at tau, a relation between positive words at tau,
+    or one between positive words at -tau (word_tau); TRIVIAL proves
+    nothing."""
+
     GROUP_NONTRIVIAL = "group_nontrivial"
     SEMIGROUP_AT_TAU = "semigroup_at_tau"
     SEMIGROUP_AT_MINUS_TAU = "semigroup_at_minus_tau"
@@ -64,10 +70,22 @@ class RelationWitness:
             object.__setattr__(self, "word_tau", self.tau)
 
     def check(self) -> bool:
-        """True iff lhs * rhs^{-1} freely reduces to a nonempty word (the
-        relation is nontrivial) and both sides evaluate equal at word_tau.
-        Distinct positive words also differ in the free group, so this is
-        the proof for every kind."""
+        """True iff the witness proves what its kind says: lhs * rhs^{-1}
+        freely reduces to a nonempty word (the relation is nontrivial) and
+        both sides evaluate equal at word_tau, which is tau, or -tau for
+        SEMIGROUP_AT_MINUS_TAU; both semigroup kinds also need positive
+        words, and TRIVIAL is never valid.  Distinct positive words also
+        differ in the free group, so this is the proof for every kind."""
+        kind = self.kind
+        if kind is RelationKind.TRIVIAL:
+            return False
+        minus = kind is RelationKind.SEMIGROUP_AT_MINUS_TAU
+        if self.word_tau != (-self.tau if minus else self.tau):
+            return False
+        if kind is not RelationKind.GROUP_NONTRIVIAL and not (
+            self.lhs.is_positive and self.rhs.is_positive
+        ):
+            return False
         # free reduction with a stack: merge adjacent letters of the same
         # generator, drop a letter whose exponent is (or reaches) zero
         reduced: list[tuple[str, int]] = []
@@ -179,13 +197,17 @@ def build_relation(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
     argument degenerates).  Two words are evaluated: M(lhs), whose defect
     is the precondition, and M(rhs); the one matrix check is
     M(lhs) == M(rhs), and that the relator lhs * rhs^{-1} evaluates to
-    the identity follows from it.
+    the identity follows from it.  The witness is of kind SEMIGROUP_AT_TAU
+    when both words are positive and GROUP_NONTRIVIAL otherwise; an
+    alternating candidate's positive words at -tau come from
+    `build_semigroup_witness`.
     """
     exps, m_lhs = _half_relation(candidate, tau)
     lhs, rhs = relation_words(exps)
     if m_lhs != eval_word(rhs, tau):
         raise AssertionError("half-relation did not induce a matrix identity")
-    return RelationWitness(tau, lhs, rhs, classify_signs(exps))
+    kind = RelationKind.SEMIGROUP_AT_TAU if lhs.is_positive else RelationKind.GROUP_NONTRIVIAL
+    return RelationWitness(tau, lhs, rhs, kind)
 
 
 def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> RelationWitness:

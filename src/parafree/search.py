@@ -38,6 +38,18 @@ at tau = p/q in lowest terms therefore has q | a_1 * ... * a_l, and with
 has a larger prime factor has no hit in any sign mode, and the search
 returns the empty, exhausted report without walking or starting a pool.
 The test is trial division by d <= min(bound, sqrt(q)).
+
+The numerator half of the theorem settles lengths 3 and 4.  There P_l
+= a_1*...*a_l * tau + c_0 is linear, so its one nonzero root is
+-c_0/(a_1*...*a_l), which needs c_0 != 0, and p | c_0.  At l = 3,
+c_0 = a_1 - a_2 + a_3, so |c_0| <= 3*bound; at l = 4, c_0 = a_1 (a_2 +
+a_4) + a_3 (a_4 - a_2), so |c_0| <= bound (|a_2 + a_4| + |a_4 - a_2|)
+<= 2*bound^2.  Both bounds are attained, and they hold in every sign
+mode, so a length whose bound is below |p| has no hit and is not walked.
+Lengths l >= 5 are never dropped: P_l then has degree >= 2 and c_0 may
+vanish, as for (1, 2, 1, 1, 1), whose c_0 is 0 and which has the root
+tau = -2; p then divides only the lowest nonzero coefficient, which is
+cubic or more in the bound and bounds nothing in the search.
 """
 
 from __future__ import annotations
@@ -193,18 +205,21 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     and the hits are merged with a canonical sort.  At most one worker
     per branch is started, in one pool per query.
     """
-    p, q = query.tau.numerator, query.tau.denominator
-    if not _is_smooth(q, query.bound):
-        # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
+    p, q, bound = query.tau.numerator, query.tau.denominator, query.bound
+    # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
+    # never zero at tau != 0, so every hit has length >= 3; at l = 3 and 4
+    # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2
+    lengths = [l for l in range(3, query.max_len + 1)
+               if l >= 5 or abs(p) <= (3 * bound if l == 3 else 2 * bound * bound)]
+    if not lengths or not _is_smooth(q, bound):
+        # no length left, or a root p/q of P_l has q | a_1*...*a_l, whose
+        # primes are <= bound
         return SearchReport(query, (), True)
     mode, limit = query.sign_mode, query.result_limit
-    positions = _positions(query.max_len, query.bound, mode)
+    positions = _positions(query.max_len, bound, mode)
     firsts = [a1 for a1 in positions[1][0]
               if a1 > 0 or mode is not SignMode.NONZERO_ANY]
-    # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
-    # never zero at tau != 0, so every hit has length >= 3
-    lengths = range(3, query.max_len + 1)
-    workers = min(workers, len(firsts)) if lengths else 1
+    workers = min(workers, len(firsts))
     found: set[Candidate] = set()
     exhausted = True
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1

@@ -156,6 +156,46 @@ def test_family_zero_x_is_an_error(capsys):
             assert "error: family " in capsys.readouterr().err
 
 
+def test_family_rejects_options_it_does_not_use(capsys):
+    # each was accepted and dropped (exit 0) before
+    for argv in (
+        ["--name", "a", "--k", "2", "--x", "5", "--sigma", "1,2", "--variant", "quad"],
+        ["--name", "a", "--k", "2", "--sigma", "1,2"],
+        ["--name", "d", "--k-range", "1..3", "--sigma", "2,3"],
+        ["--name", "c", "--k", "3", "--sigma", "1,2"],
+        ["--name", "a", "--k", "2", "--variant", "quad"],
+        ["--name", "e", "--k-range", "1..3", "--variant", "general"],
+        ["--name", "a", "--k", "2", "--x", "5"],
+        ["--name", "b", "--sigma", "2,3", "--k", "1", "--x", "5"],
+        ["--name", "c", "--variant", "even", "--k", "2", "--x", "5"],
+        ["--name", "c", "--variant", "quad", "--k-range", "1..9", "--x", "5"],
+        ["--name", "d", "--k", "2", "--k-range", "1..3"],
+    ):
+        code, recs = run(capsys, "family", *argv)
+        assert code == 2 and recs == [], argv
+        assert main(["family", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    # the options each family does use still work
+    for argv in (["--name", "c", "--variant", "general", "--k", "3", "--x", "5"],
+                 ["--name", "e", "--k", "2", "--x", "5"],
+                 ["--name", "b", "--sigma", "2,3", "--k", "1"]):
+        code, recs = run(capsys, "family", *argv)
+        assert code == 0 and len(recs) == 1
+
+
+def test_family_witness_kind_is_what_it_proves(capsys):
+    # C_general k = 3 alternates: its sign class is a semigroup relation at
+    # -7/3, but its symmetric words prove a group relation at 7/3
+    code, recs = run(capsys, "family", "--name", "c", "--k", "3")
+    result = recs[0]["result"]
+    assert result["kind"] == "semigroup_at_minus_tau"
+    assert result["witness"]["kind"] == "group_nontrivial"
+    assert result["witness"]["word_tau"] == "7/3"
+    code, recs = run(capsys, "classify", "--tau", "7/3")
+    assert recs[0]["result"]["group_witness"]["kind"] == "group_nontrivial"
+
+
 family_argv = st.tuples(
     st.sampled_from("abcde"),
     st.one_of(st.none(), st.sampled_from(["general", "even", "quad"])),

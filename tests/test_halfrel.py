@@ -326,3 +326,49 @@ def test_witness_check_detects_forgery():
     assert is_half_relation((1, 0, -1, 5), Fraction(7, 5))
     with pytest.raises(ValueError, match="zero entry"):
         build_relation((1, 0, -1, 5), Fraction(7, 5))
+
+
+def test_build_relation_kind_is_what_the_words_prove():
+    # an alternating candidate's symmetric words are not positive: they
+    # prove a group relation at tau; its positive words at -tau come from
+    # build_semigroup_witness
+    cand, tau = (1, -1, 1, -1, 2), Fraction(3)
+    assert classify_signs(cand) is RelationKind.SEMIGROUP_AT_MINUS_TAU
+    w = build_relation(cand, tau)
+    assert w.kind is RelationKind.GROUP_NONTRIVIAL and w.check()
+    assert build_semigroup_witness(cand, tau).kind is RelationKind.SEMIGROUP_AT_MINUS_TAU
+    w = build_relation((1, 3, 50, 1), Fraction(16, 25))
+    assert w.kind is RelationKind.SEMIGROUP_AT_TAU and w.check()
+    w = build_relation((1, -1, -2, 24), Fraction(9, 16))
+    assert w.kind is RelationKind.GROUP_NONTRIVIAL and w.check()
+
+
+def test_witness_check_holds_the_kind_to_its_claim():
+    kinds = RelationKind
+    tau = Fraction(9, 16)
+    mixed = build_relation((1, -1, -2, 24), tau)
+    # a group relation is one at tau itself
+    assert RelationWitness(tau, mixed.lhs, mixed.rhs, kinds.GROUP_NONTRIVIAL).check()
+    assert not RelationWitness(-tau, mixed.lhs, mixed.rhs, kinds.GROUP_NONTRIVIAL,
+                               word_tau=tau).check()
+    # the semigroup kinds need positive words
+    assert not RelationWitness(tau, mixed.lhs, mixed.rhs, kinds.SEMIGROUP_AT_TAU).check()
+    # positive words at -3, from the alternating candidate at 3
+    semi = build_semigroup_witness((1, -1, 1, -1, 2), Fraction(3))
+    assert semi.word_tau == Fraction(-3) and semi.check()
+    assert RelationWitness(Fraction(-3), semi.lhs, semi.rhs, kinds.SEMIGROUP_AT_TAU).check()
+    # SEMIGROUP_AT_TAU is at tau, SEMIGROUP_AT_MINUS_TAU at -tau
+    assert not RelationWitness(Fraction(3), semi.lhs, semi.rhs, kinds.SEMIGROUP_AT_TAU,
+                               word_tau=Fraction(-3)).check()
+    assert not RelationWitness(Fraction(-3), semi.lhs, semi.rhs,
+                               kinds.SEMIGROUP_AT_MINUS_TAU).check()
+    # conjugated non-positive words are equal at -tau, but no semigroup relation
+    group = build_relation((1, -1, 1, -1, 2), Fraction(3))
+    lhs, rhs = minus_tau_transform(group.lhs), minus_tau_transform(group.rhs)
+    assert RelationWitness(Fraction(-3), lhs, rhs, kinds.GROUP_NONTRIVIAL).check()
+    assert not RelationWitness(Fraction(3), lhs, rhs, kinds.SEMIGROUP_AT_MINUS_TAU,
+                               word_tau=Fraction(-3)).check()
+    # TRIVIAL proves nothing, whatever its words
+    positive = build_relation((1, 3, 50, 1), Fraction(16, 25))
+    for w in (mixed, semi, group, positive):
+        assert not RelationWitness(w.tau, w.lhs, w.rhs, kinds.TRIVIAL, w.word_tau).check()

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import parafree.search as search_module
@@ -347,6 +347,86 @@ def test_smoothness_test_stops_at_the_bound_and_at_the_square_root():
     assert search_module._is_smooth(1009 * 1013, 10**40)
     report = search_half_relations(SearchQuery(Fraction(1, 2**127 - 1), 12, 10))
     assert report.hits == () and report.exhausted
+
+
+# --- numerator gate at lengths 3 and 4 ---------------------------------
+
+# the constant term c_0 of P_l bounds |p| for a root p/q at l = 3 and 4
+C0_BOUND = {3: lambda b: 3 * b, 4: lambda b: 2 * b * b}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda b: st.tuples(
+    st.just(b),
+    st.lists(st.integers(-b, b).filter(bool), min_size=3, max_size=4))))
+def test_constant_term_at_lengths_three_and_four(drawn):
+    bound, a = drawn
+    poly = poly_hr(a)
+    assert poly.degree() == 1
+    c0 = poly.coeffs[0]
+    if len(a) == 3:
+        assert c0 == a[0] - a[1] + a[2]
+    else:
+        assert c0 == a[0] * (a[1] + a[3]) + a[2] * (a[3] - a[1])
+    assert abs(c0) <= C0_BOUND[len(a)](bound)
+
+
+def test_constant_term_bounds_are_attained():
+    for bound in (1, 2, 3):
+        values = [a for a in range(-bound, bound + 1) if a]
+        for length in (3, 4):
+            top = max(abs(poly_hr(a).coeffs[0])
+                      for a in itertools.product(values, repeat=length))
+            assert top == C0_BOUND[length](bound)
+
+
+def test_numerator_gate_edges_match_naive_oracle():
+    # 3 at l3 b1 has |p| = 3*bound and hits; -2 and 2 at l4 b1 have
+    # |p| = 2*bound^2 and length-4 hits; 4 at l3 b1 is gated.  A ">=" for
+    # ">" drops the hits of the first two, a swapped bound those of 3
+    for tau, max_len, has_hits in ((3, 3, True), (2, 4, True), (-2, 4, True),
+                                   (4, 3, False)):
+        tau = Fraction(tau)
+        found = []
+        for mode in SignMode:
+            report = search_half_relations(SearchQuery(tau, max_len, 1, mode, None))
+            assert report.exhausted
+            assert list(report.hits) == naive_search(tau, max_len, 1, mode)
+            found += [h for h in report.hits if len(h) == max_len]
+        assert bool(found) == has_hits
+
+
+@settings(max_examples=100, deadline=None)
+@given(bound=st.integers(1, 4), length=st.sampled_from([3, 4]),
+       offset=st.integers(-3, 3), sign=st.sampled_from([1, -1]),
+       twos=st.integers(0, 3), threes=st.integers(0, 2),
+       mode=st.sampled_from(SignMode), max_len=st.integers(3, 4))
+@example(bound=1, length=3, offset=0, sign=1, twos=0, threes=0,
+         mode=SignMode.NONZERO_ANY, max_len=3)
+@example(bound=2, length=4, offset=0, sign=-1, twos=1, threes=0,
+         mode=SignMode.NONZERO_ANY, max_len=4)
+def test_gated_search_matches_naive_oracle_at_random(
+        bound, length, offset, sign, twos, threes, mode, max_len):
+    # a bound-smooth q and |p| near a constant-term bound
+    q = (2 ** twos if bound >= 2 else 1) * (3 ** threes if bound >= 3 else 1)
+    p = sign * (C0_BOUND[length](bound) + offset)
+    assume(p != 0 and math.gcd(p, q) == 1)
+    tau = Fraction(p, q)
+    report = search_half_relations(SearchQuery(tau, max_len, bound, mode, None))
+    assert report.exhausted
+    assert list(report.hits) == naive_search(tau, max_len, bound, mode)
+
+
+def test_gated_query_walks_nothing_and_starts_no_pool(monkeypatch):
+    walked = []
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(search_module, "_search_branch", walked.append)
+    _SerialPool.sizes = []
+    # 32 is 8-smooth, so only the numerator settles it: 129 > 2*8^2
+    query = SearchQuery(Fraction(129, 32), 4, 8)
+    report = search_half_relations(query, workers=2)
+    assert report == search_module.SearchReport(query, (), True)
+    assert walked == [] and _SerialPool.sizes == []
 
 
 # --- length-4 positive scan --------------------------------------------
