@@ -20,6 +20,7 @@ from .families import (
     accumulation_target,
     enumerate_n_values,
     family_instance,
+    family_lookup,
     family_n,
     family_tau,
     fib,
@@ -28,7 +29,7 @@ from .families import (
     pell,
     u_seq,
 )
-from .freeness import SearchEffort, TauClassification, classify_tau, family_lookup
+from .freeness import SearchEffort, TauClassification, classify_tau
 from .halfrel import (
     RelationKind,
     RelationWitness,

@@ -18,7 +18,6 @@ from .exact import ExpWord, eval_word, format_rational, parse_rational
 from .families import family_instance, family_n, instance_witness, validate_options
 from .freeness import SearchEffort, classify_tau
 from .halfrel import (
-    RelationKind,
     RelationWitness,
     build_relation,
     classify_signs,
@@ -124,14 +123,16 @@ def cmd_verify(args, emit: Emitter) -> int:
     seq = _parse_seq(args.seq)
     d = defect(seq, tau)
     ok = d == 0
-    kind = classify_signs(seq)
     result = {
         "defect": format_rational(d),
         "is_half_relation": ok,
-        "kind": kind.value,
+        "kind": classify_signs(seq).value,
     }
-    if ok and tau != 0 and kind is not RelationKind.TRIVIAL:
+    try:
         witness = build_relation(seq, tau)
+    except ValueError:
+        pass  # not a half-relation, tau = 0 or a zero entry: no witness
+    else:
         result["lhs"] = _word_json(witness.lhs)
         result["rhs"] = _word_json(witness.rhs)
         result["matrix"] = _matrix_json(eval_word(witness.lhs, tau))
@@ -208,6 +209,7 @@ _SIGN_MODES = {
 def cmd_search(args, emit: Emitter) -> int:
     tau = _parse_tau(args.tau)
     try:
+        SearchEffort(args.max_len, args.bound, args.workers)
         query = SearchQuery(
             tau,
             args.max_len,
@@ -217,8 +219,6 @@ def cmd_search(args, emit: Emitter) -> int:
         )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    if args.workers < 1:
-        raise InputError("workers must be >= 1")
     started = time.monotonic()
     report = search_half_relations(query, workers=args.workers)
     elapsed = time.monotonic() - started
@@ -257,20 +257,21 @@ def cmd_classify(args, emit: Emitter) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from None
     cls = classify_tau(tau, effort)
+    # each printed witness's record holds its one check(); the summary reads it
+    group, semi = (w and _witness_json(w) for w in (cls.group_witness, cls.semigroup_witness))
+    checks = [rec["verified"] for rec in (group, semi) if rec]
     result = {
         "group_status": cls.group_status,
-        "group_witness": _witness_json(cls.group_witness) if cls.group_witness else None,
+        "group_witness": group,
         "semigroup_status": cls.semigroup_status,
-        "semigroup_witness": (
-            _witness_json(cls.semigroup_witness) if cls.semigroup_witness else None
-        ),
+        "semigroup_witness": semi,
         "effort": {"max_len": effort.max_len, "bound": effort.bound},
     }
     emit.emit({
         "command": "classify",
         "inputs": {"tau": format_rational(tau)},
         "result": result,
-        "verified": cls.group_witness is not None or cls.semigroup_witness is not None,
+        "verified": bool(checks) and all(checks),
     })
     return 0
 

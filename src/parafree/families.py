@@ -16,14 +16,19 @@ Family tags:
 
 The negative branch of each family is reached through negative k (for A and
 C this folds the +/- variant of the numerator into a single formula).
+
+One private builder, `_member`, states each family's tau, candidate, default
+x and preconditions; `family_tau`, `family_instance` and `family_lookup`
+(exact inversion of every formula) take their members from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import isqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExpWord, G, eval_word
 from .halfrel import (
@@ -68,45 +73,52 @@ def validate_options(
 def u_seq(sigma: Sequence[int], k: int) -> int:
     """The doubly infinite sequence with u_0 = u_1 = 1 and
     u_{k+1} = 2*sigma_{k mod 2}*u_k - u_{k-1}."""
-    return _u_pair(validate_sigma(sigma), k)[0]
+    return _b_terms(validate_sigma(sigma), k)[1]
 
 
-def _u_pair(s: SigmaPair, k: int) -> tuple[int, int]:
-    """(u_k, u_{k+1}) for a validated sigma, in one walk of the recurrence."""
+def family_n(sigma: Sequence[int], k: int) -> int:
+    """n = 6/(s0 s1) * u_k * u_{k+1} for family B."""
+    return _b_terms(validate_sigma(sigma), k)[0]
+
+
+def _b_walk(s: SigmaPair) -> Iterator[tuple[int, int]]:
+    """(u_k, u_{k+1}) for k = 0, 1, 2, ... and a validated sigma: the one
+    walk of the u-recurrence."""
+    u, u_next = 1, 1  # u_0, u_1
+    for k in count(1):
+        yield u, u_next
+        u, u_next = u_next, 2 * s[k % 2] * u_next - u
+
+
+def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
+    """(n_k, u_k, u_{k+1}) for a validated sigma and any k; n_k = 6/(s0 s1) u_k u_{k+1}."""
     if k < 0:
         # the recurrence run backwards is the recurrence run forwards for
         # the swapped pair: u_k = u'_{1-k}, so (u_k, u_{k+1}) = (u'_{1-k}, u'_{-k})
-        u_next, u = _u_pair((s[1], s[0]), -k)
-        return u, u_next
-    u, u_next = 1, 1  # u_0, u_1
-    for i in range(1, k + 1):
-        u, u_next = u_next, 2 * s[i % 2] * u_next - u
-    return u, u_next
+        n, u_next, u = _b_terms((s[1], s[0]), -k)
+        return n, u, u_next
+    u, u_next = next(islice(_b_walk(s), k, None))
+    return 6 // (s[0] * s[1]) * u * u_next, u, u_next
+
+
+def _lucas(c: int, k: int) -> tuple[int, int]:
+    """(X_{k-1}, X_k) for any k, in one walk of X_{m+1} = c X_m + X_{m-1}
+    from X_0 = 0, X_1 = 1: Fibonacci for c = 1, Pell P for c = 2."""
+    a, b = 1, 0  # X_{-1}, X_0
+    for _ in range(abs(k)):
+        a, b = (b, c * b + a) if k > 0 else (b - c * a, a)
+    return a, b
 
 
 def fib(k: int) -> int:
     """Doubly infinite Fibonacci numbers, F_1 = F_2 = 1."""
-    if k >= 0:
-        a, b = 0, 1
-        for _ in range(k):
-            a, b = b, a + b
-        return a
-    m = -k
-    sign = 1 if m % 2 == 1 else -1
-    return sign * fib(m)
+    return _lucas(1, k)[1]
 
 
 def pell(k: int) -> tuple[int, int]:
-    """(H_k, P_k) = (1 2; 1 1)^k applied to (1, 0); negative k uses the
-    exact inverse matrix (-1 2; 1 -1)."""
-    h, p = 1, 0
-    if k >= 0:
-        for _ in range(k):
-            h, p = h + 2 * p, h + p
-    else:
-        for _ in range(-k):
-            h, p = -h + 2 * p, h - p
-    return h, p
+    """(H_k, P_k) = (1 2; 1 1)^k applied to (1, 0), for any k; H_k = P_k + P_{k-1}."""
+    p_prev, p = _lucas(2, k)
+    return p + p_prev, p
 
 
 def markov_poly(sigma: Sequence[int], x: int, y: int) -> Fraction:
@@ -145,53 +157,87 @@ EXCEPTIONAL_TAU3_WORD = ExpWord(G, (1, -1, 1, -1, 1, -1))  # tau = 3
 def _quad_param(k: int) -> int:
     """The t >= 0 with k = t(t+1)/2 - 1, or raise."""
     disc = 8 * k + 9
-    if disc < 0:
-        raise ValueError(f"k={k} is not of the form t(t+1)/2 - 1")
-    r = isqrt(disc)
-    if r * r != disc or (r - 1) % 2 != 0:
+    r = isqrt(max(disc, 0))
+    if r * r != disc or r % 2 == 0:
         raise ValueError(f"k={k} is not of the form t(t+1)/2 - 1")
     t = (r - 1) // 2
     assert t * (t + 1) // 2 - 1 == k
     return t
 
 
+def _member(
+    family: str,
+    k: int,
+    sigma: Optional[Sequence[int]] = None,
+    x: Optional[int] = None,
+) -> FamilyInstance:
+    """The member (family, k), not yet verified: the one statement of each
+    family's tau, candidate, default x and preconditions, walking its
+    sequence once.  Raises ValueError when k fails the preconditions or the
+    options do not fit the family (`validate_options`)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    sig = validate_options(family, sigma, x)
+    if k == 0 and family != "B":
+        raise ValueError(f"family {family} requires k != 0")
+    parity = 1 if k % 2 == 0 else -1
+    word: Optional[ExpWord] = None
+    if family == "A":
+        tau = Fraction((2 * k - 1) ** 2, (2 * k) ** 2)
+        candidate: Candidate = (1, -1, 1, 14, 2) if k == -1 else (1, -1, -k, k * (4 * k + 4))
+    elif family == "B":
+        assert sig is not None
+        n, u, u_next = _b_terms(sig, k)
+        if n == 1:
+            raise ValueError("degenerate tau=0 (n = 1)")
+        tau = Fraction((n - 1) ** 2, n * n)
+        candidate = (1, (6 // sig[(k + 1) % 2]) * u * u, (6 // sig[k % 2]) * u_next * u_next, 1)
+    elif family == "D":
+        if k == -2:
+            raise ValueError("degenerate tau=0 (k = -2)")
+        f_prev, f_k = _lucas(1, k)
+        tau = Fraction(f_prev + 2 * f_k, f_k)  # F_{k+2} = F_{k-1} + 2 F_k
+        candidate = (1, -1, 1, -1, 2 * parity * f_prev * f_k)
+        word = EXCEPTIONAL_TAU2_WORD if k == 1 else None
+    elif family == "E":
+        p_prev, p_k = _lucas(2, k)
+        tau = Fraction(p_prev + 3 * p_k, p_k)  # H_{k+1} = P_{k+1} + P_k = P_{k-1} + 3 P_k
+        n_val = parity * p_prev * p_k  # 0 at k = 1
+        word = EXCEPTIONAL_TAU3_WORD if k == 1 else None
+        x = (-1 if n_val > 0 else 1) if x is None else x
+        candidate = (n_val, -1, 1, -1, 1, -1, 1, -1, n_val, x)
+    elif family == "C_general":
+        tau = Fraction(2 * k + 1, k)
+        x = (-1 if k > 0 else 1) if x is None else x
+        candidate = (k, -1, 1, -1, k, x)
+    elif family == "C_even":
+        if k % 2 != 0:
+            raise ValueError("family C_even requires even k")
+        tau, t = Fraction(2 * k + 1, k), k // 2
+        candidate = (1, -1, 1, -t, -4 * t * t + 2 * t - 2)
+    else:  # C_quad
+        tau, t = Fraction(2 * k + 1, k), _quad_param(k)
+        candidate = (1, -1, 1, -t + 1, -t - 2)
+    exceptional = word is not None or (family == "A" and k == -1)
+    return FamilyInstance(family, k, sig, x, tau, candidate, exceptional, word)
+
+
+def _verified(inst: FamilyInstance) -> FamilyInstance:
+    """The instance, once its candidate is a half-relation at its tau and
+    its identity word, if any, is a relator there."""
+    tau, word = inst.tau, inst.identity_word
+    if not is_half_relation(inst.candidate, tau):
+        raise AssertionError(f"family {inst.family} k={inst.k}: candidate failed verification")
+    if word is not None and not eval_word(word, tau).is_identity():
+        raise AssertionError(f"family {inst.family} k={inst.k}: exceptional word is not a relator")
+    return inst
+
+
 def family_tau(
     family: str, k: int, sigma: Optional[Sequence[int]] = None
 ) -> Fraction:
     """The tau value of a family member (preconditions checked)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if k == 0 and family != "B":
-        raise ValueError(f"family {family} requires k != 0")
-    if family == "A":
-        return Fraction((2 * k - 1) ** 2, (2 * k) ** 2)
-    if family == "B":
-        if sigma is None:
-            raise ValueError("family B requires sigma")
-        n = family_n(sigma, k)
-        if n == 1:
-            raise ValueError("degenerate tau=0 (n = 1)")
-        return Fraction((n - 1) ** 2, n * n)
-    if family in ("C_general", "C_even", "C_quad"):
-        if family == "C_even" and k % 2 != 0:
-            raise ValueError("family C_even requires even k")
-        if family == "C_quad":
-            _quad_param(k)
-        return Fraction(2 * k + 1, k)
-    if family == "D":
-        if k == -2:
-            raise ValueError("degenerate tau=0 (k = -2)")
-        return Fraction(fib(k + 2), fib(k))
-    # family E: H_{k+1} = H_k + 2 P_k
-    h_k, p_k = pell(k)
-    return Fraction(h_k + 2 * p_k, p_k)
-
-
-def family_n(sigma: Sequence[int], k: int) -> int:
-    """n = 6/(s0 s1) * u_k * u_{k+1} for family B."""
-    s = validate_sigma(sigma)
-    u, u_next = _u_pair(s, k)
-    return (6 // (s[0] * s[1])) * u * u_next
+    return _member(family, k, sigma).tau
 
 
 def family_instance(
@@ -210,57 +256,7 @@ def family_instance(
     relation words for tau = 2 and tau = 3 respectively, since the formula
     candidate acquires a zero coefficient there.
     """
-    tau = family_tau(family, k, sigma)
-    sig = validate_options(family, sigma, x)
-    identity_word = None
-    exceptional = False
-    used_x: Optional[int] = None
-
-    if family == "A":
-        if k == -1:
-            candidate: Candidate = (1, -1, 1, 14, 2)
-            exceptional = True
-        else:
-            candidate = (1, -1, -k, k * (4 * k + 4))
-    elif family == "B":
-        assert sig is not None
-        uk, uk1 = _u_pair(sig, k)
-        s_k, s_k1 = sig[k % 2], sig[(k + 1) % 2]
-        candidate = (1, (6 // s_k1) * uk * uk, (6 // s_k) * uk1 * uk1, 1)
-    elif family == "C_general":
-        used_x = x if x is not None else (-1 if k > 0 else 1)
-        candidate = (k, -1, 1, -1, k, used_x)
-    elif family == "C_even":
-        t = k // 2
-        candidate = (1, -1, 1, -t, -4 * t * t + 2 * t - 2)
-    elif family == "C_quad":
-        t = _quad_param(k)
-        candidate = (1, -1, 1, -t + 1, -t - 2)
-    elif family == "D":
-        parity = 1 if k % 2 == 0 else -1
-        n_val = 2 * parity * fib(k - 1) * fib(k)
-        candidate = (1, -1, 1, -1, n_val)
-        if k == 1:
-            exceptional = True
-            identity_word = EXCEPTIONAL_TAU2_WORD
-    elif family == "E":
-        h_k, p_k = pell(k)
-        p_prev = h_k - p_k  # P_{k-1}
-        parity = 1 if k % 2 == 0 else -1
-        n_val = parity * p_prev * p_k
-        if k == 1:
-            exceptional = True
-            identity_word = EXCEPTIONAL_TAU3_WORD
-            used_x = x if x is not None else 1
-        else:
-            used_x = x if x is not None else (-1 if n_val > 0 else 1)
-        candidate = (n_val, -1, 1, -1, 1, -1, 1, -1, n_val, used_x)
-
-    if not is_half_relation(candidate, tau):
-        raise AssertionError(f"family {family} k={k}: candidate failed verification")
-    if identity_word is not None and not eval_word(identity_word, tau).is_identity():
-        raise AssertionError(f"family {family} k={k}: exceptional word is not a relator")
-    return FamilyInstance(family, k, sig, used_x, tau, candidate, exceptional, identity_word)
+    return _verified(_member(family, k, sigma, x))
 
 
 def instance_witness(inst: FamilyInstance) -> RelationWitness:
@@ -277,6 +273,78 @@ def instance_witness(inst: FamilyInstance) -> RelationWitness:
 def enumerate_n_values(sigma: Sequence[int], k_range: Iterable[int]) -> list[int]:
     """The Markov-like n values 6/(s0 s1) u_k u_{k+1}, deduplicated, ascending."""
     return sorted({family_n(sigma, k) for k in k_range})
+
+
+# --- lookup by exact inversion -------------------------------------------
+
+_SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+
+
+def _square_root_of(tau: Fraction) -> Optional[Fraction]:
+    if tau <= 0:
+        return None
+    sp, sq = isqrt(tau.numerator), isqrt(tau.denominator)
+    if sp * sp != tau.numerator or sq * sq != tau.denominator:
+        return None
+    return Fraction(sp, sq)
+
+
+def _b_indices(s: SigmaPair, n: int) -> list[int]:
+    """The k >= 0 with n_k == n, in one walk; n_k grows with k."""
+    c, out = 6 // (s[0] * s[1]), []
+    for k, (u, u_next) in enumerate(_b_walk(s)):
+        n_k = c * u * u_next  # as in _b_terms
+        if n_k > n:
+            return out
+        if n_k == n:
+            out.append(k)
+    raise AssertionError("the u-walk is infinite")
+
+
+def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[SigmaPair]]]:
+    """(family, k, sigma) for each member that may have this tau, found by
+    inverting each family formula, in lookup order."""
+    s = _square_root_of(tau)
+    if s is not None:
+        # family A: s = (2k-1)/(2k) in lowest terms, negative k folds (2k+1)/(2k)
+        half = s.denominator // 2
+        yield from (("A", half, None), ("A", -half, None))
+        # family B: s = (n-1)/n, then match n against each u-sequence
+        # product, one walk per sigma; family_n(sigma, -j) = family_n(swapped sigma, j)
+        ks = {sigma: _b_indices(sigma, s.denominator) for sigma in _SIGMA_PAIRS}
+        for sigma in _SIGMA_PAIRS:
+            for k in ks[sigma] + [-j for j in ks[sigma[::-1]] if j > 0]:
+                yield "B", k, sigma
+    # family C: k = 1/(tau - 2)
+    if tau != 2 and (inv := 1 / (tau - 2)).denominator == 1:
+        for family in ("C_general", "C_even", "C_quad"):
+            yield family, inv.numerator, None
+    # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
+    # |F_k| (|P_k|) is tau's denominator; walk X_{m+1} = c X_m + X_{m-1} up to
+    # it; try every k = m, then every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
+    den = tau.denominator
+    for family, c, x, x_next in (("D", 1, 1, 1), ("E", 2, 1, 2)):
+        ms, m = [], 1
+        while x <= den:
+            if x == den:
+                ms.append(m)
+            m, x, x_next = m + 1, x_next, c * x_next + x
+        for k in ms + [-m for m in ms]:
+            yield family, k, None
+
+
+def family_lookup(tau: Fraction) -> list[FamilyInstance]:
+    """All family instances whose tau equals the input, found by exact
+    inversion of each family formula; each is verified before return."""
+    out: list[FamilyInstance] = []
+    for family, k, sigma in _family_candidates(tau):
+        try:
+            inst = _member(family, k, sigma)
+        except ValueError:
+            continue  # k fails the family's preconditions
+        if inst.tau == tau:
+            out.append(_verified(inst))
+    return out
 
 
 # --- accumulation targets ----------------------------------------------
@@ -326,8 +394,7 @@ def accumulation_report(
     precision."""
     # a bad family or sigma fails every k: raise rather than skip them all
     targets = {d: accumulation_target(family, d, digits).approx for d in (1, -1)}
-    if family == "B":
-        validate_sigma(sigma or ())
+    validate_options(family, sigma, None)
     rows = []
     for k in k_range:
         try:

@@ -1,5 +1,5 @@
-"""Top-level classification of a rational tau: Schottky thresholds, exact
-family-formula inversion, and bounded search fallback.
+"""Top-level classification of a rational tau: Schottky thresholds, family
+lookup (`families.family_lookup`), and bounded search fallback.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness.
@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterator, Optional
+from typing import Optional
 
-from .families import FamilyInstance, family_instance, family_tau, instance_witness
+from .families import FamilyInstance, family_lookup, instance_witness
 from .halfrel import (
     RelationKind,
     RelationWitness,
@@ -27,8 +26,6 @@ FREE_SCHOTTKY = "free_schottky"
 NON_FREE = "non_free"
 NON_SEMIGROUP_FREE = "non_semigroup_free"
 UNKNOWN = "unknown"
-
-_SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
 
 
 @dataclass(frozen=True)
@@ -52,72 +49,6 @@ class TauClassification:
     semigroup_status: str
     semigroup_witness: Optional[RelationWitness]
     effort: SearchEffort
-
-
-def _square_root_of(tau: Fraction) -> Optional[Fraction]:
-    if tau <= 0:
-        return None
-    sp, sq = isqrt(tau.numerator), isqrt(tau.denominator)
-    if sp * sp != tau.numerator or sq * sq != tau.denominator:
-        return None
-    return Fraction(sp, sq)
-
-
-def _b_indices(sigma: tuple[int, int], n: int) -> list[int]:
-    """The k >= 0 with family_n(sigma, k) == n: one walk of the
-    u-recurrence carrying (u_k, u_{k+1}); the products grow with k."""
-    c = 6 // (sigma[0] * sigma[1])
-    out, k, u, u_next = [], 0, 1, 1
-    while (n_k := c * u * u_next) <= n:
-        if n_k == n:
-            out.append(k)
-        k, u, u_next = k + 1, u_next, 2 * sigma[(k + 1) % 2] * u_next - u
-    return out
-
-
-def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[tuple[int, int]]]]:
-    """(family, k, sigma) for each member that may have this tau, found by
-    inverting each family formula, in lookup order."""
-    s = _square_root_of(tau)
-    if s is not None:
-        # family A: s = (2k-1)/(2k) in lowest terms, negative k folds (2k+1)/(2k)
-        half = s.denominator // 2
-        yield from (("A", half, None), ("A", -half, None))
-        # family B: s = (n-1)/n, then match n against each u-sequence
-        # product; family_n(sigma, -j) = family_n(swapped sigma, j)
-        for sigma in _SIGMA_PAIRS:
-            back = _b_indices(sigma[::-1], s.denominator)
-            for k in _b_indices(sigma, s.denominator) + [-j for j in back if j > 0]:
-                yield "B", k, sigma
-    # family C: k = 1/(tau - 2)
-    if tau != 2 and (inv := 1 / (tau - 2)).denominator == 1:
-        for family in ("C_general", "C_even", "C_quad"):
-            yield family, inv.numerator, None
-    # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
-    # |F_k| (|P_k|) is tau's denominator; walk X_{m+1} = c X_m + X_{m-1} up to
-    # it; try every k = m, then every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
-    den = tau.denominator
-    for family, c, x, x_next in (("D", 1, 1, 1), ("E", 2, 1, 2)):
-        ms, m = [], 1
-        while x <= den:
-            if x == den:
-                ms.append(m)
-            m, x, x_next = m + 1, x_next, c * x_next + x
-        for k in ms + [-m for m in ms]:
-            yield family, k, None
-
-
-def family_lookup(tau: Fraction) -> list[FamilyInstance]:
-    """All family instances whose tau equals the input, found by exact
-    inversion of each family formula; each is verified before return."""
-    out: list[FamilyInstance] = []
-    for family, k, sigma in _family_candidates(tau):
-        try:
-            if family_tau(family, k, sigma) == tau:
-                out.append(family_instance(family, k, sigma=sigma))
-        except ValueError:
-            pass  # k fails the family's preconditions
-    return out
 
 
 def _mirrored_witness(inst: FamilyInstance) -> RelationWitness:

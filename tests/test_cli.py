@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from parafree.cli import main
 from parafree.exact import ExpWord, eval_word, parse_rational
-from parafree.halfrel import defect
+from parafree.halfrel import RelationWitness, defect
 from parafree.search import SearchReport
 
 
@@ -45,6 +45,13 @@ def test_verify_half_relation(capsys):
     lhs, rhs = word_of(rec["result"]["lhs"]), word_of(rec["result"]["rhs"])
     tau = Fraction(9, 4)
     assert eval_word(lhs, tau) == eval_word(rhs, tau)
+    # half-relations that induce no relation: tau = 0, and a zero entry
+    for tau, seq in (("0", "1,2"), ("7/5", "1,0,-1,5")):
+        code, recs = run(capsys, "verify", "--tau", tau, "--seq", seq)
+        assert code == 0
+        (rec,) = recs
+        assert rec["result"]["is_half_relation"] is True
+        assert not {"lhs", "rhs", "matrix"} & set(rec["result"])
 
 
 def test_verify_non_half_relation(capsys):
@@ -326,6 +333,20 @@ def test_classify_semigroup_witness(capsys):
     w = res["semigroup_witness"]
     assert all(a > 0 for a in w["lhs"]["exponents"])
     assert reverify_witness(w)
+
+
+def test_classify_verified_means_rechecked(capsys, monkeypatch):
+    code, recs = run(capsys, "classify", "--tau", "2/3")
+    assert code == 0 and recs[0]["verified"] is True
+    # a witness whose re-check fails is not reported as verified
+    monkeypatch.setattr(RelationWitness, "check", lambda self: False)
+    code, recs = run(capsys, "classify", "--tau", "2/3")
+    assert code == 0
+    assert recs[0]["result"]["group_witness"] is not None
+    assert recs[0]["verified"] is False
+    # no witness printed: nothing was re-checked
+    code, recs = run(capsys, "classify", "--tau", "-4")
+    assert code == 0 and recs[0]["verified"] is False
 
 
 def test_classify_malformed(capsys):

@@ -4,11 +4,14 @@ accumulation-point reports."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafree.exact import ExpWord, G, eval_word
 from parafree.families import (
     EXCEPTIONAL_TAU2_WORD,
     EXCEPTIONAL_TAU3_WORD,
+    FAMILIES,
     accumulation_report,
     accumulation_target,
     enumerate_n_values,
@@ -154,6 +157,29 @@ def test_family_tau_preconditions():
         family_tau("C_quad", 3)               # 3 != t(t+1)/2 - 1
     with pytest.raises(ValueError):
         family_tau("Z", 1)
+    with pytest.raises(ValueError):
+        family_tau("A", 1, (1, 2))            # only B takes sigma
+
+
+SIGMAS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+
+
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FAMILIES + ("Z",)), st.integers(-60, 60),
+       st.sampled_from([None] + SIGMAS + [(1, 1), (4, 1)]))
+def test_family_tau_and_instance_accept_the_same_inputs(family, k, sigma):
+    tau = _or_none(family_tau, family, k, sigma)
+    inst = _or_none(family_instance, family, k, sigma)
+    assert (tau is None) == (inst is None)
+    if inst is not None:
+        assert inst.tau == tau
 
 
 # --- instances ---------------------------------------------------------
@@ -251,6 +277,17 @@ def test_accumulation_report_decreasing():
         rows = accumulation_report(family, range(2, 15))
         dists = [d for _, _, d in rows]
         assert all(a > b for a, b in zip(dists, dists[1:]))
+
+
+def test_accumulation_report_options():
+    # a bad option fails every k, so it raises rather than giving no rows
+    with pytest.raises(ValueError, match="family B requires sigma"):
+        accumulation_report("B", range(1, 4))
+    with pytest.raises(ValueError):
+        accumulation_report("B", range(1, 4), sigma=(4, 1))
+    with pytest.raises(ValueError):
+        accumulation_report("D", range(1, 4), sigma=(1, 2))
+    assert [k for k, _, _ in accumulation_report("B", range(-1, 2), sigma=(2, 3))] == [-1, 1]
 
 
 def test_format_fixed():

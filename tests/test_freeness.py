@@ -22,6 +22,8 @@ from parafree.freeness import (
 from parafree.halfrel import RelationKind, build_semigroup_witness
 from parafree.search import SearchQuery, SignMode, search_half_relations
 
+SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+
 
 def fams(tau):
     return {(i.family, i.k) for i in family_lookup(Fraction(tau))}
@@ -73,9 +75,11 @@ def test_lookup_negative_fibonacci_branch():
 
 def test_lookup_finds_every_member_past_300():
     # brute-force oracle: each member's own tau must lead back to it
-    members = [(fam, k, None) for fam in ("D", "E")
-               for k in range(-400, 401) if k not in (0, -2)]
-    members += [("B", k, sigma) for sigma in [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+    members = [(fam, k, None) for fam in ("A", "C_general", "D", "E")
+               for k in range(-400, 401) if k != 0 and (fam, k) != ("D", -2)]
+    members += [("C_even", k, None) for k in range(-400, 401, 2) if k != 0]
+    members += [("C_quad", t * (t + 1) // 2 - 1, None) for t in range(28) if t != 1]
+    members += [("B", k, sigma) for sigma in SIGMA_PAIRS
                 for k in range(-40, 41) if family_n(sigma, k) != 1]
     for fam, k, sigma in members:
         found = family_lookup(family_tau(fam, k, sigma))
@@ -94,7 +98,7 @@ def test_every_emitted_witness_proves_a_nontrivial_relation():
     # to a nonempty word; every witness the builders emit passes it
     insts = [family_instance(fam, k) for fam in ("A", "C_general", "C_even", "C_quad", "D", "E")
              for k in range(-40, 41) if _is_member(fam, k, None)]
-    insts += [family_instance("B", k, sigma=sigma) for sigma in freeness._SIGMA_PAIRS
+    insts += [family_instance("B", k, sigma=sigma) for sigma in SIGMA_PAIRS
               for k in range(-10, 11) if _is_member("B", k, sigma)]
     assert {(i.family, i.k) for i in insts if i.identity_word is not None} == {("D", 1), ("E", 1)}
     for inst in insts:
