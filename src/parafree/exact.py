@@ -1,6 +1,8 @@
 """Exact arithmetic substrate: rationals, 2x2 matrices over a ring of tau,
 dense integer polynomials in tau, and evaluation of alternating words in the
-two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).
+two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).  A word is
+evaluated over integers with one common denominator, so its rational
+entries are reduced once each rather than at every letter.
 
 Everything here is immutable and pure; safe for concurrent use.
 """
@@ -153,19 +155,32 @@ def eval_word(word: ExpWord, tau) -> Mat2:
 
     Each letter is applied to the running product as a column operation:
     right-multiplying by g^a adds a*col1 to col2, and by h^a adds
-    (a*tau)*col2 to col1.  This equals the product of `gen_power` letters
-    under `Mat2.__mul__`, which the tests keep as its reference.
+    (a*tau)*col2 to col1.  A rational tau = p/q is applied as p over a
+    common integer denominator: the loop keeps integer entries N with
+    M = N / q^j after j h-letters, so each h-letter scales the running
+    product by q before adding (a*p)*col2 to col1, and the four Fraction
+    entries are built, each reduced once, at the end.  For an int tau or
+    tau = UniPoly.var() the denominator is 1 and the entries stay in
+    that ring.  This equals the product of `gen_power` letters under
+    `Mat2.__mul__`, which the tests keep as its reference.
     """
-    zero = tau * 0
+    rational = isinstance(tau, Fraction)
+    p, q = (tau.numerator, tau.denominator) if rational else (tau, 1)
+    zero = p * 0
     e11, e12, e21, e22 = zero + 1, zero, zero, zero + 1
+    den = 1
     on_g = word.start == G
     for a in word.exponents:
         if on_g:
             e12, e22 = e12 + a * e11, e22 + a * e21
         else:
-            at = a * tau
-            e11, e21 = e11 + at * e12, e21 + at * e22
+            ap = a * p
+            e11, e12 = q * e11 + ap * e12, q * e12
+            e21, e22 = q * e21 + ap * e22, q * e22
+            den *= q
         on_g = not on_g
+    if rational:
+        return Mat2(Fraction(e11, den), Fraction(e12, den), Fraction(e21, den), Fraction(e22, den))
     return Mat2(e11, e12, e21, e22)
 
 
@@ -173,7 +188,11 @@ def eval_word(word: ExpWord, tau) -> Mat2:
 class UniPoly:
     """Dense univariate polynomial in tau with integer coefficients,
     lowest degree first, trailing zeros trimmed.  An int operand of +, -
-    or * is read as a constant polynomial."""
+    or * is read as a constant polynomial.
+
+    The public constructor converts and trims its coefficients; the ring
+    operations build their results from int coefficients through
+    `_trusted`, which only trims."""
 
     coeffs: tuple[int, ...]
 
@@ -182,6 +201,17 @@ class UniPoly:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _trusted(cls, coeffs: Sequence[int]) -> "UniPoly":
+        """The polynomial with these int coefficients, trimmed but not
+        converted or checked."""
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", tuple(coeffs[:n]))
+        return poly
 
     @staticmethod
     def const(c: int) -> "UniPoly":
@@ -204,14 +234,14 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
-            other = UniPoly.const(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return UniPoly(tuple(x + y for x, y in zip(a, b)))
+            other = UniPoly._trusted((other,))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return UniPoly._trusted([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-x for x in self.coeffs))
+        return UniPoly._trusted([-x for x in self.coeffs])
 
     def __sub__(self, other: "UniPoly | int") -> "UniPoly":
         return self + (-other)
@@ -220,19 +250,21 @@ class UniPoly:
         if isinstance(other, int):
             return self.scale(other)
         if self.is_zero or other.is_zero:
-            return UniPoly.zero()
+            return UniPoly._trusted(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
             if x == 0:
                 continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] += x * y
-        return UniPoly(tuple(out))
+            for j, y in enumerate(other.coeffs, i):
+                out[j] += x * y
+        return UniPoly._trusted(out)
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "UniPoly":
-        return UniPoly(tuple(c * x for x in self.coeffs))
+        if c == 1:
+            return self  # eval_word scales every symbolic entry by q = 1
+        return UniPoly._trusted([c * x for x in self.coeffs])
 
     def evaluate(self, tau: Fraction) -> Fraction:
         acc = Fraction(0)

@@ -19,7 +19,12 @@ C this folds the +/- variant of the numerator into a single formula).
 
 One private builder, `_member`, states each family's tau, candidate, default
 x and preconditions; `family_tau`, `family_instance` and `family_lookup`
-(exact inversion of every formula) take their members from it.
+take their members from it.  The lookup inverts every formula on the
+integers p, q of tau = p/q in lowest terms: A and B need p and q to be
+squares (A: sqrt(q) even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) =
+sqrt(q) - 1, walking only the sigma whose 6/(s0 s1) divides sqrt(q)), C
+needs |p - 2q| = 1, and D (E) needs 5q^2 +- 4 (2q^2 +- 1) to be a square
+before its sequence is walked up to q.
 """
 
 from __future__ import annotations
@@ -280,15 +285,6 @@ def enumerate_n_values(sigma: Sequence[int], k_range: Iterable[int]) -> list[int
 _SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
 
 
-def _square_root_of(tau: Fraction) -> Optional[Fraction]:
-    if tau <= 0:
-        return None
-    sp, sq = isqrt(tau.numerator), isqrt(tau.denominator)
-    if sp * sp != tau.numerator or sq * sq != tau.denominator:
-        return None
-    return Fraction(sp, sq)
-
-
 def _b_indices(s: SigmaPair, n: int) -> list[int]:
     """The k >= 0 with n_k == n, in one walk; n_k grows with k."""
     c, out = 6 // (s[0] * s[1]), []
@@ -301,32 +297,46 @@ def _b_indices(s: SigmaPair, n: int) -> list[int]:
     raise AssertionError("the u-walk is infinite")
 
 
+def _is_square(n: int) -> bool:
+    return isqrt(n) ** 2 == n
+
+
 def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[SigmaPair]]]:
     """(family, k, sigma) for each member that may have this tau, found by
-    inverting each family formula, in lookup order."""
-    s = _square_root_of(tau)
-    if s is not None:
-        # family A: s = (2k-1)/(2k) in lowest terms, negative k folds (2k+1)/(2k)
-        half = s.denominator // 2
-        yield from (("A", half, None), ("A", -half, None))
-        # family B: s = (n-1)/n, then match n against each u-sequence
-        # product, one walk per sigma; family_n(sigma, -j) = family_n(swapped sigma, j)
-        ks = {sigma: _b_indices(sigma, s.denominator) for sigma in _SIGMA_PAIRS}
-        for sigma in _SIGMA_PAIRS:
-            for k in ks[sigma] + [-j for j in ks[sigma[::-1]] if j > 0]:
-                yield "B", k, sigma
-    # family C: k = 1/(tau - 2)
-    if tau != 2 and (inv := 1 / (tau - 2)).denominator == 1:
+    inverting each family formula on tau = p/q in lowest terms, in lookup
+    order."""
+    p, q = tau.numerator, tau.denominator
+    sp, sq = isqrt(max(p, 0)), isqrt(q)
+    if p > 0 and sp * sp == p and sq * sq == q:
+        # family A: sp/sq = |2k-1|/|2k| in lowest terms, so sq is even and
+        # sp = sq - 1 for k > 0, sp = sq + 1 for k < 0
+        if sq % 2 == 0 and abs(sp - sq) == 1:
+            yield "A", sq // 2 if sp < sq else -(sq // 2), None
+        # family B: sp/sq = (n-1)/n with n = sq; n_k = 6/(s0 s1) u_k u_{k+1},
+        # so only a sigma whose 6/(s0 s1) divides n can match.  One walk per
+        # such sigma; family_n(sigma, -j) = family_n(swapped sigma, j)
+        if sp == sq - 1:
+            ks = {sigma: _b_indices(sigma, sq) for sigma in _SIGMA_PAIRS
+                  if sq % (6 // (sigma[0] * sigma[1])) == 0}
+            for sigma, found in ks.items():
+                for k in found + [-j for j in ks[sigma[::-1]] if j > 0]:
+                    yield "B", k, sigma
+    # family C: tau - 2 = (p - 2q)/q with gcd(p - 2q, q) = 1, so
+    # k = 1/(tau - 2) is an integer iff |p - 2q| = 1, and then k = q (p - 2q)
+    if abs(p - 2 * q) == 1:
         for family in ("C_general", "C_even", "C_quad"):
-            yield family, inv.numerator, None
+            yield family, q * (p - 2 * q), None
     # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
-    # |F_k| (|P_k|) is tau's denominator; walk X_{m+1} = c X_m + X_{m-1} up to
-    # it; try every k = m, then every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
-    den = tau.denominator
-    for family, c, x, x_next in (("D", 1, 1, 1), ("E", 2, 1, 2)):
+    # |F_k| (|P_k|) is q.  q is a Fibonacci number iff 5q^2 +- 4 is a square,
+    # and a Pell number iff 2q^2 +- 1 is a square (H^2 - 2P^2 = +-1); only
+    # then walk X_{m+1} = c X_m + X_{m-1} up to q and try every k = m, then
+    # every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
+    for family, c, x, x_next, f, e in (("D", 1, 1, 1, 5, 4), ("E", 2, 1, 2, 2, 1)):
+        if not (_is_square(f * q * q + e) or _is_square(f * q * q - e)):
+            continue
         ms, m = [], 1
-        while x <= den:
-            if x == den:
+        while x <= q:
+            if x == q:
                 ms.append(m)
             m, x, x_next = m + 1, x_next, c * x_next + x
         for k in ms + [-m for m in ms]:

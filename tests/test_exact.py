@@ -23,6 +23,7 @@ from parafree.exact import (
     parse_rational,
     word_from_exponents,
 )
+from parafree.families import family_tau
 
 rng = random.Random(20260826)
 
@@ -166,21 +167,33 @@ def test_expword_flags():
     assert not ExpWord(G, (1, 0, 2)).is_reduced
 
 
-@settings(max_examples=300, deadline=None)
+# D and E member ratios F_{k+2}/F_k and H_{k+1}/P_k at |k| in [250, 320]
+LARGE_MEMBER_TAUS = [family_tau(family, sign * k) for family in ("D", "E")
+                     for k in range(250, 321, 7) for sign in (1, -1)]
+
+
+@settings(max_examples=400, deadline=None)
 @given(
     start=st.sampled_from([G, H]),
     exps=st.lists(st.integers(-9, 9), min_size=1, max_size=12),
     tau=st.one_of(
         st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
+        st.integers(-30, 30),
+        st.sampled_from(LARGE_MEMBER_TAUS),
         st.just(UniPoly.var()),
     ),
 )
 def test_eval_word_matches_the_product_of_generator_powers(start, exps, tau):
     # the column-operation loop against the left-to-right Mat2 product;
-    # zero exponents included
+    # zero exponents included.  A rational tau runs over one common integer
+    # denominator, so also require Fraction entries back
     w = ExpWord(start, tuple(exps))
     expected = reduce(Mat2.__mul__, (gen_power(tag, a, tau) for tag, a in w.letters()))
-    assert eval_word(w, tau) == expected
+    got = eval_word(w, tau)
+    assert got == expected
+    if isinstance(tau, Fraction):
+        assert all(type(e) is Fraction for e in got.entries())
 
 
 def test_eval_word_unimodular():
@@ -221,6 +234,41 @@ def test_unipoly_ring_laws_against_evaluation():
         assert a.scale(3).evaluate(t) == 3 * a.evaluate(t)
         assert a * b == b * a
         assert a + b == b + a
+
+
+def _padded(a, n):
+    return list(a.coeffs) + [0] * (n - len(a.coeffs))
+
+
+polys = st.lists(st.integers(-10**12, 10**12) | st.just(0), max_size=6).map(
+    lambda c: UniPoly(tuple(c)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=polys, b=polys, c=st.sampled_from([0, 1, -1]) | st.integers(-10**6, 10**6))
+def test_unipoly_operations_match_the_public_constructor(a, b, c):
+    # the ring operations build results without the public constructor's
+    # checks; each must equal UniPoly(...) of the coefficients computed naively
+    n = max(len(a.coeffs), len(b.coeffs))
+    pa, pb, pc = _padded(a, n), _padded(b, n), _padded(a, 1)
+    prod = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    cases = [
+        (a + b, [x + y for x, y in zip(pa, pb)]),
+        (a - b, [x - y for x, y in zip(pa, pb)]),
+        (-a, [-x for x in a.coeffs]),
+        (a * b, prod),
+        (a * c, [c * x for x in a.coeffs]),
+        (c * a, [c * x for x in a.coeffs]),
+        (a + c, [pc[0] + c] + pc[1:]),
+        (a.scale(c), [c * x for x in a.coeffs]),
+    ]
+    for got, coeffs in cases:
+        assert got == UniPoly(tuple(coeffs))
+        assert all(type(x) is int for x in got.coeffs)
+        assert not got.coeffs or got.coeffs[-1] != 0
 
 
 def test_unipoly_divide_by_var():

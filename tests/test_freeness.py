@@ -8,6 +8,7 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parafree.families as families
 import parafree.freeness as freeness
 from parafree.families import family_instance, family_n, family_tau, instance_witness
 from parafree.freeness import (
@@ -84,6 +85,72 @@ def test_lookup_finds_every_member_past_300():
     for fam, k, sigma in members:
         found = family_lookup(family_tau(fam, k, sigma))
         assert (fam, k, sigma) in {(i.family, i.k, i.sigma) for i in found}
+
+
+ORACLE_MAX_Q = 60
+ORACLE_K = {"B": 12}  # every other family: |k| <= 64
+
+
+def test_lookup_matches_the_brute_force_list_of_members():
+    # Oracle: every member tau = family_tau(family, k, sigma) with |k| within
+    # the ranges below, against family_lookup at every p/q with q <= 60 and
+    # 0 < |tau| < 5, compared as (family, k, sigma) sets.  The ranges are
+    # complete for q <= 60 because each formula's denominator grows with
+    # |k| on either sign: 4k^2 (A), |k| (C), |F_k| (D), |P_k| (E) and n_k^2
+    # with n_k = 6/(s0 s1) u_k u_{k+1} (B); at the edge of each range it
+    # already exceeds 60, as asserted here.
+    expected: dict = {}
+    for fam in ("A", "B", "C_general", "C_even", "C_quad", "D", "E"):
+        k_max = ORACLE_K.get(fam, 64)
+        for sigma in SIGMA_PAIRS if fam == "B" else [None]:
+            if fam != "C_quad":  # C_quad's denominator is |k| as for C_general
+                edge = k_max if fam != "C_even" else k_max - k_max % 2
+                assert min(family_tau(fam, k, sigma).denominator
+                           for k in (edge, -edge)) > ORACLE_MAX_Q
+            for k in range(-k_max, k_max + 1):
+                try:
+                    tau = family_tau(fam, k, sigma)
+                except ValueError:
+                    continue
+                if tau.denominator <= ORACLE_MAX_Q and 0 < abs(tau) < 5:
+                    expected.setdefault(tau, set()).add((fam, k, sigma))
+    grid = {Fraction(p, q) for q in range(1, ORACLE_MAX_Q + 1)
+            for p in range(-5 * q + 1, 5 * q) if p}
+    assert set(expected) <= grid
+    for tau in grid:
+        found = [(i.family, i.k, i.sigma) for i in family_lookup(tau)]
+        assert len(set(found)) == len(found)
+        assert set(found) == expected.get(tau, set()), tau
+
+
+def test_lookup_order():
+    # classify takes its family witness from the first member found
+    def order(tau):
+        return [(i.family, i.k, i.sigma) for i in family_lookup(Fraction(tau))]
+
+    assert order("5/2") == [("C_general", 2, None), ("C_even", 2, None),
+                            ("C_quad", 2, None), ("D", 3, None)]
+    assert order("9/4") == [("A", -1, None), ("C_general", 4, None), ("C_even", 4, None)]
+    assert order("4/9") == [("B", 0, (1, 2)), ("B", -1, (1, 2)), ("B", 0, (2, 1)),
+                            ("B", 1, (2, 1)), ("B", -1, (2, 3)), ("B", 1, (3, 2))]
+
+
+def test_lookup_walks_only_the_b_sequences_that_can_match(monkeypatch):
+    # n_k = 6/(s0 s1) u_k u_{k+1}: a sigma whose 6/(s0 s1) does not divide
+    # n is never walked, and no sigma is walked unless sqrt(tau) = (n-1)/n
+    walked = []
+    b_indices = families._b_indices
+
+    def counted(sigma, n):
+        walked.append(sigma)
+        return b_indices(sigma, n)
+
+    monkeypatch.setattr(families, "_b_indices", counted)
+    family_lookup(Fraction(24, 25) ** 2)  # n = 25: only 6/(s0 s1) = 1
+    assert sorted(walked) == [(2, 3), (3, 2)]
+    walked.clear()
+    family_lookup(Fraction(9, 25))  # 3/5 is not (n-1)/n
+    assert walked == []
 
 
 def test_lookup_results_verify():
