@@ -329,18 +329,18 @@ def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[Sigma
     # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
     # |F_k| (|P_k|) is q.  q is a Fibonacci number iff 5q^2 +- 4 is a square,
     # and a Pell number iff 2q^2 +- 1 is a square (H^2 - 2P^2 = +-1); only
-    # then walk X_{m+1} = c X_m + X_{m-1} up to q and try every k = m, then
-    # every k = -m (|F_{-m}| = F_m, |P_{-m}| = P_m)
-    for family, c, x, x_next, f, e in (("D", 1, 1, 1, 5, 4), ("E", 2, 1, 2, 2, 1)):
+    # then walk X_{m+1} = c X_m + X_{m-1} up to q and try every k = +-m with
+    # X_m = q (|F_{-m}| = F_m, |P_{-m}| = P_m).  tau = t + X_{k-1}/X_k with
+    # t = 2 (D) or 3 (E) is >= t for k > 0 and <= 1 for k < 0, so p >= t q
+    # fixes the sign of k
+    for family, c, x, x_next, f, e, t in (("D", 1, 1, 1, 5, 4, 2), ("E", 2, 1, 2, 2, 1, 3)):
         if not (_is_square(f * q * q + e) or _is_square(f * q * q - e)):
             continue
-        ms, m = [], 1
+        sign, m = 1 if p >= t * q else -1, 1
         while x <= q:
             if x == q:
-                ms.append(m)
+                yield family, sign * m, None
             m, x, x_next = m + 1, x_next, c * x_next + x
-        for k in ms + [-m for m in ms]:
-            yield family, k, None
 
 
 def family_lookup(tau: Fraction) -> list[FamilyInstance]:

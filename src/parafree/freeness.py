@@ -1,15 +1,26 @@
-"""Top-level classification of a rational tau: Schottky thresholds, family
-lookup (`families.family_lookup`), and bounded search fallback.
+"""Top-level classification of a rational tau: the Schottky thresholds
+(|tau| >= 4 makes the group free, tau >= 1 the semigroup, and tau <= -4 the
+semigroup through the free group at |tau|), then one ordered stream of
+verified witnesses at tau for the sides they leave open.
+
+One rule reads the stream: the first witness settles the group, and the
+first one whose kind is not GROUP_NONTRIVIAL (positive words, which are a
+group relation too) also settles the semigroup.  The stream, in order:
+family members at tau (`families.family_lookup`); family members at -tau,
+mirrored to a group relation at tau and, when alternating, turned into
+positive words at tau; the search at tau (NONZERO_ANY while the group is
+open, ALL_POSITIVE otherwise); the odd-length ALTERNATING search at -tau.
+The group is never searched at -tau.  No phase runs once both sides are
+settled.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
-effort bounds is never reported as freeness.
-"""
+effort bounds is never reported as freeness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .families import FamilyInstance, family_lookup, instance_witness
 from .halfrel import (
@@ -20,7 +31,7 @@ from .halfrel import (
     classify_signs,
     minus_tau_transform,
 )
-from .search import SearchQuery, SearchReport, SignMode, search_half_relations
+from .search import SearchQuery, SignMode, search_half_relations
 
 FREE_SCHOTTKY = "free_schottky"
 NON_FREE = "non_free"
@@ -64,93 +75,72 @@ def _mirrored_witness(inst: FamilyInstance) -> RelationWitness:
 
 
 def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauClassification:
-    """Classify the group and semigroup at tau.
-
-    Thresholds first (|tau| >= 4 group-Schottky, tau >= 1 semigroup-Schottky,
-    tau <= -4 semigroup-free via the free group at |tau|), then family
-    lookup at tau and -tau, then bounded search.
-    """
-    group_status, group_witness = UNKNOWN, None
-    semi_status, semi_witness = UNKNOWN, None
-
-    at_tau: list[FamilyInstance] = []
-    at_minus: list[FamilyInstance] = []
-    group_report: Optional[SearchReport] = None
-
-    if abs(tau) >= 4:
-        group_status = FREE_SCHOTTKY
-    elif tau != 0:
-        at_tau, at_minus = family_lookup(tau), family_lookup(-tau)
-        if at_tau:
-            group_status, group_witness = NON_FREE, instance_witness(at_tau[0])
-        elif at_minus:
-            group_status, group_witness = NON_FREE, _mirrored_witness(at_minus[0])
-        else:
-            # no result limit: the search builds every hit before the cut
-            # anyway, and _find_semigroup_witness reads all of them
-            group_report = search_half_relations(
-                SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY, None),
-                workers=effort.workers,
-            )
-            if group_report.hits:
-                group_status = NON_FREE
-                group_witness = build_relation(group_report.hits[0], tau)
-
-    if tau >= 1 or tau <= -4:
-        semi_status = FREE_SCHOTTKY
-    elif tau != 0:
-        semi_witness = _find_semigroup_witness(tau, effort, at_tau, at_minus, group_report)
-        if semi_witness is not None:
-            semi_status = NON_SEMIGROUP_FREE
-
+    """Classify the group and semigroup at tau: the Schottky thresholds,
+    then the first witnesses of `_witnesses` that settle each open side."""
+    group_free = abs(tau) >= 4
+    semi_free = tau >= 1 or tau <= -4
+    group = semi = None
+    open_ = set()
+    if tau != 0:
+        if not group_free:
+            open_.add("group")
+        if not semi_free:
+            open_.add("semigroup")
     # every witness was proven by its builder (build_relation,
     # build_semigroup_witness, _mirrored_witness, or family_instance's
     # identity-word check); the CLI re-checks what it prints
-    return TauClassification(tau, group_status, group_witness, semi_status, semi_witness, effort)
-
-
-def _find_semigroup_witness(
-    tau: Fraction,
-    effort: SearchEffort,
-    at_tau: list[FamilyInstance],
-    at_minus: list[FamilyInstance],
-    group_report: Optional[SearchReport],
-) -> Optional[RelationWitness]:
-    """Positive words at tau, from a family member at tau and then at -tau
-    (at_tau and at_minus are the lookups there), then from a search at tau
-    and then at -tau.  An alternating half-relation at -tau gives positive
-    words at tau.
-
-    group_report is the unlimited NONZERO_ANY search at tau with the same
-    effort, if one ran.  It holds every all-positive hit in shortlex
-    order, so its first one is the first ALL_POSITIVE hit and that search
-    is skipped.
-
-    The ALTERNATING search at -tau covers odd lengths only (max_len rounded
-    down to odd).  Conjugating by diag(1,-1) turns an even-length
-    alternating half-relation at -tau, entry by entry in |a_i|, into an
-    all-positive one at tau.  That search runs only after the all-positive
-    hits at tau, with the same effort, came out empty, so it has no
-    even-length hit and its first hit is unchanged."""
-    sides = (
-        (tau, RelationKind.SEMIGROUP_AT_TAU, SignMode.ALL_POSITIVE, at_tau),
-        (-tau, RelationKind.SEMIGROUP_AT_MINUS_TAU, SignMode.ALTERNATING, at_minus),
+    for w in _witnesses(tau, effort, open_) if open_ else ():
+        if "group" in open_:
+            group = w
+            open_.discard("group")
+        if "semigroup" in open_ and w.kind is not RelationKind.GROUP_NONTRIVIAL:
+            semi = w
+            open_.discard("semigroup")
+        if not open_:
+            break
+    return TauClassification(
+        tau,
+        FREE_SCHOTTKY if group_free else UNKNOWN if group is None else NON_FREE,
+        group,
+        FREE_SCHOTTKY if semi_free else UNKNOWN if semi is None else NON_SEMIGROUP_FREE,
+        semi,
+        effort,
     )
-    for t, kind, _, insts in sides:
-        for inst in insts:
-            if not inst.exceptional and inst.kind is kind:
-                return build_semigroup_witness(inst.candidate, t)
-    for t, kind, mode, _ in sides:
-        if mode is SignMode.ALL_POSITIVE and group_report is not None:
-            report = group_report
-        else:
-            max_len = effort.max_len
-            if mode is SignMode.ALTERNATING:
-                max_len -= 1 - max_len % 2
-            report = search_half_relations(
-                SearchQuery(t, max_len, effort.bound, mode), workers=effort.workers
-            )
-        for hit in report.hits:
-            if classify_signs(hit) is kind:
-                return build_semigroup_witness(hit, t)
-    return None
+
+
+def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator[RelationWitness]:
+    """Verified witnesses at tau, in the order of the module docstring.
+    open_ holds the sides ("group", "semigroup") classify_tau has not
+    settled yet.  The first witness settles the group, so after it only
+    witnesses that can settle the semigroup are built: positive words."""
+    positive = RelationKind.SEMIGROUP_AT_TAU
+    for inst in family_lookup(tau):
+        if "group" in open_ or inst.kind is positive:
+            yield instance_witness(inst)
+    minus = -tau
+    for inst in family_lookup(minus):
+        if "group" in open_:
+            yield _mirrored_witness(inst)
+        if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
+            yield build_semigroup_witness(inst.candidate, minus)
+    # no result limit for the group: the search builds every hit before
+    # the cut anyway, and its all-positive hits are those of ALL_POSITIVE
+    if "group" in open_:
+        query = SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY, None)
+    else:
+        query = SearchQuery(tau, effort.max_len, effort.bound, SignMode.ALL_POSITIVE)
+    for hit in search_half_relations(query, workers=effort.workers).hits:
+        if "group" in open_ or classify_signs(hit) is positive:
+            yield build_relation(hit, tau)
+    if "semigroup" not in open_:
+        return
+    # Odd lengths only (max_len rounded down to odd).  Conjugating by
+    # diag(1,-1) turns an even-length alternating half-relation at -tau,
+    # entry by entry in |a_i|, into an all-positive one at tau, and the
+    # search at tau above, with the same effort, has just found none.
+    max_len = effort.max_len - (1 - effort.max_len % 2)
+    report = search_half_relations(
+        SearchQuery(minus, max_len, effort.bound, SignMode.ALTERNATING), workers=effort.workers
+    )
+    if report.hits:
+        yield build_semigroup_witness(report.hits[0], minus)

@@ -153,6 +153,25 @@ def test_lookup_walks_only_the_b_sequences_that_can_match(monkeypatch):
     assert walked == []
 
 
+def test_lookup_walks_d_and_e_members_once_at_their_own_sign(monkeypatch):
+    # tau = t + X_{k-1}/X_k (t = 2 for D, 3 for E) is >= t for k > 0 and
+    # <= 1 for k < 0, so the lookup builds only the member with the sign of k
+    # that can match, not k = m and k = -m
+    built = []
+    member = families._member
+
+    def counted(family, k, sigma=None, x=None):
+        built.append((family, k))
+        return member(family, k, sigma, x)
+
+    taus = {(fam, k): family_tau(fam, k) for fam in ("D", "E") for k in (40, -40)}
+    monkeypatch.setattr(families, "_member", counted)
+    for (fam, k), tau in taus.items():
+        built.clear()
+        assert (fam, k) in {(i.family, i.k) for i in family_lookup(tau)}
+        assert [b for b in built if b[0] == fam] == [(fam, k)]
+
+
 def test_lookup_results_verify():
     for tau in [Fraction(5, 2), Fraction(41, 12), Fraction(9, 4),
                 Fraction(16, 25), Fraction(3)]:
@@ -309,6 +328,66 @@ def test_classify_family_values():
     cls = classify_tau(Fraction(17, 5))
     assert cls.group_status == NON_FREE
     assert cls.group_witness.check()
+
+
+def test_classify_reads_both_sides_from_the_first_family_lookups(monkeypatch):
+    # a family member at tau settles the group (5/2 is semigroup-free by
+    # threshold), and at -5/2 the mirrored member and its alternating
+    # candidate settle both sides: no further lookup and no search runs
+    lookups = []
+
+    def counted(tau):
+        lookups.append(tau)
+        return family_lookup(tau)
+
+    def no_search(query, workers=1):
+        raise AssertionError(f"search ran: {query}")
+
+    monkeypatch.setattr(freeness, "family_lookup", counted)
+    monkeypatch.setattr(freeness, "search_half_relations", no_search)
+    cls = classify_tau(Fraction(5, 2))
+    assert lookups == [Fraction(5, 2)]
+    assert cls.group_status == NON_FREE
+    assert cls.group_witness == instance_witness(family_instance("C_general", 2))
+    assert cls.semigroup_status == FREE_SCHOTTKY
+    lookups.clear()
+    cls = classify_tau(Fraction(-5, 2))
+    assert lookups == [Fraction(-5, 2), Fraction(5, 2)]
+    assert cls.group_witness == freeness._mirrored_witness(family_instance("C_general", 2))
+    candidate = family_instance("C_general", 2).candidate
+    assert cls.semigroup_witness == build_semigroup_witness(candidate, Fraction(5, 2))
+    assert (cls.group_status, cls.semigroup_status) == (NON_FREE, NON_SEMIGROUP_FREE)
+
+
+def test_a_threshold_settled_semigroup_is_not_searched(monkeypatch):
+    # 12/5 >= 1 is semigroup-free and the group stays unknown at (4, 8):
+    # only the group's search runs, not the semigroup's at -tau
+    modes = spy_searches(monkeypatch)
+    cls = classify_tau(Fraction(12, 5))
+    assert (cls.group_status, cls.semigroup_status) == (UNKNOWN, FREE_SCHOTTKY)
+    assert modes == [SignMode.NONZERO_ANY]
+
+
+def test_semigroup_witness_settles_the_group():
+    # no family at +-tau and no NONZERO_ANY hit at tau at effort (4, 8), but
+    # the alternating search at -tau gives (g^5 h^5)^3 g = g at -3/25 and
+    # (g^7 h^7)^3 g = g at -3/49: positive words are a group relation too
+    for tau in (Fraction(-3, 25), Fraction(-3, 49)):
+        cls = classify_tau(tau, SearchEffort(4, 8))
+        assert cls.group_status == NON_FREE
+        assert cls.semigroup_status == NON_SEMIGROUP_FREE
+        assert cls.group_witness is cls.semigroup_witness
+        assert cls.group_witness.check() and cls.group_witness.word_tau == tau
+
+
+def test_a_non_free_semigroup_means_a_non_free_group():
+    taus = [Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q)
+            if p and gcd(p, q) == 1]
+    for effort in (SearchEffort(4, 8), SearchEffort(3, 4)):
+        for tau in taus:
+            cls = classify_tau(tau, effort)
+            if cls.semigroup_status == NON_SEMIGROUP_FREE:
+                assert cls.group_status == NON_FREE, (tau, effort)
 
 
 def test_classify_mirror_value():
