@@ -177,13 +177,13 @@ def cmd_family(args, emit: Emitter) -> int:
             if args.k is not None:
                 raise InputError(str(exc)) from None
             continue  # skip excluded k inside an explicit range sweep
-        witness = instance_witness(inst)
+        witness = _witness_json(instance_witness(inst))
         result = {
             "tau": format_rational(inst.tau),
             "candidate": list(inst.candidate),
             "exceptional": inst.exceptional,
             "kind": inst.kind.value,
-            "witness": _witness_json(witness),
+            "witness": witness,
         }
         if base == "B":
             result["n"] = family_n(inst.sigma, k)
@@ -192,7 +192,7 @@ def cmd_family(args, emit: Emitter) -> int:
             "inputs": {"name": base, "k": k, "sigma": list(sigma) if sigma else None,
                        "x": inst.x},
             "result": result,
-            "verified": witness.check(),
+            "verified": witness["verified"],
         }
         emit.emit(record)
         emitted = True

@@ -9,9 +9,9 @@ group relation too) also settles the semigroup.  The stream, in order:
 family members at tau (`families.family_lookup`); family members at -tau,
 mirrored to a group relation at tau and, when alternating, turned into
 positive words at tau; the search at tau (NONZERO_ANY while the group is
-open, ALL_POSITIVE otherwise); the odd-length ALTERNATING search at -tau.
-The group is never searched at -tau.  No phase runs once both sides are
-settled.
+open, ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING
+search at -tau.  The group is never searched at -tau.  No phase runs
+once both sides are settled.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness."""
@@ -112,7 +112,12 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
     """Verified witnesses at tau, in the order of the module docstring.
     open_ holds the sides ("group", "semigroup") classify_tau has not
     settled yet.  The first witness settles the group, so after it only
-    witnesses that can settle the semigroup are built: positive words."""
+    witnesses that can settle the semigroup are built: positive words.
+
+    The alternating search at -tau runs only for tau < 0: for tau > 0 an
+    odd-length hit would give a nonempty positive word in g and h_tau
+    equal to the identity, and every such product of these nonnegative
+    unipotent matrices has a positive off-diagonal entry."""
     positive = RelationKind.SEMIGROUP_AT_TAU
     for inst in family_lookup(tau):
         if "group" in open_ or inst.kind is positive:
@@ -132,7 +137,7 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
     for hit in search_half_relations(query, workers=effort.workers).hits:
         if "group" in open_ or classify_signs(hit) is positive:
             yield build_relation(hit, tau)
-    if "semigroup" not in open_:
+    if "semigroup" not in open_ or tau > 0:
         return
     # Odd lengths only (max_len rounded down to odd).  Conjugating by
     # diag(1,-1) turns an even-length alternating half-relation at -tau,

@@ -51,7 +51,8 @@ class RelationKind(enum.Enum):
 @dataclass(frozen=True)
 class RelationWitness:
     """A pair of words with equal matrix value that differ in the free
-    group, verified by its builder; `check` re-verifies both facts.
+    group; `check` proves both facts, and every builder returns a witness
+    only once its `check` holds.
 
     `tau` is the parameter of the originating half-relation; `word_tau`
     is the parameter at which the two words evaluate equal (these differ
@@ -63,24 +64,21 @@ class RelationWitness:
     lhs: ExpWord
     rhs: ExpWord
     kind: RelationKind
-    word_tau: Fraction = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if self.word_tau is None:
-            object.__setattr__(self, "word_tau", self.tau)
+    @property
+    def word_tau(self) -> Fraction:
+        """-tau for SEMIGROUP_AT_MINUS_TAU, tau for every other kind."""
+        return -self.tau if self.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU else self.tau
 
     def check(self) -> bool:
         """True iff the witness proves what its kind says: lhs * rhs^{-1}
         freely reduces to a nonempty word (the relation is nontrivial) and
-        both sides evaluate equal at word_tau, which is tau, or -tau for
-        SEMIGROUP_AT_MINUS_TAU; both semigroup kinds also need positive
-        words, and TRIVIAL is never valid.  Distinct positive words also
-        differ in the free group, so this is the proof for every kind."""
+        both sides evaluate equal at word_tau; both semigroup kinds also
+        need positive words, and TRIVIAL is never valid.  Distinct
+        positive words also differ in the free group, so this is the proof
+        for every kind."""
         kind = self.kind
         if kind is RelationKind.TRIVIAL:
-            return False
-        minus = kind is RelationKind.SEMIGROUP_AT_MINUS_TAU
-        if self.word_tau != (-self.tau if minus else self.tau):
             return False
         if kind is not RelationKind.GROUP_NONTRIVIAL and not (
             self.lhs.is_positive and self.rhs.is_positive
@@ -173,41 +171,43 @@ def minus_tau_transform(word: ExpWord) -> ExpWord:
     return ExpWord(word.start, tuple(exps))
 
 
-def _half_relation(candidate: Sequence[int], tau: Fraction) -> tuple[Candidate, Mat2]:
-    """The candidate as a tuple and the matrix of its word; rejects tau = 0
-    (for which the odd-length symmetry argument degenerates), candidates
-    with a zero entry (of kind TRIVIAL; their two sides may reduce to the
-    same word) and candidates that are not half-relations for tau."""
+def _gated(candidate: Sequence[int], tau: Fraction) -> Candidate:
+    """The candidate as a tuple; rejects tau = 0 (for which the odd-length
+    symmetry argument degenerates) and candidates with a zero entry (of
+    kind TRIVIAL; their two sides may reduce to the same word)."""
     exps = tuple(candidate)
     if tau == 0:
         raise ValueError("tau = 0 is degenerate; no relation is built")
     if 0 in exps:
         raise ValueError(f"{exps} has a zero entry; no relation is built")
-    m = eval_word(word_from_exponents(exps), tau)
-    if _defect_of(m, tau, len(exps)) != 0:
-        raise ValueError(f"{exps} is not a half-relation for tau = {tau}")
-    return exps, m
+    return exps
+
+
+def _proven(witness: RelationWitness, exps: Candidate) -> RelationWitness:
+    """The witness, if its check holds; past the gates, it fails exactly
+    when exps is not a half-relation for witness.tau."""
+    if not witness.check():
+        raise ValueError(f"{exps} is not a half-relation for tau = {witness.tau}")
+    return witness
 
 
 def build_relation(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
     """Build and verify the symmetric relation induced by a half-relation.
 
-    Rejects candidates that are not half-relations for tau, candidates
-    with a zero entry, and tau = 0 (for which the odd-length symmetry
-    argument degenerates).  Two words are evaluated: M(lhs), whose defect
-    is the precondition, and M(rhs); the one matrix check is
-    M(lhs) == M(rhs), and that the relator lhs * rhs^{-1} evaluates to
-    the identity follows from it.  The witness is of kind SEMIGROUP_AT_TAU
-    when both words are positive and GROUP_NONTRIVIAL otherwise; an
-    alternating candidate's positive words at -tau come from
-    `build_semigroup_witness`.
+    Rejects tau = 0, candidates with a zero entry, and candidates that are
+    not half-relations for tau.  The witness's `check` is the one proof:
+    M(rhs) is diag(1,tau) M(lhs)^T diag(1,tau)^-1 for odd length and
+    M(lhs) with its diagonal swapped for even length, so M(lhs) == M(rhs)
+    exactly when the defect vanishes, and with no zero entry
+    lhs * rhs^{-1} does not cancel where the two sides meet.
+    The witness is of kind SEMIGROUP_AT_TAU when both words are positive
+    and GROUP_NONTRIVIAL otherwise; an alternating candidate's positive
+    words at -tau come from `build_semigroup_witness`.
     """
-    exps, m_lhs = _half_relation(candidate, tau)
+    exps = _gated(candidate, tau)
     lhs, rhs = relation_words(exps)
-    if m_lhs != eval_word(rhs, tau):
-        raise AssertionError("half-relation did not induce a matrix identity")
     kind = RelationKind.SEMIGROUP_AT_TAU if lhs.is_positive else RelationKind.GROUP_NONTRIVIAL
-    return RelationWitness(tau, lhs, rhs, kind)
+    return _proven(RelationWitness(tau, lhs, rhs, kind), exps)
 
 
 def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> RelationWitness:
@@ -218,33 +218,22 @@ def build_semigroup_witness(candidate: Sequence[int], tau: Fraction) -> Relation
     negates g-exponents and flips the sign of tau, yielding two positive
     words in g and h_{-tau}; for odd length the symmetric pair is not
     positive on both sides, so the relation is presented as (w * g, g)
-    where w is the (positive) conjugated relator.
+    where w is the (positive) conjugated relator.  The witness's `check`
+    at -tau is the one proof, as in `build_relation`.
     """
     kind = classify_signs(candidate)
     if kind is RelationKind.SEMIGROUP_AT_TAU:
         return build_relation(candidate, tau)
-    exps, _ = _half_relation(candidate, tau)
+    exps = _gated(candidate, tau)
     if kind is not RelationKind.SEMIGROUP_AT_MINUS_TAU:
         raise ValueError(
             f"{exps} has mixed signs ({kind.value}); no semigroup relation"
         )
-    if not is_alternating(exps):
-        exps = negate(exps)  # normalize to odd positions negative
-    l = len(exps)
-    if l % 2 == 0:
-        lhs, rhs = relation_words(exps)
-        pos_lhs = minus_tau_transform(lhs)
-        pos_rhs = minus_tau_transform(rhs)
+    alt = exps if is_alternating(exps) else negate(exps)  # odd positions negative
+    if len(alt) % 2 == 0:
+        lhs, rhs = (minus_tau_transform(w) for w in relation_words(alt))
     else:
         # conjugated relator: positive word equal to Id at -tau
-        w = minus_tau_transform(relator(exps))
-        one_g = ExpWord(G, (1,))
-        pos_lhs = w.concat(one_g)
-        pos_rhs = one_g
-    if not (pos_lhs.is_positive and pos_rhs.is_positive):
-        raise AssertionError("semigroup transformation produced a non-positive word")
-    if eval_word(pos_lhs, -tau) != eval_word(pos_rhs, -tau):
-        raise AssertionError("transformed relation failed to verify at -tau")
-    return RelationWitness(
-        tau, pos_lhs, pos_rhs, RelationKind.SEMIGROUP_AT_MINUS_TAU, word_tau=-tau
-    )
+        rhs = ExpWord(G, (1,))
+        lhs = minus_tau_transform(relator(alt)).concat(rhs)
+    return _proven(RelationWitness(tau, lhs, rhs, RelationKind.SEMIGROUP_AT_MINUS_TAU), exps)

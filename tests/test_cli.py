@@ -1,6 +1,7 @@
 """Tests for the command-line surface: exit codes, JSON-lines records,
 and the round-trip property (records re-verify from their own data)."""
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,9 +10,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parafree.cli as cli
 from parafree.cli import main
 from parafree.exact import ExpWord, eval_word, parse_rational
-from parafree.halfrel import RelationWitness, defect
+from parafree.halfrel import defect
 from parafree.search import SearchReport
 
 
@@ -338,11 +340,25 @@ def test_classify_semigroup_witness(capsys):
 def test_classify_verified_means_rechecked(capsys, monkeypatch):
     code, recs = run(capsys, "classify", "--tau", "2/3")
     assert code == 0 and recs[0]["verified"] is True
-    # a witness whose re-check fails is not reported as verified
-    monkeypatch.setattr(RelationWitness, "check", lambda self: False)
+    # a printed witness whose re-check fails is not reported as verified:
+    # the builders prove every witness, so the printed ones are forged
+    real = cli.classify_tau
+
+    def forge(w):
+        if w is None:
+            return None
+        *rest, last = w.rhs.exponents
+        return dataclasses.replace(w, rhs=ExpWord(w.rhs.start, (*rest, last + 1)))
+
+    def forged(tau, effort):
+        cls = real(tau, effort)
+        return dataclasses.replace(cls, group_witness=forge(cls.group_witness),
+                                   semigroup_witness=forge(cls.semigroup_witness))
+
+    monkeypatch.setattr(cli, "classify_tau", forged)
     code, recs = run(capsys, "classify", "--tau", "2/3")
     assert code == 0
-    assert recs[0]["result"]["group_witness"] is not None
+    assert recs[0]["result"]["group_witness"]["verified"] is False
     assert recs[0]["verified"] is False
     # no witness printed: nothing was re-checked
     code, recs = run(capsys, "classify", "--tau", "-4")

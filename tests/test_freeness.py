@@ -319,6 +319,22 @@ def test_alternating_search_at_odd_lengths_gives_the_same_classification(monkeyp
     assert compared > 0 and set(alternating_lengths) == {3}
 
 
+def test_no_alternating_search_for_positive_tau(monkeypatch):
+    # an odd alternating hit at -tau would give a nonempty positive word in
+    # g and h_tau equal to the identity, and for tau > 0 every such product
+    # has a positive off-diagonal entry: the search could find nothing
+    taus = [Fraction(p, q) for q in range(1, 21) for p in range(1, 4 * q) if gcd(p, q) == 1]
+    for tau in taus:
+        report = search_half_relations(SearchQuery(-tau, 5, 8, SignMode.ALTERNATING, None))
+        assert not [h for h in report.hits if len(h) % 2], tau
+    modes = spy_searches(monkeypatch)
+    for tau in taus:
+        classify_tau(tau)
+    assert modes and SignMode.ALTERNATING not in modes
+    classify_tau(Fraction(-3, 25))  # settled by the alternating search
+    assert modes[-1] is SignMode.ALTERNATING
+
+
 def test_classify_family_values():
     cls = classify_tau(Fraction(5, 2))
     assert cls.group_status == NON_FREE

@@ -3,6 +3,7 @@ symmetric relations and the semigroup transformations."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -35,6 +36,7 @@ from parafree.halfrel import (
     relator,
     symbolic_defect,
 )
+from parafree.search import SearchQuery, SignMode, search_half_relations
 
 rng = random.Random(8241)
 
@@ -249,7 +251,7 @@ def test_build_relation_rejections():
 
 
 def test_build_relation_evaluates_two_words(monkeypatch):
-    # M(lhs) gives both the defect precondition and the matrix check
+    # the witness's check is the one proof: M(lhs) and M(rhs), once each
     evaluated = []
 
     def spy(word, tau):
@@ -262,7 +264,7 @@ def test_build_relation_evaluates_two_words(monkeypatch):
     evaluated.clear()
     with pytest.raises(ValueError, match="not a half-relation"):
         build_relation((1, 1, 1), Fraction(2))
-    assert len(evaluated) == 1
+    assert evaluated == list(relation_words((1, 1, 1)))
 
 
 def test_semigroup_witness_positive():
@@ -343,14 +345,43 @@ def test_build_relation_kind_is_what_the_words_prove():
     assert w.kind is RelationKind.GROUP_NONTRIVIAL and w.check()
 
 
+def proves(build, cand, tau):
+    """True if build returns a checked witness, False if it refuses cand
+    as no half-relation."""
+    try:
+        w = build(cand, tau)
+    except ValueError as exc:
+        assert "not a half-relation" in str(exc), (cand, tau)
+        return False
+    assert w.check(), (cand, tau)
+    return True
+
+
+def test_builders_prove_exactly_the_half_relations():
+    # past the gates, a witness's check is the defect test (the two
+    # involution tests above give M(rhs) from M(lhs) for every word), so a
+    # builder returns a witness exactly for the half-relations
+    local = random.Random(5876)
+    grid = [Fraction(p, q) for q in range(1, 13) for p in range(-4 * q + 1, 4 * q)
+            if p and gcd(p, q) == 1]
+    for tau in local.sample(grid, 30):
+        hits = search_half_relations(SearchQuery(tau, 6, 5, SignMode.NONZERO_ANY, None)).hits
+        drawn = [tuple(local.choice([-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6])
+                       for _ in range(local.randint(1, 7))) for _ in range(400)]
+        for cand in (*hits, *drawn):
+            half = defect(cand, tau) == 0
+            assert proves(build_relation, cand, tau) == half, (cand, tau)
+            if classify_signs(cand) is RelationKind.SEMIGROUP_AT_MINUS_TAU:
+                assert proves(build_semigroup_witness, cand, tau) == half, (cand, tau)
+
+
 def test_witness_check_holds_the_kind_to_its_claim():
     kinds = RelationKind
     tau = Fraction(9, 16)
     mixed = build_relation((1, -1, -2, 24), tau)
     # a group relation is one at tau itself
     assert RelationWitness(tau, mixed.lhs, mixed.rhs, kinds.GROUP_NONTRIVIAL).check()
-    assert not RelationWitness(-tau, mixed.lhs, mixed.rhs, kinds.GROUP_NONTRIVIAL,
-                               word_tau=tau).check()
+    assert not RelationWitness(-tau, mixed.lhs, mixed.rhs, kinds.GROUP_NONTRIVIAL).check()
     # the semigroup kinds need positive words
     assert not RelationWitness(tau, mixed.lhs, mixed.rhs, kinds.SEMIGROUP_AT_TAU).check()
     # positive words at -3, from the alternating candidate at 3
@@ -358,17 +389,19 @@ def test_witness_check_holds_the_kind_to_its_claim():
     assert semi.word_tau == Fraction(-3) and semi.check()
     assert RelationWitness(Fraction(-3), semi.lhs, semi.rhs, kinds.SEMIGROUP_AT_TAU).check()
     # SEMIGROUP_AT_TAU is at tau, SEMIGROUP_AT_MINUS_TAU at -tau
-    assert not RelationWitness(Fraction(3), semi.lhs, semi.rhs, kinds.SEMIGROUP_AT_TAU,
-                               word_tau=Fraction(-3)).check()
+    assert not RelationWitness(Fraction(3), semi.lhs, semi.rhs, kinds.SEMIGROUP_AT_TAU).check()
     assert not RelationWitness(Fraction(-3), semi.lhs, semi.rhs,
                                kinds.SEMIGROUP_AT_MINUS_TAU).check()
     # conjugated non-positive words are equal at -tau, but no semigroup relation
     group = build_relation((1, -1, 1, -1, 2), Fraction(3))
     lhs, rhs = minus_tau_transform(group.lhs), minus_tau_transform(group.rhs)
     assert RelationWitness(Fraction(-3), lhs, rhs, kinds.GROUP_NONTRIVIAL).check()
-    assert not RelationWitness(Fraction(3), lhs, rhs, kinds.SEMIGROUP_AT_MINUS_TAU,
-                               word_tau=Fraction(-3)).check()
+    assert not RelationWitness(Fraction(3), lhs, rhs, kinds.SEMIGROUP_AT_MINUS_TAU).check()
     # TRIVIAL proves nothing, whatever its words
     positive = build_relation((1, 3, 50, 1), Fraction(16, 25))
     for w in (mixed, semi, group, positive):
-        assert not RelationWitness(w.tau, w.lhs, w.rhs, kinds.TRIVIAL, w.word_tau).check()
+        assert not RelationWitness(w.tau, w.lhs, w.rhs, kinds.TRIVIAL).check()
+    # word_tau is read off the kind: -tau exactly for SEMIGROUP_AT_MINUS_TAU
+    for kind in kinds:
+        w = RelationWitness(tau, mixed.lhs, mixed.rhs, kind)
+        assert w.word_tau == (-tau if kind is kinds.SEMIGROUP_AT_MINUS_TAU else tau)
