@@ -22,6 +22,7 @@ from .halfrel import (
     build_relation,
     classify_signs,
     defect,
+    is_half_relation,
     poly_hr,
 )
 from .search import SearchQuery, SignMode, search_half_relations
@@ -229,7 +230,7 @@ def cmd_search(args, emit: Emitter) -> int:
         "signs": args.signs,
         "workers": args.workers,
     }
-    checks = [defect(hit, tau) == 0 for hit in report.hits]
+    checks = [is_half_relation(hit, tau) for hit in report.hits]
     for hit, ok in zip(report.hits, checks):
         emit.emit({
             "command": "search",

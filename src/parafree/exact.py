@@ -1,8 +1,9 @@
 """Exact arithmetic substrate: rationals, 2x2 matrices over a ring of tau,
 dense integer polynomials in tau, and evaluation of alternating words in the
-two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).  A word is
-evaluated over integers with one common denominator, so its rational
-entries are reduced once each rather than at every letter.
+two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).  The one
+word kernel, `scaled_product`, evaluates a word over integers with one
+common denominator and reduces nothing: proofs compare its unreduced
+integers, and `eval_word` reduces each rational entry once.
 
 Everything here is immutable and pure; safe for concurrent use.
 """
@@ -149,26 +150,24 @@ class ExpWord:
         return all(a > 0 for a in self.exponents)
 
 
-def eval_word(word: ExpWord, tau) -> Mat2:
-    """Left-to-right product of generator powers over the ring of tau;
-    always has determinant 1.
+def scaled_product(word: ExpWord, tau) -> tuple:
+    """(n11, n12, n21, n22, den): the word's left-to-right product of
+    generator powers over the ring of tau is N / den, with N and den
+    neither reduced nor normalised.  The one word kernel.
 
     Each letter is applied to the running product as a column operation:
     right-multiplying by g^a adds a*col1 to col2, and by h^a adds
     (a*tau)*col2 to col1.  A rational tau = p/q is applied as p over a
     common integer denominator: the loop keeps integer entries N with
     M = N / q^j after j h-letters, so each h-letter scales the running
-    product by q before adding (a*p)*col2 to col1, and the four Fraction
-    entries are built, each reduced once, at the end.  For an int tau or
-    tau = UniPoly.var() the denominator is 1 and the entries stay in
-    that ring.  This equals the product of `gen_power` letters under
-    `Mat2.__mul__`, which the tests keep as its reference.
+    product by q before adding (a*p)*col2 to col1, and den = q^(number of
+    h-letters).  For an int tau or tau = UniPoly.var() the denominator is
+    1 and the entries stay in that ring.
     """
     rational = isinstance(tau, Fraction)
     p, q = (tau.numerator, tau.denominator) if rational else (tau, 1)
     zero = p * 0
     e11, e12, e21, e22 = zero + 1, zero, zero, zero + 1
-    den = 1
     on_g = word.start == G
     for a in word.exponents:
         if on_g:
@@ -177,9 +176,22 @@ def eval_word(word: ExpWord, tau) -> Mat2:
             ap = a * p
             e11, e12 = q * e11 + ap * e12, q * e12
             e21, e22 = q * e21 + ap * e22, q * e22
-            den *= q
         on_g = not on_g
-    if rational:
+    h_letters = (len(word.exponents) + (word.start == H)) // 2
+    return e11, e12, e21, e22, q**h_letters
+
+
+def eval_word(word: ExpWord, tau) -> Mat2:
+    """Left-to-right product of generator powers over the ring of tau;
+    always has determinant 1.
+
+    Built on `scaled_product`: for a rational tau the four Fraction
+    entries are built, each reduced once, from its integer product.  This
+    equals the product of `gen_power` letters under `Mat2.__mul__`, which
+    the tests keep as its reference.
+    """
+    e11, e12, e21, e22, den = scaled_product(word, tau)
+    if isinstance(tau, Fraction):
         return Mat2(Fraction(e11, den), Fraction(e12, den), Fraction(e21, den), Fraction(e22, den))
     return Mat2(e11, e12, e21, e22)
 

@@ -19,20 +19,22 @@ C this folds the +/- variant of the numerator into a single formula).
 
 One private builder, `_member`, states each family's tau, candidate, default
 x and preconditions; `family_tau`, `family_instance` and `family_lookup`
-take their members from it.  The lookup inverts every formula on the
-integers p, q of tau = p/q in lowest terms: A and B need p and q to be
-squares (A: sqrt(q) even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) =
-sqrt(q) - 1, walking only the sigma whose 6/(s0 s1) divides sqrt(q)), C
-needs |p - 2q| = 1, and D (E) needs 5q^2 +- 4 (2q^2 +- 1) to be a square
-before its sequence is walked up to q.
+take their members from it.  Every sequence term is read off a power of a
+2x2 integer matrix by binary powering, so a member at k costs O(log k)
+matrix products.  The lookup inverts every formula on the integers p, q of
+tau = p/q in lowest terms: A and B need p and q to be squares (A: sqrt(q)
+even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) = sqrt(q) - 1, inverted by
+binary lifting, in O(log k) matrix products, only for the sigma whose
+6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E) needs
+5q^2 +- 4 (2q^2 +- 1) to be a square before its sequence is walked up to
+q, one term at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import ExpWord, G, eval_word
@@ -43,6 +45,7 @@ from .halfrel import (
     build_relation,
     classify_signs,
     is_half_relation,
+    relation_words,
 )
 
 FAMILIES = ("A", "B", "C_general", "C_even", "C_quad", "D", "E")
@@ -86,13 +89,35 @@ def family_n(sigma: Sequence[int], k: int) -> int:
     return _b_terms(validate_sigma(sigma), k)[0]
 
 
-def _b_walk(s: SigmaPair) -> Iterator[tuple[int, int]]:
-    """(u_k, u_{k+1}) for k = 0, 1, 2, ... and a validated sigma: the one
-    walk of the u-recurrence."""
-    u, u_next = 1, 1  # u_0, u_1
-    for k in count(1):
-        yield u, u_next
-        u, u_next = u_next, 2 * s[k % 2] * u_next - u
+IntMat = tuple[int, int, int, int]  # (m11, m12, m21, m22)
+
+
+def _mul(a: IntMat, b: IntMat) -> IntMat:
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def _apply(m: IntMat, v: tuple[int, int]) -> tuple[int, int]:
+    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
+
+
+def _power_apply(m: IntMat, k: int, v: tuple[int, int]) -> tuple[int, int]:
+    """m^k v for k >= 0, by binary powering: O(log k) products."""
+    while True:
+        if k & 1:
+            v = _apply(m, v)
+        k >>= 1
+        if not k:
+            return v
+        m = _mul(m, m)
+
+
+def _b_step(s: SigmaPair) -> IntMat:
+    """T = A(s0) A(s1) with A(x) = (2x -1; 1 0): for odd j it maps
+    (u_j, u_{j-1}) to (u_{j+2}, u_{j+1})."""
+    return (4 * s[0] * s[1] - 1, -2 * s[0], 2 * s[1], -1)
 
 
 def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
@@ -102,17 +127,21 @@ def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
         # the swapped pair: u_k = u'_{1-k}, so (u_k, u_{k+1}) = (u'_{1-k}, u'_{-k})
         n, u_next, u = _b_terms((s[1], s[0]), -k)
         return n, u, u_next
-    u, u_next = next(islice(_b_walk(s), k, None))
+    u_odd, u_even = _power_apply(_b_step(s), k // 2, (1, 1))  # (u_{2m+1}, u_{2m}), k = 2m or 2m+1
+    if k % 2:
+        u, u_next = u_odd, 2 * s[1] * u_odd - u_even  # one A(s1) step
+    else:
+        u, u_next = u_even, u_odd
     return 6 // (s[0] * s[1]) * u * u_next, u, u_next
 
 
 def _lucas(c: int, k: int) -> tuple[int, int]:
-    """(X_{k-1}, X_k) for any k, in one walk of X_{m+1} = c X_m + X_{m-1}
-    from X_0 = 0, X_1 = 1: Fibonacci for c = 1, Pell P for c = 2."""
-    a, b = 1, 0  # X_{-1}, X_0
-    for _ in range(abs(k)):
-        a, b = (b, c * b + a) if k > 0 else (b - c * a, a)
-    return a, b
+    """(X_{k-1}, X_k) for any k, for X_{m+1} = c X_m + X_{m-1} from X_0 = 0,
+    X_1 = 1: Fibonacci for c = 1, Pell P for c = 2.  Q^k = (X_{k+1} X_k;
+    X_k X_{k-1}) with Q = (c 1; 1 0), and Q^-1 = (0 1; 1 -c) for k < 0."""
+    q = (c, 1, 1, 0) if k >= 0 else (0, 1, 1, -c)
+    x_k, x_prev = _power_apply(q, abs(k), (0, 1))  # Q^k (0, 1) = (X_k, X_{k-1})
+    return x_prev, x_k
 
 
 def fib(k: int) -> int:
@@ -264,14 +293,19 @@ def family_instance(
     return _verified(_member(family, k, sigma, x))
 
 
+def instance_words(inst: FamilyInstance) -> tuple[ExpWord, ExpWord]:
+    """The two words of the instance's relation: the identity word and
+    g^0 for the exceptional cases, the symmetric pair otherwise."""
+    if inst.identity_word is not None:
+        return inst.identity_word, ExpWord(G, (0,))  # g^0 evaluates to the identity
+    return relation_words(inst.candidate)
+
+
 def instance_witness(inst: FamilyInstance) -> RelationWitness:
     """A verified RelationWitness for the instance (identity-word relation
     for the exceptional cases, the symmetric relation otherwise)."""
     if inst.identity_word is not None:
-        zero = ExpWord(G, (0,))  # evaluates to the identity
-        return RelationWitness(
-            inst.tau, inst.identity_word, zero, RelationKind.GROUP_NONTRIVIAL
-        )
+        return RelationWitness(inst.tau, *instance_words(inst), RelationKind.GROUP_NONTRIVIAL)
     return build_relation(inst.candidate, inst.tau)
 
 
@@ -286,15 +320,22 @@ _SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
 
 
 def _b_indices(s: SigmaPair, n: int) -> list[int]:
-    """The k >= 0 with n_k == n, in one walk; n_k grows with k."""
-    c, out = 6 // (s[0] * s[1]), []
-    for k, (u, u_next) in enumerate(_b_walk(s)):
-        n_k = c * u * u_next  # as in _b_terms
-        if n_k > n:
-            return out
-        if n_k == n:
-            out.append(k)
-    raise AssertionError("the u-walk is infinite")
+    """The k >= 0 with n_k == n, ascending.  n_k never decreases in k, and
+    n_0 = n_1 is its only tie, so binary lifting over the repeated squares
+    of T (`_b_step`) finds the largest m with n_{2m} <= n (m = 0 if none),
+    and only k = 2m - 1, 2m, 2m + 1 can match."""
+    c, squares = 6 // (s[0] * s[1]), [_b_step(s)]  # T^(2^j) for j = 0, 1, ...
+    while c * prod(_apply(squares[-1], (1, 1))) <= n:  # n_{2^(j+1)}
+        squares.append(_mul(squares[-1], squares[-1]))
+    m, v = 0, (1, 1)  # (u_{2m+1}, u_{2m})
+    for j in reversed(range(len(squares) - 1)):  # m < 2^J for the last square T^(2^J)
+        w = _apply(squares[j], v)
+        if c * prod(w) <= n:  # n_{2m} = c u_{2m} u_{2m+1}
+            m, v = m + (1 << j), w
+    u_odd, u_even = v
+    u_prev, u_next = 2 * s[0] * u_even - u_odd, 2 * s[1] * u_odd - u_even  # u_{2m-1}, u_{2m+2}
+    pairs = ((u_prev, u_even), (u_even, u_odd), (u_odd, u_next))  # (u_k, u_{k+1})
+    return [k for k, (a, b) in enumerate(pairs, 2 * m - 1) if k >= 0 and c * a * b == n]
 
 
 def _is_square(n: int) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .families import FamilyInstance, family_lookup, instance_witness
+from .families import FamilyInstance, family_lookup, instance_witness, instance_words
 from .halfrel import (
     RelationKind,
     RelationWitness,
@@ -64,10 +64,8 @@ class TauClassification:
 
 def _mirrored_witness(inst: FamilyInstance) -> RelationWitness:
     """The instance's relation, rewritten by diag(1,-1) conjugation into
-    one at -inst.tau."""
-    w = instance_witness(inst)
-    lhs = minus_tau_transform(w.lhs)
-    rhs = minus_tau_transform(w.rhs)
+    one at -inst.tau; its own check at -inst.tau is the one proof."""
+    lhs, rhs = (minus_tau_transform(w) for w in instance_words(inst))
     new = RelationWitness(-inst.tau, lhs, rhs, RelationKind.GROUP_NONTRIVIAL)
     if not new.check():
         raise AssertionError("minus-tau rewrite failed to verify")

@@ -25,10 +25,9 @@ from .exact import (
     G,
     H,
     ExpWord,
-    Mat2,
     UniPoly,
-    eval_word,
     eval_word_symbolic,
+    scaled_product,
     word_from_exponents,
 )
 
@@ -76,7 +75,11 @@ class RelationWitness:
         both sides evaluate equal at word_tau; both semigroup kinds also
         need positive words, and TRIVIAL is never valid.  Distinct
         positive words also differ in the free group, so this is the proof
-        for every kind."""
+        for every kind.
+
+        Both words are evaluated in full by `scaled_product`, and
+        N_lhs / den_lhs == N_rhs / den_rhs is tested entry by entry as
+        N_lhs * den_rhs == N_rhs * den_lhs: exact, with no gcd."""
         kind = self.kind
         if kind is RelationKind.TRIVIAL:
             return False
@@ -92,24 +95,32 @@ class RelationWitness:
                 a += reduced.pop()[1]
             if a != 0:
                 reduced.append((tag, a))
-        return bool(reduced) and (
-            eval_word(self.lhs, self.word_tau) == eval_word(self.rhs, self.word_tau)
-        )
+        if not reduced:
+            return False
+        *lhs, lhs_den = scaled_product(self.lhs, self.word_tau)
+        *rhs, rhs_den = scaled_product(self.rhs, self.word_tau)
+        return all(x * rhs_den == y * lhs_den for x, y in zip(lhs, rhs))
 
 
-def _defect_of(m: Mat2, tau, length: int):
-    """The defect read off the word's matrix m, in the ring of tau."""
-    return tau * m.e12 - m.e21 if length % 2 == 1 else m.e11 - m.e22
+def _scaled_defect(candidate: Sequence[int], tau: Fraction) -> tuple[int, int]:
+    """The defect as an unreduced (numerator, positive denominator), read
+    off the word's scaled product N / den at tau = p/q: (p*N12 - q*N21,
+    q*den) for odd length, (N11 - N22, den) for even length."""
+    n11, n12, n21, n22, den = scaled_product(word_from_exponents(candidate), tau)
+    if len(candidate) % 2 == 1:
+        p, q = tau.numerator, tau.denominator
+        return p * n12 - q * n21, q * den
+    return n11 - n22, den
 
 
 def defect(candidate: Sequence[int], tau: Fraction) -> Fraction:
     """tau*c12 - c21 (odd length) or c11 - c22 (even length) of the word."""
-    return _defect_of(eval_word(word_from_exponents(candidate), tau), tau, len(candidate))
+    return Fraction(*_scaled_defect(candidate, tau))
 
 
 def symbolic_defect(candidate: Sequence[int]) -> UniPoly:
     m = eval_word_symbolic(word_from_exponents(candidate))
-    return _defect_of(m, UniPoly.var(), len(candidate))
+    return UniPoly.var() * m.e12 - m.e21 if len(candidate) % 2 == 1 else m.e11 - m.e22
 
 
 def poly_hr(candidate: Sequence[int]) -> UniPoly:
@@ -122,7 +133,8 @@ def poly_hr(candidate: Sequence[int]) -> UniPoly:
 
 
 def is_half_relation(candidate: Sequence[int], tau: Fraction) -> bool:
-    return defect(candidate, tau) == 0
+    """defect(candidate, tau) == 0, tested on the unreduced integers."""
+    return _scaled_defect(candidate, tau)[0] == 0
 
 
 def negate(candidate: Sequence[int]) -> Candidate:

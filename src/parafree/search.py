@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .halfrel import Candidate, defect, negate
+from .halfrel import Candidate, is_half_relation, negate
 
 
 class SignMode(enum.Enum):
@@ -317,7 +317,7 @@ def search_len4_positive(n_from: int, n_to: int,
         if hits:
             tau = Fraction(m2, n2)
             for hit in hits:
-                if defect(hit, tau) != 0:  # post-hoc soundness re-check
+                if not is_half_relation(hit, tau):  # post-hoc soundness re-check
                     raise AssertionError(f"solver produced a bad hit {hit} for n={n}")
             found[n] = sorted(set(hits))
     return found

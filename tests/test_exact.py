@@ -21,6 +21,7 @@ from parafree.exact import (
     gen_power,
     other_tag,
     parse_rational,
+    scaled_product,
     word_from_exponents,
 )
 from parafree.families import family_tau
@@ -172,18 +173,18 @@ LARGE_MEMBER_TAUS = [family_tau(family, sign * k) for family in ("D", "E")
                      for k in range(250, 321, 7) for sign in (1, -1)]
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    start=st.sampled_from([G, H]),
-    exps=st.lists(st.integers(-9, 9), min_size=1, max_size=12),
-    tau=st.one_of(
-        st.fractions(min_value=-30, max_value=30, max_denominator=12),
-        st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
-        st.integers(-30, 30),
-        st.sampled_from(LARGE_MEMBER_TAUS),
-        st.just(UniPoly.var()),
-    ),
+WORD_TAUS = st.one_of(
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
+    st.integers(-30, 30),
+    st.sampled_from(LARGE_MEMBER_TAUS),
+    st.just(UniPoly.var()),
 )
+WORD_EXPONENTS = st.lists(st.integers(-9, 9), min_size=1, max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(start=st.sampled_from([G, H]), exps=WORD_EXPONENTS, tau=WORD_TAUS)
 def test_eval_word_matches_the_product_of_generator_powers(start, exps, tau):
     # the column-operation loop against the left-to-right Mat2 product;
     # zero exponents included.  A rational tau runs over one common integer
@@ -194,6 +195,21 @@ def test_eval_word_matches_the_product_of_generator_powers(start, exps, tau):
     assert got == expected
     if isinstance(tau, Fraction):
         assert all(type(e) is Fraction for e in got.entries())
+
+
+@settings(max_examples=400, deadline=None)
+@given(start=st.sampled_from([G, H]), exps=WORD_EXPONENTS, tau=WORD_TAUS)
+def test_scaled_product_divided_out_is_the_product_of_generator_powers(start, exps, tau):
+    # the one word kernel, unreduced: N / den with den = q^(number of
+    # h-letters), zero exponents included
+    w = ExpWord(start, tuple(exps))
+    expected = reduce(Mat2.__mul__, (gen_power(tag, a, tau) for tag, a in w.letters()))
+    *n, den = scaled_product(w, tau)
+    q = tau.denominator if isinstance(tau, Fraction) else 1
+    assert den == q ** sum(tag == H for tag, _ in w.letters())
+    if isinstance(tau, Fraction):
+        n = [Fraction(x, den) for x in n]
+    assert Mat2(*n) == expected
 
 
 def test_eval_word_unimodular():

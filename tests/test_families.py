@@ -1,6 +1,7 @@
 """Tests for the parametric families, their integer sequences, and the
 accumulation-point reports."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,9 @@ from parafree.families import (
     EXCEPTIONAL_TAU2_WORD,
     EXCEPTIONAL_TAU3_WORD,
     FAMILIES,
+    _b_indices,
+    _b_terms,
+    _lucas,
     accumulation_report,
     accumulation_target,
     enumerate_n_values,
@@ -62,6 +66,66 @@ def test_family_n_from_the_golden_u_values():
         for sigma, seq in (((s0, s1), u), ((s1, s0), swapped)):
             for k in range(-5, 7):
                 assert family_n(sigma, k) == (6 // (s0 * s1)) * seq[k] * seq[k + 1]
+
+
+# --- matrix powers against the naive walks ----------------------------
+
+SIGMAS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+ORACLE_KS = [*range(-400, 401), -2000, 2000]
+
+
+def walk_both_ways(start: dict, step, back, lo: int, hi: int) -> dict:
+    """The sequence on lo..hi from two adjacent start terms, by the naive
+    O(|k|) walk: step(k, x_{k-1}, x_k) = x_{k+1}, back(k, x_k, x_{k+1}) = x_{k-1}."""
+    seq = dict(start)
+    for k in range(max(start), hi):
+        seq[k + 1] = step(k, seq[k - 1], seq[k])
+    for k in range(min(start), lo, -1):
+        seq[k - 1] = back(k, seq[k], seq[k + 1])
+    return seq
+
+
+def naive_lucas(c: int) -> dict:
+    return walk_both_ways({0: 0, 1: 1}, lambda k, a, b: c * b + a,
+                          lambda k, b, a: a - c * b, -2002, 2002)
+
+
+def naive_u(s) -> dict:
+    return walk_both_ways({0: 1, 1: 1}, lambda k, a, b: 2 * s[k % 2] * b - a,
+                          lambda k, b, a: 2 * s[k % 2] * b - a, -2002, 2002)
+
+
+def test_lucas_fib_and_pell_match_the_naive_walk():
+    for c in (1, 2):
+        x = naive_lucas(c)
+        for k in ORACLE_KS:
+            assert _lucas(c, k) == (x[k - 1], x[k]), (c, k)
+    f, p = naive_lucas(1), naive_lucas(2)
+    for k in ORACLE_KS:
+        assert fib(k) == f[k]
+        assert pell(k) == (p[k] + p[k - 1], p[k])
+
+
+def test_b_terms_match_the_naive_walk():
+    for s in SIGMAS:
+        u, c = naive_u(s), 6 // (s[0] * s[1])
+        for k in ORACLE_KS:
+            n = c * u[k] * u[k + 1]
+            assert _b_terms(s, k) == (n, u[k], u[k + 1]), (s, k)
+            assert u_seq(s, k) == u[k] and family_n(s, k) == n
+
+
+def test_b_indices_match_brute_force():
+    # every n_k and n_k +- 1 for k < 120, random n < 10^30, and n in 1..400
+    local = random.Random(3141)
+    for s in SIGMAS:
+        u, c = naive_u(s), 6 // (s[0] * s[1])
+        ns = [c * u[k] * u[k + 1] for k in range(200)]
+        tests = {n + d for n in ns[:120] for d in (-1, 0, 1)}
+        tests |= {local.randrange(1, 10**30) for _ in range(200)} | set(range(1, 401))
+        for n in tests:
+            assert ns[-1] > n
+            assert _b_indices(s, n) == [k for k, n_k in enumerate(ns) if n_k == n], (s, n)
 
 
 def test_validate_sigma():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import parafree.families as families
 import parafree.freeness as freeness
+import parafree.halfrel as halfrel
+from parafree.exact import ExpWord, G, scaled_product
 from parafree.families import family_instance, family_n, family_tau, instance_witness
 from parafree.freeness import (
     FREE_SCHOTTKY,
@@ -20,7 +22,7 @@ from parafree.freeness import (
     classify_tau,
     family_lookup,
 )
-from parafree.halfrel import RelationKind, build_semigroup_witness
+from parafree.halfrel import RelationKind, build_semigroup_witness, minus_tau_transform
 from parafree.search import SearchQuery, SignMode, search_half_relations
 
 SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
@@ -177,6 +179,28 @@ def test_lookup_results_verify():
                 Fraction(16, 25), Fraction(3)]:
         for inst in family_lookup(tau):
             assert inst.tau == tau
+
+
+def test_mirrored_witness_evaluates_two_words_at_minus_tau(monkeypatch):
+    # the member's words are conjugated directly; the mirrored witness's
+    # own check at -tau is the one proof
+    inst = family_lookup(Fraction(5, 2))[0]
+    evaluated = []
+
+    def spy(word, tau):
+        evaluated.append((word, tau))
+        return scaled_product(word, tau)
+
+    monkeypatch.setattr(halfrel, "scaled_product", spy)
+    w = freeness._mirrored_witness(inst)
+    assert evaluated == [(w.lhs, Fraction(-5, 2)), (w.rhs, Fraction(-5, 2))]
+    monkeypatch.undo()
+    member = instance_witness(inst)
+    assert (w.lhs, w.rhs) == (minus_tau_transform(member.lhs), minus_tau_transform(member.rhs))
+    exceptional = family_instance("D", 1)
+    w = freeness._mirrored_witness(exceptional)
+    assert (w.lhs, w.rhs) == (minus_tau_transform(exceptional.identity_word), ExpWord(G, (0,)))
+    assert w.tau == -2 and w.check()
 
 
 def test_every_emitted_witness_proves_a_nontrivial_relation():

@@ -1,8 +1,10 @@
 """Tests for half-relations: defects, sign classification, the induced
 symmetric relations and the semigroup transformations."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -10,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parafree.freeness as freeness
 import parafree.halfrel as halfrel
 from parafree.exact import (
     ExpWord,
@@ -18,6 +21,8 @@ from parafree.exact import (
     Mat2,
     UniPoly,
     eval_word,
+    gen_power,
+    scaled_product,
     word_from_exponents,
 )
 from parafree.halfrel import (
@@ -36,6 +41,7 @@ from parafree.halfrel import (
     relator,
     symbolic_defect,
 )
+from parafree.families import family_lookup, family_tau, instance_witness
 from parafree.search import SearchQuery, SignMode, search_half_relations
 
 rng = random.Random(8241)
@@ -256,9 +262,9 @@ def test_build_relation_evaluates_two_words(monkeypatch):
 
     def spy(word, tau):
         evaluated.append(word)
-        return eval_word(word, tau)
+        return scaled_product(word, tau)
 
-    monkeypatch.setattr(halfrel, "eval_word", spy)
+    monkeypatch.setattr(halfrel, "scaled_product", spy)
     w = build_relation((1, -1, 1, 14, 2), Fraction(9, 4))
     assert evaluated == [w.lhs, w.rhs]
     evaluated.clear()
@@ -405,3 +411,110 @@ def test_witness_check_holds_the_kind_to_its_claim():
     for kind in kinds:
         w = RelationWitness(tau, mixed.lhs, mixed.rhs, kind)
         assert w.word_tau == (-tau if kind is kinds.SEMIGROUP_AT_MINUS_TAU else tau)
+
+
+# --- the integer proofs against the Fraction matrices ------------------
+
+def _members(family, ks, sigma=None):
+    out = []
+    for k in ks:
+        try:
+            out.append(family_tau(family, k, sigma))
+        except ValueError:
+            continue
+    return out
+
+
+# D and E members with q <= 10^6, and B members with n <= 1000, both signs
+MEMBER_TAUS = [sign * tau for tau in (
+    _members("D", range(-30, 31)) + _members("E", range(-15, 16))
+    + [t for sigma in [(1, 2), (1, 3), (2, 3)] for t in _members("B", range(-4, 5), sigma)
+       if t.denominator <= 10**6]
+) for sign in (1, -1)]
+PROOF_TAUS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+    st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
+    st.sampled_from(MEMBER_TAUS),
+).filter(bool)
+
+
+def freely_nonempty(lhs: ExpWord, rhs: ExpWord) -> bool:
+    """True iff lhs * rhs^-1 is not the empty word once neighbouring
+    syllables of one generator are merged and zero syllables dropped,
+    repeated until nothing changes."""
+    syllables = list(lhs.letters()) + list(rhs.inverse().letters())
+    changed = True
+    while changed:
+        syllables = [(tag, a) for tag, a in syllables if a != 0]
+        changed = False
+        for i in range(len(syllables) - 1):
+            if syllables[i][0] == syllables[i + 1][0]:
+                syllables[i:i + 2] = [(syllables[i][0], syllables[i][1] + syllables[i + 1][1])]
+                changed = True
+                break
+    return bool(syllables)
+
+
+def reference_check(w: RelationWitness) -> bool:
+    """What check() proves, from the reduced Fraction matrices."""
+    if w.kind is RelationKind.TRIVIAL:
+        return False
+    if w.kind is not RelationKind.GROUP_NONTRIVIAL and not (
+        w.lhs.is_positive and w.rhs.is_positive
+    ):
+        return False
+    return freely_nonempty(w.lhs, w.rhs) and (
+        eval_word(w.lhs, w.word_tau) == eval_word(w.rhs, w.word_tau)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tau=PROOF_TAUS, data=st.data())
+def test_check_agrees_with_the_fraction_matrices(tau, data):
+    # genuine witnesses: NONZERO_ANY hits, their semigroup words, and the
+    # family members at tau and mirrored from -tau; forgeries: each with
+    # one exponent bumped by +-1, and the symmetric pair of a random tuple
+    hits = search_half_relations(SearchQuery(tau, 5, 4, SignMode.NONZERO_ANY, 40)).hits
+    witnesses = [build_relation(h, tau) for h in hits]
+    witnesses += [build_semigroup_witness(h, tau) for h in hits
+                  if classify_signs(h) is RelationKind.SEMIGROUP_AT_MINUS_TAU]
+    witnesses += [instance_witness(inst) for inst in family_lookup(tau)]
+    witnesses += [freeness._mirrored_witness(inst) for inst in family_lookup(-tau)]
+    forged = []
+    for w in witnesses:
+        side = data.draw(st.sampled_from(["lhs", "rhs"]))
+        word = getattr(w, side)
+        i = data.draw(st.integers(0, len(word) - 1))
+        exps = list(word.exponents)
+        exps[i] += data.draw(st.sampled_from([-1, 1]))
+        forged.append(dataclasses.replace(w, **{side: ExpWord(word.start, tuple(exps))}))
+    cand = data.draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6))
+    kind = data.draw(st.sampled_from(list(RelationKind)))
+    forged.append(RelationWitness(tau, *relation_words(cand), kind))
+    for w in witnesses:
+        assert w.check()
+    for w in witnesses + forged:
+        assert w.check() == reference_check(w), w
+
+
+# half-relations at a few small tau, for the positive side of the zero test
+HALF_RELATIONS = [
+    (hit, tau) for tau in map(Fraction, ["9/4", "5/2", "16/25", "7/10", "-3/25", "3"])
+    for hit in search_half_relations(SearchQuery(tau, 6, 5, SignMode.NONZERO_ANY, 60)).hits
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=st.one_of(
+        st.sampled_from(HALF_RELATIONS),
+        st.tuples(st.lists(st.integers(-6, 6), min_size=1, max_size=7).map(tuple), PROOF_TAUS),
+    )
+)
+def test_is_half_relation_is_the_defect_zero_test(case):
+    cand, tau = case
+    m = reduce(Mat2.__mul__, (gen_power(tag, a, tau)
+                              for tag, a in word_from_exponents(cand).letters()))
+    naive = tau * m.e12 - m.e21 if len(cand) % 2 == 1 else m.e11 - m.e22
+    assert defect(cand, tau) == naive
+    assert is_half_relation(cand, tau) == (naive == 0)
