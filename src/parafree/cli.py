@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import ExpWord, eval_word, format_rational, parse_rational
+from .exact import ExpWord, Mat2, eval_word, format_rational, parse_rational
 from .families import family_instance, family_n, instance_witness, validate_options
 from .freeness import SearchEffort, classify_tau
 from .halfrel import (
@@ -53,20 +53,22 @@ def _parse_k_range(text: str) -> range:
     if not sep:
         raise InputError(f"malformed k range {text!r} (expected 'lo..hi')")
     try:
-        return range(int(lo), int(hi) + 1)
+        ks = range(int(lo), int(hi) + 1)
     except ValueError:
         raise InputError(f"malformed k range {text!r}") from None
+    if not ks:
+        raise InputError(f"empty k range {text!r} (lo > hi)")
+    return ks
 
 
 def _word_json(word: ExpWord) -> dict:
     return {"start": word.start, "exponents": list(word.exponents)}
 
 
-def _matrix_json(m) -> list[list[str]]:
-    return [
-        [format_rational(m.e11), format_rational(m.e12)],
-        [format_rational(m.e21), format_rational(m.e22)],
-    ]
+def _matrix_json(m: Mat2) -> list[list[str]]:
+    e11, e12, e21, e22 = m
+    return [[format_rational(e11), format_rational(e12)],
+            [format_rational(e21), format_rational(e22)]]
 
 
 def _witness_json(w: RelationWitness) -> dict:

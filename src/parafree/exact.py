@@ -3,7 +3,9 @@ dense integer polynomials in tau, and evaluation of alternating words in the
 two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).  The one
 word kernel, `scaled_product`, evaluates a word over integers with one
 common denominator and reduces nothing: proofs compare its unreduced
-integers, and `eval_word` reduces each rational entry once.
+integers, and `eval_word` reduces each rational entry once.  `Mat2` is a
+NamedTuple whose `*` is the one 2x2 product and whose `**` powers it, as
+the family sequences do.
 
 Everything here is immutable and pure; safe for concurrent use.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 G = "G"
 H = "H"
@@ -43,11 +45,12 @@ def other_tag(tag: str) -> str:
     return H if tag == G else G
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix with exact entries in the ring of tau: Fraction for a
-    rational tau, UniPoly for the symbolic product at tau = UniPoly.var().
-    `inverse` needs a field."""
+class Mat2(NamedTuple):
+    """2x2 matrix with exact entries in the ring of tau: int, Fraction for
+    a rational tau, UniPoly for the symbolic product at tau = UniPoly.var().
+    A tuple (e11, e12, e21, e22), so it unpacks like one; `+` and
+    `int * Mat2` are the tuple's, not matrix operations.  `inverse` needs
+    a field."""
 
     e11: Any
     e12: Any
@@ -56,16 +59,27 @@ class Mat2:
 
     @staticmethod
     def identity() -> "Mat2":
-        """The identity with Fraction entries."""
-        return Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        """The identity with int entries, which act as 1 and 0 in every
+        entry ring and equal the Fraction identity."""
+        return Mat2(1, 0, 0, 1)
 
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
+    def __mul__(self, other: "Mat2") -> "Mat2":  # type: ignore[override]
+        a11, a12, a21, a22 = self
+        b11, b12, b21, b22 = other
+        return tuple.__new__(Mat2, (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+                                    a21 * b11 + a22 * b21, a21 * b12 + a22 * b22))
+
+    def __pow__(self, k: int) -> "Mat2":
+        """self^k for k >= 0, by binary powering from the leading bit of k
+        down: O(log k) products, and each one-bit a product by self."""
+        if k < 0:
+            raise ValueError(f"negative matrix power {k}")
+        acc = self if k else Mat2.identity()
+        for bit in bin(k)[3:]:  # the bits after the leading one
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
+        return acc
 
     def det(self):
         return self.e11 * self.e22 - self.e12 * self.e21
@@ -82,12 +96,9 @@ class Mat2:
     def is_identity(self) -> bool:
         return self == Mat2.identity()
 
-    def entries(self) -> tuple:
-        return (self.e11, self.e12, self.e21, self.e22)
-
     def specialize(self, tau: Fraction) -> "Mat2":
         """Evaluate each UniPoly entry at tau."""
-        return Mat2(*(e.evaluate(tau) for e in self.entries()))
+        return Mat2(*(e.evaluate(tau) for e in self))
 
 
 def gen_power(tag: str, a: int, tau) -> Mat2:
@@ -186,9 +197,9 @@ def eval_word(word: ExpWord, tau) -> Mat2:
     always has determinant 1.
 
     Built on `scaled_product`: for a rational tau the four Fraction
-    entries are built, each reduced once, from its integer product.  This
-    equals the product of `gen_power` letters under `Mat2.__mul__`, which
-    the tests keep as its reference.
+    entries are built, each reduced once, from its integer product, into
+    a `Mat2` NamedTuple.  This equals the product of `gen_power` letters
+    under `Mat2.__mul__`, which the tests keep as its reference.
     """
     e11, e12, e21, e22, den = scaled_product(word, tau)
     if isinstance(tau, Fraction):

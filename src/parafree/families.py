@@ -20,14 +20,14 @@ C this folds the +/- variant of the numerator into a single formula).
 One private builder, `_member`, states each family's tau, candidate, default
 x and preconditions; `family_tau`, `family_instance` and `family_lookup`
 take their members from it.  Every sequence term is read off a power of a
-2x2 integer matrix by binary powering, so a member at k costs O(log k)
-matrix products.  The lookup inverts every formula on the integers p, q of
-tau = p/q in lowest terms: A and B need p and q to be squares (A: sqrt(q)
-even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) = sqrt(q) - 1, inverted by
-binary lifting, in O(log k) matrix products, only for the sigma whose
-6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E) needs
-5q^2 +- 4 (2q^2 +- 1) to be a square before its sequence is walked up to
-q, one term at a time.
+2x2 integer matrix, `Mat2 ** k` by binary powering, so a member at k costs
+O(log k) matrix products.  The lookup inverts every formula on the integers
+p, q of tau = p/q in lowest terms: A and B need p and q to be squares (A:
+sqrt(q) even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) = sqrt(q) - 1,
+inverted by binary lifting, in O(log k) matrix products, only for the
+sigma whose 6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E)
+needs 5q^2 +- 4 (2q^2 +- 1) to be a square before its sequence is walked
+up to q, one term at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .exact import ExpWord, G, eval_word
+from .exact import ExpWord, G, Mat2, eval_word
 from .halfrel import (
     Candidate,
     RelationKind,
@@ -89,35 +89,16 @@ def family_n(sigma: Sequence[int], k: int) -> int:
     return _b_terms(validate_sigma(sigma), k)[0]
 
 
-IntMat = tuple[int, int, int, int]  # (m11, m12, m21, m22)
-
-
-def _mul(a: IntMat, b: IntMat) -> IntMat:
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-
-
-def _apply(m: IntMat, v: tuple[int, int]) -> tuple[int, int]:
-    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
-
-
-def _power_apply(m: IntMat, k: int, v: tuple[int, int]) -> tuple[int, int]:
-    """m^k v for k >= 0, by binary powering: O(log k) products."""
-    while True:
-        if k & 1:
-            v = _apply(m, v)
-        k >>= 1
-        if not k:
-            return v
-        m = _mul(m, m)
-
-
-def _b_step(s: SigmaPair) -> IntMat:
+def _b_step(s: SigmaPair) -> Mat2:
     """T = A(s0) A(s1) with A(x) = (2x -1; 1 0): for odd j it maps
     (u_j, u_{j-1}) to (u_{j+2}, u_{j+1})."""
-    return (4 * s[0] * s[1] - 1, -2 * s[0], 2 * s[1], -1)
+    return Mat2(4 * s[0] * s[1] - 1, -2 * s[0], 2 * s[1], -1)
+
+
+def _row_sums(t: Mat2) -> tuple[int, int]:
+    """t (1, 1): (u_{2m+1}, u_{2m}) for t = T^m, as (u_1, u_0) = (1, 1)."""
+    e11, e12, e21, e22 = t
+    return e11 + e12, e21 + e22
 
 
 def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
@@ -127,7 +108,7 @@ def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
         # the swapped pair: u_k = u'_{1-k}, so (u_k, u_{k+1}) = (u'_{1-k}, u'_{-k})
         n, u_next, u = _b_terms((s[1], s[0]), -k)
         return n, u, u_next
-    u_odd, u_even = _power_apply(_b_step(s), k // 2, (1, 1))  # (u_{2m+1}, u_{2m}), k = 2m or 2m+1
+    u_odd, u_even = _row_sums(_b_step(s) ** (k // 2))  # k = 2m or 2m+1
     if k % 2:
         u, u_next = u_odd, 2 * s[1] * u_odd - u_even  # one A(s1) step
     else:
@@ -139,8 +120,8 @@ def _lucas(c: int, k: int) -> tuple[int, int]:
     """(X_{k-1}, X_k) for any k, for X_{m+1} = c X_m + X_{m-1} from X_0 = 0,
     X_1 = 1: Fibonacci for c = 1, Pell P for c = 2.  Q^k = (X_{k+1} X_k;
     X_k X_{k-1}) with Q = (c 1; 1 0), and Q^-1 = (0 1; 1 -c) for k < 0."""
-    q = (c, 1, 1, 0) if k >= 0 else (0, 1, 1, -c)
-    x_k, x_prev = _power_apply(q, abs(k), (0, 1))  # Q^k (0, 1) = (X_k, X_{k-1})
+    q = Mat2(c, 1, 1, 0) if k >= 0 else Mat2(0, 1, 1, -c)
+    _, x_k, _, x_prev = q ** abs(k)
     return x_prev, x_k
 
 
@@ -325,14 +306,14 @@ def _b_indices(s: SigmaPair, n: int) -> list[int]:
     of T (`_b_step`) finds the largest m with n_{2m} <= n (m = 0 if none),
     and only k = 2m - 1, 2m, 2m + 1 can match."""
     c, squares = 6 // (s[0] * s[1]), [_b_step(s)]  # T^(2^j) for j = 0, 1, ...
-    while c * prod(_apply(squares[-1], (1, 1))) <= n:  # n_{2^(j+1)}
-        squares.append(_mul(squares[-1], squares[-1]))
-    m, v = 0, (1, 1)  # (u_{2m+1}, u_{2m})
+    while c * prod(_row_sums(squares[-1])) <= n:  # n_{2^(j+1)}
+        squares.append(squares[-1] * squares[-1])
+    m, t = 0, Mat2.identity()  # T^m
     for j in reversed(range(len(squares) - 1)):  # m < 2^J for the last square T^(2^J)
-        w = _apply(squares[j], v)
-        if c * prod(w) <= n:  # n_{2m} = c u_{2m} u_{2m+1}
-            m, v = m + (1 << j), w
-    u_odd, u_even = v
+        w = squares[j] * t
+        if c * prod(_row_sums(w)) <= n:  # n_{2m} = c u_{2m} u_{2m+1}
+            m, t = m + (1 << j), w
+    u_odd, u_even = _row_sums(t)
     u_prev, u_next = 2 * s[0] * u_even - u_odd, 2 * s[1] * u_odd - u_even  # u_{2m-1}, u_{2m+2}
     pairs = ((u_prev, u_even), (u_even, u_odd), (u_odd, u_next))  # (u_k, u_{k+1})
     return [k for k, (a, b) in enumerate(pairs, 2 * m - 1) if k >= 0 and c * a * b == n]

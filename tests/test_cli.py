@@ -56,6 +56,13 @@ def test_verify_half_relation(capsys):
         assert not {"lhs", "rhs", "matrix"} & set(rec["result"])
 
 
+def test_verify_prints_the_lhs_matrix(capsys):
+    # the one place a Mat2 reaches stdout: M(lhs) at tau, row by row
+    code, recs = run(capsys, "verify", "--tau", "9/4", "--seq", "1,-1,1,14,2")
+    assert code == 0
+    assert recs[0]["result"]["matrix"] == [["-73/8", "-37/2"], ["-333/8", "-169/2"]]
+
+
 def test_verify_non_half_relation(capsys):
     code, recs = run(capsys, "verify", "--tau", "2", "--seq", "1,1,1")
     assert code == 1
@@ -145,6 +152,17 @@ def test_family_bad_sigma_in_range(capsys):
         assert code == 2 and recs == []
     assert main(["family", "--name", "b", "--sigma", "4,1", "--k-range", "1..3"]) == 2
     assert "error: sigma must be" in capsys.readouterr().err
+
+
+def test_family_reversed_k_range_is_an_error(capsys):
+    # lo > hi would sweep no k and exit 1 without a word
+    code, recs = run(capsys, "family", "--name", "c", "--variant", "quad", "--k-range", "5..1")
+    assert code == 2 and recs == []
+    assert main(["family", "--name", "c", "--variant", "quad", "--k-range", "5..1"]) == 2
+    assert "error: empty k range" in capsys.readouterr().err
+    # a one-k range is not reversed
+    code, recs = run(capsys, "family", "--name", "d", "--k-range", "3..3")
+    assert code == 0 and [r["inputs"]["k"] for r in recs] == [3]
 
 
 def test_family_negative_k_range(capsys):

@@ -116,6 +116,32 @@ def test_gen_power_closed_form():
         gen_power("X", 1, tau)
 
 
+MAT_ENTRIES = st.one_of(
+    st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+    st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=4, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=MAT_ENTRIES, k=st.integers(1, 40))
+def test_mat2_power_is_the_repeated_product(entries, k):
+    # binary powering against k - 1 left-to-right products, over int and
+    # Fraction entries; int matrices keep int entries at every k
+    m = Mat2(*entries)
+    assert m ** k == reduce(Mat2.__mul__, [m] * k)
+    assert m ** 0 == Mat2.identity()
+    if all(type(e) is int for e in m):
+        assert all(type(e) is int for e in m ** k)
+
+
+def test_mat2_negative_power_raises():
+    # a shift loop that keeps -1 at -1 would never end here
+    for m in (Mat2(1, 1, 0, 1), Mat2(Fraction(1, 2), 0, 0, 2)):
+        for k in (-1, -2, -7):
+            with pytest.raises(ValueError):
+                m ** k
+
+
 # --- words -------------------------------------------------------------
 
 def test_expword_construction_and_end():
@@ -194,7 +220,7 @@ def test_eval_word_matches_the_product_of_generator_powers(start, exps, tau):
     got = eval_word(w, tau)
     assert got == expected
     if isinstance(tau, Fraction):
-        assert all(type(e) is Fraction for e in got.entries())
+        assert all(type(e) is Fraction for e in got)
 
 
 @settings(max_examples=400, deadline=None)
