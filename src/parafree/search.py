@@ -60,6 +60,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, count
+from math import isqrt
 from typing import Sequence
 
 from .halfrel import Candidate, is_half_relation, negate
@@ -241,14 +243,44 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     return SearchReport(query, tuple(hits), exhausted)
 
 
+# the census trial-divides by the primes below this, then by odd numbers
+PRIME_TABLE_CEILING = 1 << 16
+_primes: list[int] = []  # every prime below _sieved, ascending
+_sieved = 0
+
+
+def _prime_table(root: int) -> list[int]:
+    """The cached primes, first grown (by doubling, from 128) until they
+    pass root or reach PRIME_TABLE_CEILING.  Nothing is sieved before the
+    first call."""
+    global _primes, _sieved
+    if root >= _sieved and _sieved < PRIME_TABLE_CEILING:
+        size = max(_sieved, 128)
+        while size <= root and size < PRIME_TABLE_CEILING:
+            size *= 2
+        sieve = bytearray([1]) * size
+        sieve[:2] = b"\0\0"
+        for p in range(2, isqrt(size - 1) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+        _primes, _sieved = list(compress(range(size), sieve)), size
+    return _primes
+
+
 def _factorize(m: int, into: dict[int, int]) -> None:
-    """Add the prime factorisation of m >= 1 to `into`, by trial division."""
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            into[d] = into.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
+    """Add the prime factorisation of m >= 1 to `into`, by trial division
+    by d with d^2 <= m: the primes of the table, then, past its last prime,
+    every odd d, so the result never depends on the table's size."""
+    primes = _prime_table(isqrt(m))
+    for d in chain(primes, count(primes[-1] + 2, 2)):
+        if d * d > m:
+            break
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            into[d] = into.get(d, 0) + e
     if m > 1:
         into[m] = into.get(m, 0) + 1
 
@@ -256,18 +288,18 @@ def _factorize(m: int, into: dict[int, int]) -> None:
 def _divisors(factors: dict[int, int], limit: int | None) -> list[int]:
     """The divisors of the factored number, only those <= limit if given.
 
-    Every divisor of a divisor <= limit is itself <= limit, so stopping a
-    prime's powers at the limit loses nothing."""
+    Each prime's next power multiplies the divisors of its previous power,
+    filtered at the limit: every divisor of a divisor <= limit is itself
+    <= limit, so nothing is lost."""
     divs = [1]
     for p, e in factors.items():
-        more = []
-        for d in divs:
-            for _ in range(e):
-                d *= p
-                if limit is not None and d > limit:
-                    break
-                more.append(d)
-        divs += more
+        power = divs
+        for _ in range(e):
+            if limit is None:
+                power = [d * p for d in power]
+            else:
+                power = [x for d in power if (x := d * p) <= limit]
+            divs += power
     return divs
 
 
@@ -283,9 +315,13 @@ def search_len4_positive(n_from: int, n_to: int,
 
     and a_3 >= 1 forces X, Y > 0.  So the solutions are the divisor pairs
     (X, Y) of that product with X + a_4*n^2 and Y + a_1*n^2 both divisible
-    by c; no exponent is scanned.  `bound` caps a_2 only (a_3 is accepted
-    at any size); `bound=None` gives every solution.  Returns only n with
-    a nonempty hit list.
+    by c; no exponent is scanned.  The product is factored by trial
+    division over a cached table of the primes below PRIME_TABLE_CEILING,
+    sieved on demand, and over the odd numbers past its last prime; Y =
+    product // X and its congruence are computed only for the X whose own
+    congruence holds, about 1/c of them.  `bound` caps a_2 only (a_3 is
+    accepted at any size); `bound=None` gives every solution.  Returns only
+    n with a nonempty hit list.
     """
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
@@ -307,11 +343,12 @@ def search_len4_positive(n_from: int, n_to: int,
                     factors = {p: 2 * e for p, e in n_factors.items()}
                     for m in (a1, a4, n2 + c):
                         _factorize(m, factors)
-                    xy = a1 * a4 * n2 * (n2 + c)
+                    xy, x_add, y_add = a1 * a4 * n2 * (n2 + c), a4 * n2, a1 * n2
                     for x in _divisors(factors, limit):
-                        x2, y3 = x + a4 * n2, xy // x + a1 * n2
-                        if x2 % c == 0 and y3 % c == 0:
-                            hits.append((a1, x2 // c, y3 // c, a4))
+                        if (x + x_add) % c == 0:  # Y only for the ~1/c that pass
+                            y3 = xy // x + y_add
+                            if y3 % c == 0:
+                                hits.append((a1, (x + x_add) // c, y3 // c, a4))
                 a4 += 1
             a1 += 1
         if hits:

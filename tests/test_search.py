@@ -3,6 +3,9 @@ against a naive no-pruning oracle."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import parafree.search as search_module
+from parafree.families import enumerate_n_values
 from parafree.halfrel import defect, is_half_relation, negate, poly_hr
 from parafree.search import (
     SearchQuery,
@@ -507,3 +511,110 @@ def test_len4_positive_validation():
         search_len4_positive(1, 10, 10)
     with pytest.raises(ValueError):
         search_len4_positive(2, 10, 0)
+
+
+def test_len4_positive_complete_census_beyond_criterion_8():
+    # the B-family n-values in (3000, 20000], over all six sigma pairs
+    expected = {n for sigma in [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+                for n in enumerate_n_values(sigma, range(-12, 13))
+                if 3001 <= n <= 20000}
+    assert expected == {8613, 8722}
+    complete = search_len4_positive(3001, 20000, None)
+    assert set(complete) == expected
+    for n, hits in complete.items():
+        tau = Fraction((n - 1) ** 2, n * n)
+        assert all(defect(hit, tau) == 0 for hit in hits), f"n={n}"
+        assert all(hit[::-1] in hits for hit in hits), f"n={n}"
+    bounded = search_len4_positive(3001, 20000, 10**4)
+    assert bounded == {n: [h for h in hits if h[1] <= 10**4]
+                       for n, hits in complete.items()}
+
+
+# --- the census's integer kernel -----------------------------------------
+
+def naive_factorization(m):
+    """Trial division by every d >= 2; the correctness oracle."""
+    factors, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    return factors
+
+
+def factorize(m):
+    factors = {}
+    search_module._factorize(m, factors)
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**12))
+@example(999999999989)  # the largest prime below 10^12
+@example(999983 * 1000003)  # primes either side of 10^6
+def test_factorize_matches_naive_trial_division(m):
+    assert factorize(m) == naive_factorization(m)
+
+
+def test_factorize_edge_cases():
+    def is_prime(p):
+        return p >= 2 and naive_factorization(p) == {p: 1}
+
+    ceiling = search_module.PRIME_TABLE_CEILING
+    below = next(p for p in range(ceiling - 1, 1, -1) if is_prime(p))  # the table's last prime
+    above = next(p for p in itertools.count(ceiling) if is_prime(p))
+    after = next(p for p in itertools.count(above + 1) if is_prime(p))
+    assert below < ceiling < above < after
+    big = next(p for p in itertools.count(2**32 + 1, 2) if is_prime(p))
+    cases = [1, below, above, below**2, above**2, below * above, above * after,
+             big, 2 * big, below * big]
+    cases += [2**k for k in range(1, 80)]
+    for m in cases:
+        assert factorize(m) == naive_factorization(m), m
+    assert factorize(1) == {}
+    assert factorize(above * after) == {above: 1, after: 1}  # found in the odd tail
+    assert factorize(big) == {big: 1}
+    factors = {2: 1, 7: 2}  # the census adds to n's doubled factorisation
+    search_module._factorize(2**3 * 5 * 7, factors)
+    assert factors == {2: 4, 5: 1, 7: 3}
+
+
+def test_prime_table_grows_on_demand_up_to_its_ceiling(monkeypatch):
+    monkeypatch.setattr(search_module, "_primes", [])
+    monkeypatch.setattr(search_module, "_sieved", 0)
+    factorize(1)
+    assert search_module._sieved == 128
+    factorize(1000**2)  # root 1000: doubled past it
+    assert search_module._sieved == 1024
+    assert search_module._primes == [p for p in range(1024)
+                                     if naive_factorization(p) == {p: 1}]
+    factorize(65537**2)  # root above the ceiling
+    ceiling = search_module.PRIME_TABLE_CEILING
+    assert search_module._sieved == ceiling
+    assert search_module._primes[-1] < ceiling
+    assert len(search_module._primes) == 6542  # pi(2^16)
+
+
+def test_prime_table_is_empty_after_import():
+    src = os.path.dirname(os.path.dirname(search_module.__file__))
+    code = ("import parafree.search as s; "
+            "assert s._primes == [] and s._sieved == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           st.integers(1, 10**9),
+           st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 97]), max_size=20)
+           .map(math.prod).filter(lambda m: m <= 10**9)),
+       st.one_of(st.none(), st.integers(1, 10**6)))
+def test_divisors_match_brute_force(m, limit):
+    pairs = [(d, m // d) for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    brute = {d for pair in pairs for d in pair if limit is None or d <= limit}
+    got = search_module._divisors(naive_factorization(m), limit)
+    assert len(got) == len(set(got))
+    assert set(got) == brute
