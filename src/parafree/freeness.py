@@ -75,11 +75,12 @@ def _mirrored_witness(inst: FamilyInstance) -> RelationWitness:
 def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauClassification:
     """Classify the group and semigroup at tau: the Schottky thresholds,
     then the first witnesses of `_witnesses` that settle each open side."""
-    group_free = abs(tau) >= 4
-    semi_free = tau >= 1 or tau <= -4
+    p, q = tau.numerator, tau.denominator
+    group_free = abs(p) >= 4 * q
+    semi_free = p >= q or p <= -4 * q
     group = semi = None
     open_ = set()
-    if tau != 0:
+    if p:
         if not group_free:
             open_.add("group")
         if not semi_free:

@@ -50,18 +50,37 @@ Lengths l >= 5 are never dropped: P_l then has degree >= 2 and c_0 may
 vanish, as for (1, 2, 1, 1, 1), whose c_0 is 0 and which has the root
 tau = -2; p then divides only the lowest nonzero coefficient, which is
 cubic or more in the bound and bounds nothing in the search.
+
+The same root -c_0/(a_1*...*a_l) bounds |tau| at lengths 3 and 4, at any
+bound.  At l = 4, |c_0| <= |a_1| |a_2 + a_4| + |a_3| |a_4 - a_2| <= 2
+max(|a_1|, |a_3|) max(|a_2|, |a_4|), so every hit has |tau| min(|a_1|,
+|a_3|) min(|a_2|, |a_4|) <= 2: |tau| <= 2, and once |a_4| > 2/|tau| only
+the a_2 with |a_2| <= 2/|tau| are walked.  At l = 3, with x, y, z the
+|a_i|, x + y + z <= 2xyz unless x = y = z = 1 (for z = max >= 2 it is
+at most 3z <= 4z <= 2xyz when xy >= 2, and 2 + z <= 2z when xy = 1), so
+|tau| <= 2, or tau = 3, which comes only from +-(1, -1, 1).  A length
+3 or 4 outside its bound is not walked.
+
+Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
+gcd(q, product of the prefix), and the b it solves at l - 1 is then a
+multiple of r / gcd(r, a*c), so the pair (a, c) is walked only when that
+is <= bound.  The allowed a for each divisor of q above the bound are
+listed once per query.  A pair with coeff = const = 0 is never cut:
+there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut:
+there the a is a_1 alone, and the test would cost more than the one
+solve it saves.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import isqrt
+from math import gcd, isqrt
 from typing import Sequence
 
 from .halfrel import Candidate, is_half_relation, negate
@@ -133,27 +152,42 @@ def _orbit(hit: Candidate, mode: SignMode) -> tuple[Candidate, ...]:
     return hit, rev
 
 
-def _dfs(p: int, q: int, exps: tuple[int, ...],
+def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
          n11: int, n12: int, n21: int, n22: int,
-         positions: Positions, out: list[Candidate]) -> None:
+         positions: Positions, cuts: dict[int, list[int]],
+         out: list[Candidate]) -> None:
     """Extend exps, whose word is the scaled matrix (n11 n12; n21 n22), to
     length l = len(positions) - 1: walk the middle positions up to l - 3,
-    then for each a at l - 2 and c at l solve the b at l - 1 exactly."""
+    then for each a at l - 2 and c at l solve the b at l - 1 exactly.
+
+    r is q over its gcd with the product of exps, so a hit's remaining
+    exponents have a product divisible by r.  cuts maps each divisor s >
+    bound of q to the values a at l - 2 with s / gcd(s, a) <= bound; it is
+    empty at l = 3."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
+            ra = r // gcd(r, a)
             if pos % 2 == 1:
-                _dfs(p, q, exps + (a,), n11, n11 * a + n12, n21, n21 * a + n22,
-                     positions, out)
+                _dfs(p, q, ra, exps + (a,), n11, n11 * a + n12, n21, n21 * a + n22,
+                     positions, cuts, out)
             else:
-                _dfs(p, q, exps + (a,),
+                _dfs(p, q, ra, exps + (a,),
                      n11 * q + n12 * a * p, n12 * q, n21 * q + n22 * a * p, n22 * q,
-                     positions, out)
+                     positions, cuts, out)
         return
     last_values, lo, hi = positions[l - 1]
-    a_values = positions[pos][0]
+    every_a = positions[pos][0]
+    cut = r in cuts  # else no cut, or r and each r / gcd(r, c) are <= bound
+    # at l = 4, min(|a_2|, |a_4|) <= 2/|tau|: past |a_4| > 2q/|p| walk
+    # only the a_2 up to it
+    cap = 2 * q // abs(p)
     u, v, qn21, qn22 = p * n11, p * n12, q * n21, q * n22
     for c in positions[l][0]:
+        # b is a multiple of r / gcd(r, a*c), so that must be <= bound
+        a_values = cuts.get(r // gcd(r, c), every_a) if cut else every_a
+        if l == 4 and abs(c) > cap:
+            a_values = a_values[:bisect_right(a_values, cap, key=abs)]
         # the scaled defect of exps + (a, b, c) is coeff*b + const with
         # coeff = c1*a + c0 and const = k1*a + k0
         if l % 2 == 1:  # g^a h^b g^c: functional (p*c, p, -q, 0)
@@ -170,6 +204,7 @@ def _dfs(p: int, q: int, exps: tuple[int, ...],
                     if lo <= b <= hi and b:  # NONZERO_ANY's range holds 0
                         out.append(exps + (a, b, c))
             elif const == 0:
+                # never cut: b = +-1 is a hit, so r / gcd(r, a*c) = 1
                 out.extend(exps + (a, b, c) for b in last_values)
 
 
@@ -188,13 +223,13 @@ def _is_smooth(q: int, bound: int) -> bool:
 def _search_branch(args: tuple) -> list[Candidate]:
     """The hits of one length with a fixed a_1 and |a_1| <= |a_l|; the
     parallelization unit."""
-    p, q, a1, positions = args
+    p, q, a1, positions, cuts = args
     ends, lo, hi = positions[-1]
     branch = [*positions]
     branch[1] = [a1], a1, a1
     branch[-1] = ends[bisect_left(ends, abs(a1), key=abs):], lo, hi
     out: list[Candidate] = []
-    _dfs(p, q, (), 1, 0, 0, 1, branch, out)
+    _dfs(p, q, q, (), 1, 0, 0, 1, branch, cuts, out)
     return out
 
 
@@ -210,9 +245,13 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     p, q, bound = query.tau.numerator, query.tau.denominator, query.bound
     # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
     # never zero at tau != 0, so every hit has length >= 3; at l = 3 and 4
-    # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2
+    # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2,
+    # and |tau| <= 2, or tau = 3 at l = 3
+    near = abs(p) <= 2 * q
     lengths = [l for l in range(3, query.max_len + 1)
-               if l >= 5 or abs(p) <= (3 * bound if l == 3 else 2 * bound * bound)]
+               if l >= 5
+               or l == 3 and abs(p) <= 3 * bound and (near or (p, q) == (3, 1))
+               or l == 4 and abs(p) <= 2 * bound * bound and near]
     if not lengths or not _is_smooth(q, bound):
         # no length left, or a root p/q of P_l has q | a_1*...*a_l, whose
         # primes are <= bound
@@ -221,6 +260,13 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     positions = _positions(query.max_len, bound, mode)
     firsts = [a1 for a1 in positions[1][0]
               if a1 > 0 or mode is not SignMode.NONZERO_ANY]
+    # the divisors of q above the bound, at which the walk cuts pairs (a, c)
+    # from length 4 on; at l = 3 the a is a_1 alone, and a cut saves nothing
+    wide: list[int] = []
+    if q > bound and lengths[-1] >= 4:
+        q_factors: dict[int, int] = {}
+        _factorize(q, q_factors)
+        wide = [s for s in _divisors(q_factors, None) if s > bound]
     workers = min(workers, len(firsts))
     found: set[Candidate] = set()
     exhausted = True
@@ -229,7 +275,9 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
         run = pool.map if pool is not None else map
         for length in lengths:
             prefix = positions[:length + 1]
-            args = [(p, q, a1, prefix) for a1 in firsts]
+            cuts = {s: [a for a in prefix[length - 2][0] if s // gcd(s, a) <= bound]
+                    for s in wide if length >= 4}
+            args = [(p, q, a1, prefix, cuts) for a1 in firsts]
             for branch_hits in run(_search_branch, args):
                 for hit in branch_hits:
                     found.update(_orbit(hit, mode))

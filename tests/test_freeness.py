@@ -244,6 +244,17 @@ def test_classify_thresholds():
     assert classify_tau(Fraction(1)).semigroup_status == FREE_SCHOTTKY
 
 
+def test_classify_thresholds_at_their_edges():
+    # the thresholds are read off p and q: each edge and its neighbours at
+    # +-1/q fall on the side the rational comparison puts them
+    edges = [Fraction(e) for e in (4, -4, 1, -1)]
+    taus = edges + [e + s * Fraction(1, q) for e in edges for q in (1, 2, 7) for s in (1, -1)]
+    for tau in taus:
+        cls = classify_tau(tau, SearchEffort(3, 2))
+        assert (cls.group_status == FREE_SCHOTTKY) == (abs(tau) >= 4), tau
+        assert (cls.semigroup_status == FREE_SCHOTTKY) == (tau >= 1 or tau <= -4), tau
+
+
 def test_classify_tau_zero_is_unknown():
     cls = classify_tau(Fraction(0))
     assert cls.group_status == UNKNOWN

@@ -112,7 +112,8 @@ def test_tau_zero_is_rejected():
 
 def test_worker_counts_agree():
     # -1/2 has hits in every sign mode; 2 has no all-positive ones
-    queries = [SearchQuery(Fraction(2), 4, 5)] + [
+    # 7/12: q = 12 is above the bound, so the walk cuts pairs by divisibility
+    queries = [SearchQuery(Fraction(2), 4, 5), SearchQuery(Fraction(7, 12), 5, 4)] + [
         SearchQuery(Fraction(-1, 2), 4, 5, mode) for mode in SignMode]
     for query in queries:
         base = search_half_relations(query, workers=1)
@@ -426,11 +427,100 @@ def test_gated_query_walks_nothing_and_starts_no_pool(monkeypatch):
     monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(search_module, "_search_branch", walked.append)
     _SerialPool.sizes = []
-    # 32 is 8-smooth, so only the numerator settles it: 129 > 2*8^2
-    query = SearchQuery(Fraction(129, 32), 4, 8)
-    report = search_half_relations(query, workers=2)
-    assert report == search_module.SearchReport(query, (), True)
+    # 32 is 8-smooth, so only the numerator settles it: 129 > 2*8^2;
+    # 5/2 passes both numerator bounds, but |tau| > 2 at lengths 3 and 4
+    for tau in (Fraction(129, 32), Fraction(5, 2)):
+        query = SearchQuery(tau, 4, 8)
+        report = search_half_relations(query, workers=2)
+        assert report == search_module.SearchReport(query, (), True)
     assert walked == [] and _SerialPool.sizes == []
+
+
+# --- |tau| bounds at lengths 3 and 4, and the divisibility cut -----------
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9).filter(bool), min_size=3, max_size=4))
+@example([1, -1, 1])
+@example([-1, 1, -1])
+@example([1, 1, 1, 1])
+def test_root_bounds_at_lengths_three_and_four(a):
+    c0, c1 = poly_hr(a).coeffs
+    tau = Fraction(-c0, c1)  # the one root of P_l, possibly 0
+    if len(a) == 4:
+        low = min(abs(a[0]), abs(a[2])) * min(abs(a[1]), abs(a[3]))
+        assert abs(tau) * low <= 2
+    elif abs(tau) > 2:
+        assert tau == 3 and tuple(a) in {(1, -1, 1), (-1, 1, -1)}
+
+
+def test_root_bounds_are_attained():
+    roots = {l: {Fraction(-c0, c1) for a in itertools.product((1, -1), repeat=l)
+                 for c0, c1 in [poly_hr(a).coeffs]}
+             for l in (3, 4)}
+    assert max(roots[3]) == 3 and max(abs(t) for t in roots[3] - {3}) == 1
+    assert max(abs(t) for t in roots[4]) == 2 and {2, -2} <= roots[4]
+
+
+def test_root_bound_edges_match_naive_oracle():
+    # |tau| = 2 and tau = 3 sit on the bounds; -3, +-5/2 and 2 + 1/q,
+    # 3 - 1/q lie past them, where only lengths >= 5 can hold hits
+    taus = [Fraction(t) for t in (2, -2, 3, -3)]
+    taus += [Fraction(5, 2), Fraction(-5, 2)]
+    taus += [2 + Fraction(1, q) for q in (3, 4)] + [3 - Fraction(1, q) for q in (3, 4)]
+    long_hits = set()
+    for tau in taus:
+        for mode in SignMode:
+            report = search_half_relations(SearchQuery(tau, 5, 4, mode, None))
+            assert report.exhausted
+            assert list(report.hits) == naive_search(tau, 5, 4, mode)
+            if 2 < abs(tau) < 4:
+                assert all(len(h) == 5 or h in {(1, -1, 1), (-1, 1, -1)}
+                           for h in report.hits)
+                long_hits |= {tau for h in report.hits if len(h) == 5}
+    assert long_hits == {Fraction(3), Fraction(5, 2)}
+
+
+def test_tau_three_walks_only_length_three(monkeypatch):
+    walked = []
+    real_branch = search_module._search_branch
+
+    def spy(args):
+        walked.append(len(args[3]) - 1)  # the length of the branch
+        return real_branch(args)
+
+    monkeypatch.setattr(search_module, "_search_branch", spy)
+    for mode in SignMode:
+        report = search_half_relations(SearchQuery(Fraction(3), 4, 8, mode, None))
+        assert list(report.hits) == naive_search(Fraction(3), 4, 8, mode)
+    assert set(walked) == {3}
+
+
+@st.composite
+def composite_q_queries(draw):
+    """(tau, max_len, bound, mode) with q above the bound and bound-smooth,
+    so composite; NONZERO_ANY reaches length 5 at bound 4 only, where the
+    oracle stays fast."""
+    bound = draw(st.integers(4, 6))
+    q = draw(st.sampled_from([q for q in range(bound + 1, 241)
+                              if max(naive_factorization(q)) <= bound]))
+    p = draw(st.integers(1, 4 * q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    mode = draw(st.sampled_from(SignMode))
+    top = 5 if bound == 4 or mode is not SignMode.NONZERO_ANY else 4
+    return Fraction(draw(st.sampled_from([p, -p])), q), draw(st.integers(3, top)), bound, mode
+
+
+@settings(max_examples=60, deadline=None)
+@given(composite_q_queries())
+@example((Fraction(7, 120), 4, 5, SignMode.NONZERO_ANY))
+@example((Fraction(-5, 12), 5, 4, SignMode.NONZERO_ANY))  # length-5 hits only
+@example((Fraction(-1, 36), 5, 4, SignMode.NONZERO_ANY))  # q > bound^2
+def test_composite_q_matches_naive_oracle_at_random(drawn):
+    # the walk cuts the pairs (a, c) whose solved b would have to be a
+    # multiple of more than the bound
+    tau, max_len, bound, mode = drawn
+    report = search_half_relations(SearchQuery(tau, max_len, bound, mode, None))
+    assert report.exhausted
+    assert list(report.hits) == naive_search(tau, max_len, bound, mode)
 
 
 # --- length-4 positive scan --------------------------------------------
