@@ -328,7 +328,9 @@ class UniPoly:
 
 
 def eval_word_symbolic(word: ExpWord) -> Mat2:
-    """Word product with tau left as the polynomial indeterminate."""
+    """Word product with tau left as the polynomial indeterminate.  Public,
+    and the tests' reference for `halfrel.symbolic_defect`, which reads the
+    same defect off the integer kernel."""
     return eval_word(word, UniPoly.var())
 
 

@@ -24,8 +24,9 @@ take their members from it.  Every sequence term is read off a power of a
 O(log k) matrix products.  The lookup inverts every formula on the integers
 p, q of tau = p/q in lowest terms: A and B need p and q to be squares (A:
 sqrt(q) even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) = sqrt(q) - 1,
-inverted by binary lifting, in O(log k) matrix products, only for the
-sigma whose 6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E)
+inverted by binary lifting over the repeated squares, O(log k) matrix
+squares plus as many matrix-vector steps, only for the sigma whose
+6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E)
 needs 5q^2 +- 4 (2q^2 +- 1) to be a square before its sequence is walked
 up to q, one term at a time.
 """
@@ -304,16 +305,17 @@ def _b_indices(s: SigmaPair, n: int) -> list[int]:
     """The k >= 0 with n_k == n, ascending.  n_k never decreases in k, and
     n_0 = n_1 is its only tie, so binary lifting over the repeated squares
     of T (`_b_step`) finds the largest m with n_{2m} <= n (m = 0 if none),
-    and only k = 2m - 1, 2m, 2m + 1 can match."""
+    and only k = 2m - 1, 2m, 2m + 1 can match.  The squares are matrices;
+    the lift carries only the vector T^m (1, 1), four products a step."""
     c, squares = 6 // (s[0] * s[1]), [_b_step(s)]  # T^(2^j) for j = 0, 1, ...
     while c * prod(_row_sums(squares[-1])) <= n:  # n_{2^(j+1)}
         squares.append(squares[-1] * squares[-1])
-    m, t = 0, Mat2.identity()  # T^m
+    m, u_odd, u_even = 0, 1, 1  # T^m (1, 1) = (u_{2m+1}, u_{2m})
     for j in reversed(range(len(squares) - 1)):  # m < 2^J for the last square T^(2^J)
-        w = squares[j] * t
-        if c * prod(_row_sums(w)) <= n:  # n_{2m} = c u_{2m} u_{2m+1}
-            m, t = m + (1 << j), w
-    u_odd, u_even = _row_sums(t)
+        s11, s12, s21, s22 = squares[j]
+        x, y = s11 * u_odd + s12 * u_even, s21 * u_odd + s22 * u_even
+        if c * x * y <= n:  # n_{2m} = c u_{2m} u_{2m+1}
+            m, u_odd, u_even = m + (1 << j), x, y
     u_prev, u_next = 2 * s[0] * u_even - u_odd, 2 * s[1] * u_odd - u_even  # u_{2m-1}, u_{2m+2}
     pairs = ((u_prev, u_even), (u_even, u_odd), (u_odd, u_next))  # (u_k, u_{k+1})
     return [k for k, (a, b) in enumerate(pairs, 2 * m - 1) if k >= 0 and c * a * b == n]

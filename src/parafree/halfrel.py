@@ -26,7 +26,6 @@ from .exact import (
     H,
     ExpWord,
     UniPoly,
-    eval_word_symbolic,
     scaled_product,
     word_from_exponents,
 )
@@ -119,8 +118,32 @@ def defect(candidate: Sequence[int], tau: Fraction) -> Fraction:
 
 
 def symbolic_defect(candidate: Sequence[int]) -> UniPoly:
-    m = eval_word_symbolic(word_from_exponents(candidate))
-    return UniPoly.var() * m.e12 - m.e21 if len(candidate) % 2 == 1 else m.e11 - m.e22
+    """The defect as a polynomial in tau, read off the integer kernel by
+    Kronecker substitution: the word is evaluated once by `scaled_product`
+    at tau = t = 2^K with K = 2 + sum of bit_length(|a_i| + 1), and the
+    integer defect D(t) is split into balanced base-t digits, which are
+    the coefficients.
+
+    Exact, because every coefficient is below t/2 in absolute value.  The
+    1-norm of the coefficients is submultiplicative, so the entries of a
+    product are bounded entrywise by the product of the entrywise bounds
+    of its factors: (1 |a|; 0 1) for g^a and (1 0; |a| 1) for h^a.  The
+    largest row sum of nonnegative matrices is submultiplicative and is
+    1 + |a| for each factor, so every entry of the word's matrix has
+    1-norm at most prod(1 + |a_i|) < 2^(K-2), and the defect, a difference
+    of two entries (one times tau), has 1-norm < 2^(K-1) = t/2.
+    `eval_word_symbolic`, the product in the polynomial ring, is the
+    reference the tests compare this with."""
+    shift = 2 + sum((abs(a) + 1).bit_length() for a in candidate)
+    t = 1 << shift
+    n11, n12, n21, n22, _ = scaled_product(word_from_exponents(candidate), t)
+    d = t * n12 - n21 if len(candidate) % 2 == 1 else n11 - n22
+    half, mask, coeffs = t >> 1, t - 1, []
+    while d:
+        c = ((d + half) & mask) - half  # the digit in [-t/2, t/2)
+        coeffs.append(c)
+        d = (d - c) >> shift
+    return UniPoly._trusted(coeffs)
 
 
 def poly_hr(candidate: Sequence[int]) -> UniPoly:

@@ -116,16 +116,20 @@ def test_b_terms_match_the_naive_walk():
 
 
 def test_b_indices_match_brute_force():
-    # every n_k and n_k +- 1 for k < 120, random n < 10^30, and n in 1..400
+    # every n_k and n_k +- 1 for k <= 400, random n < 10^30, and n in 1..5000,
+    # against the k of the naive forward walk of n_k
     local = random.Random(3141)
     for s in SIGMAS:
         u, c = naive_u(s), 6 // (s[0] * s[1])
-        ns = [c * u[k] * u[k + 1] for k in range(200)]
-        tests = {n + d for n in ns[:120] for d in (-1, 0, 1)}
-        tests |= {local.randrange(1, 10**30) for _ in range(200)} | set(range(1, 401))
+        ns = [c * u[k] * u[k + 1] for k in range(402)]
+        where: dict[int, list[int]] = {}
+        for k, n_k in enumerate(ns):
+            where.setdefault(n_k, []).append(k)
+        tests = {n + d for n in ns[:401] for d in (-1, 0, 1)}
+        tests |= {local.randrange(1, 10**30) for _ in range(200)} | set(range(1, 5001))
         for n in tests:
             assert ns[-1] > n
-            assert _b_indices(s, n) == [k for k, n_k in enumerate(ns) if n_k == n], (s, n)
+            assert _b_indices(s, n) == where.get(n, []), (s, n)
 
 
 def test_validate_sigma():

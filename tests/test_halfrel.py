@@ -21,6 +21,7 @@ from parafree.exact import (
     Mat2,
     UniPoly,
     eval_word,
+    eval_word_symbolic,
     gen_power,
     scaled_product,
     word_from_exponents,
@@ -41,7 +42,7 @@ from parafree.halfrel import (
     relator,
     symbolic_defect,
 )
-from parafree.families import family_lookup, family_tau, instance_witness
+from parafree.families import _member, family_lookup, family_tau, instance_witness
 from parafree.search import SearchQuery, SignMode, search_half_relations
 
 rng = random.Random(8241)
@@ -143,6 +144,54 @@ def test_poly_hr_matches_sympy(candidate):
     expected = sympy.Poly(sympy.cancel(sympy_defect(candidate) / TAU), TAU)
     coeffs = tuple(int(c) for c in reversed(expected.all_coeffs()))
     assert poly_hr(candidate) == UniPoly(coeffs)
+
+
+def reference_symbolic_defect(candidate):
+    """The defect from the word's product in the polynomial ring."""
+    m = eval_word_symbolic(word_from_exponents(candidate))
+    return UniPoly.var() * m.e12 - m.e21 if len(candidate) % 2 == 1 else m.e11 - m.e22
+
+
+# small exponents, and exponents at the digit boundaries +-(2^j - 1), +-2^j
+# of symbolic_defect's base 2^K, K = 2 + sum of bit_length(|a_i| + 1)
+KRONECKER_EXPONENTS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda j, d, sign: sign * ((1 << j) - d),
+              st.integers(0, 200), st.sampled_from([0, 1]), st.sampled_from([1, -1])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(KRONECKER_EXPONENTS, min_size=1, max_size=12))
+def test_symbolic_defect_matches_the_polynomial_product(candidate):
+    assert symbolic_defect(candidate) == reference_symbolic_defect(candidate)
+
+
+def _sweep_candidates():
+    """Every family candidate at |k| <= 40 and |k| in {299, 300}: B at all
+    six sigma, E with both signs of x."""
+    ks = [*range(-40, 41), -300, -299, 299, 300]
+    options = [("A", None), ("C_general", None), ("C_even", None), ("C_quad", None),
+               ("D", None), ("E", None)]
+    options += [("B", s) for s in [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]]
+    out = []
+    for family, sigma in options:
+        for k in ks:
+            try:
+                cand = _member(family, k, sigma).candidate
+            except ValueError:
+                continue  # k fails the family's preconditions
+            out.append(cand)
+            if family == "E":
+                out.append(cand[:-1] + (-cand[-1],))  # the other sign of x
+    return out
+
+
+def test_symbolic_defect_on_every_family_candidate():
+    cands = _sweep_candidates()
+    assert len(cands) > 900
+    for cand in cands:
+        assert symbolic_defect(cand) == reference_symbolic_defect(cand), cand
 
 
 def test_negation_preserves_half_relations():

@@ -495,6 +495,26 @@ def test_tau_three_walks_only_length_three(monkeypatch):
     assert set(walked) == {3}
 
 
+def test_divisibility_cut_reaches_the_solve_loop(monkeypatch):
+    # 1/12 at l5 b8: q = 12 is 8-smooth and above the bound, so the walk
+    # cuts at r = 12; a branch that starts at r = 1 would never cut
+    leaves = []
+    real_dfs = search_module._dfs
+
+    def spy(p, q, r, exps, n11, n12, n21, n22, positions, cuts, out):
+        l = len(positions) - 1
+        if len(exps) + 1 >= l - 2:  # the call that runs the solve loop
+            leaves.append((r, cuts, len(positions[l - 2][0])))
+        real_dfs(p, q, r, exps, n11, n12, n21, n22, positions, cuts, out)
+
+    monkeypatch.setattr(search_module, "_dfs", spy)  # _dfs recurses through it
+    tau = Fraction(1, 12)
+    search_half_relations(SearchQuery(tau, 5, 8, SignMode.NONZERO_ANY, None))
+    cut = [(cuts[12], n_a) for r, cuts, n_a in leaves if r == 12 and cuts.get(12)]
+    assert cut
+    assert all(len(a_values) < n_a for a_values, n_a in cut)  # 12 / gcd(12, 1) > 8
+
+
 @st.composite
 def composite_q_queries(draw):
     """(tau, max_len, bound, mode) with q above the bound and bound-smooth,
