@@ -81,7 +81,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .halfrel import Candidate, is_half_relation, negate
 
@@ -295,6 +295,8 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
 PRIME_TABLE_CEILING = 1 << 16
 _primes: list[int] = []  # every prime below _sieved, ascending
 _sieved = 0
+_primes_pm1: list[int] = []  # the primes of the table = +-1 (mod 8), ascending
+_sieved_pm1 = 0  # the _sieved of the table _primes_pm1 was read off
 
 
 def _prime_table(root: int) -> list[int]:
@@ -315,11 +317,25 @@ def _prime_table(root: int) -> list[int]:
     return _primes
 
 
-def _factorize(m: int, into: dict[int, int]) -> None:
+def _prime_table_pm1(root: int) -> list[int]:
+    """The primes of `_prime_table(root)` that are = +-1 (mod 8), the odd
+    primes modulo which 2 is a square; read off the table again each time
+    it grows."""
+    global _primes_pm1, _sieved_pm1
+    primes = _prime_table(root)
+    if _sieved_pm1 != _sieved:
+        _primes_pm1, _sieved_pm1 = [p for p in primes if p % 8 in (1, 7)], _sieved
+    return _primes_pm1
+
+
+def _factorize(m: int, into: dict[int, int],
+               table: Callable[[int], list[int]] = _prime_table) -> None:
     """Add the prime factorisation of m >= 1 to `into`, by trial division
-    by d with d^2 <= m: the primes of the table, then, past its last prime,
-    every odd d, so the result never depends on the table's size."""
-    primes = _prime_table(isqrt(m))
+    by d with d^2 <= m: the primes of `table(isqrt(m))`, then, past its last
+    prime, every odd d, so the result never depends on the table's size.
+    A table that leaves out primes, such as `_prime_table_pm1`, is exact
+    only for the m that none of the left-out primes divides."""
+    primes = table(isqrt(m))
     for d in chain(primes, count(primes[-1] + 2, 2)):
         if d * d > m:
             break
@@ -351,25 +367,70 @@ def _divisors(factors: dict[int, int], limit: int | None) -> list[int]:
     return divs
 
 
+def _congruent_divisors(n2: int, n_factors: dict[int, int], rest: dict[int, int],
+                        c: int, a4: int, limit: int | None) -> list[int]:
+    """The divisors X <= limit (all if None) of n^2 * R with X = -a4*n^2
+    (mod c), in no particular order, by the residue match of
+    `search_len4_positive`; n_factors factors n, rest factors R, and no
+    prime of n that is prime to c may divide R."""
+    coprime, shared = {}, dict(rest)
+    for p, e in n_factors.items():
+        if c % p:
+            coprime[p] = 2 * e
+        else:
+            shared[p] = shared.get(p, 0) + 2 * e
+    by_residue: dict[int, list[int]] = {}
+    for y in _divisors(shared, limit):
+        by_residue.setdefault(y % c, []).append(y)
+    target, out = -a4 * n2, []
+    for x in _divisors(coprime, limit):
+        for y in by_residue.get(target // x % c, ()):
+            if limit is None or x * y <= limit:
+                out.append(x * y)
+    return out
+
+
 def search_len4_positive(n_from: int, n_to: int,
                          bound: int | None) -> dict[int, list[Candidate]]:
     """All-positive length-4 half-relations for tau = ((n-1)/n)^2.
 
     For positive solutions, a_1*a_4 < (n/(n-1))^2 is forced, so a_1 and
-    a_4 are tiny.  With c = n^2 - a_1*a_4*(n-1)^2, X = c*a_2 - a_4*n^2 and
-    Y = c*a_3 - a_1*n^2, the length-4 condition is exactly
+    a_4 are tiny: a_1*a_4 >= 2 needs 2(n-1)^2 < n^2, so n <= 3.  With c =
+    n^2 - a_1*a_4*(n-1)^2, f = n^2 + c = 2n^2 - a_1*a_4*(n-1)^2, X =
+    c*a_2 - a_4*n^2 and Y = c*a_3 - a_1*n^2, the length-4 condition is
+    exactly
 
-        X*Y = a_1*a_4*n^2*(2n^2 - a_1*a_4*(n-1)^2),
+        X*Y = a_1*a_4*n^2*f,
 
     and a_3 >= 1 forces X, Y > 0.  So the solutions are the divisor pairs
     (X, Y) of that product with X + a_4*n^2 and Y + a_1*n^2 both divisible
-    by c; no exponent is scanned.  The product is factored by trial
-    division over a cached table of the primes below PRIME_TABLE_CEILING,
-    sieved on demand, and over the odd numbers past its last prime; Y =
-    product // X and its congruence are computed only for the X whose own
-    congruence holds, about 1/c of them.  `bound` caps a_2 only (a_3 is
-    accepted at any size); `bound=None` gives every solution.  Returns only
-    n with a nonempty hit list.
+    by c; no exponent is scanned.
+
+    The X are matched by residue (`_congruent_divisors`).  The product is
+    A*B, with A the part of n^2 that is prime to c and B the rest: the
+    primes of n that divide c, a_1, a_4 and f.  A and B are coprime: a
+    prime p of A divides n but not c, so it divides neither f (p | f would
+    give p | c) nor a_1*a_4 (p | a_1*a_4 would give p | n^2 - a_1*a_4*(n-1)^2
+    = c).  So X = x*y with x | A and y | B, and x is a unit mod c, so X =
+    -a_4*n^2 = -a_4*(n^2/x)*x (mod c) holds exactly when y = -a_4*(n^2/x)
+    (mod c): the divisors of B are grouped by residue once, and each divisor
+    of A looks up its one residue, with no modular inverse.  For n >= 4,
+    A = n^2 and B = f.  Y = product // X and its congruence are computed
+    only for the matched X, and every hit is re-checked by
+    `is_half_relation`.
+
+    n and the a_i are factored by trial division over a cached table of
+    the primes below PRIME_TABLE_CEILING, sieved on demand, and over the
+    odd numbers past its last prime.  At a_1*a_4 = 1, f = (n+1)^2 - 2 is
+    divided by fewer primes.  An odd prime p | f has (n+1)^2 = 2 (mod p),
+    so 2 is a square mod p and p = +-1 (mod 8).  For odd n, (n+1)^2 = 0
+    (mod 4), so f = 2 (mod 4) holds 2 exactly once; for even n, f is odd.
+    So f loses its one 2 for odd n and is then trial-divided by the table
+    primes = +-1 (mod 8) alone, and past the table by every odd d.  The
+    pairs with a_1*a_4 > 1, all at n <= 3, use the full table.
+
+    `bound` caps a_2 only (a_3 is accepted at any size); `bound=None`
+    gives every solution.  Returns only n with a nonempty hit list.
     """
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
@@ -388,15 +449,19 @@ def search_len4_positive(n_from: int, n_to: int,
             while (c := n2 - a1 * a4 * m2) > 0:
                 limit = None if bound is None else bound * c - a4 * n2
                 if limit is None or limit >= 1:
-                    factors = {p: 2 * e for p, e in n_factors.items()}
-                    for m in (a1, a4, n2 + c):
-                        _factorize(m, factors)
-                    xy, x_add, y_add = a1 * a4 * n2 * (n2 + c), a4 * n2, a1 * n2
-                    for x in _divisors(factors, limit):
-                        if (x + x_add) % c == 0:  # Y only for the ~1/c that pass
-                            y3 = xy // x + y_add
-                            if y3 % c == 0:
-                                hits.append((a1, (x + x_add) // c, y3 // c, a4))
+                    f, rest = n2 + c, {}
+                    if a1 * a4 == 1:  # f = (n+1)^2 - 2
+                        if n & 1:
+                            rest[2] = 1
+                        _factorize(f >> (n & 1), rest, _prime_table_pm1)
+                    else:
+                        for m in (a1, a4, f):
+                            _factorize(m, rest)
+                    xy, x_add, y_add = a1 * a4 * n2 * f, a4 * n2, a1 * n2
+                    for x in _congruent_divisors(n2, n_factors, rest, c, a4, limit):
+                        y3 = xy // x + y_add
+                        if y3 % c == 0:
+                            hits.append((a1, (x + x_add) // c, y3 // c, a4))
                 a4 += 1
             a1 += 1
         if hits:

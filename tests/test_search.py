@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import parafree.search as search_module
-from parafree.families import enumerate_n_values
+from parafree.families import enumerate_n_values, family_instance, family_n
 from parafree.halfrel import defect, is_half_relation, negate, poly_hr
 from parafree.search import (
     SearchQuery,
@@ -552,12 +552,13 @@ def test_len4_positive_against_brute_force():
         # printed length-4 form of the factored defect, cleared of
         # denominators: a1 a2 a3 a4 (n-1)^2 + (sum of pair terms) n^2
         m2, n2 = (n - 1) ** 2, n * n
+        # grouped by a3 as a3*coef + const, every a3 < 2000 still tried
         brute = sorted({
             (a1, a2, a3, a4)
-            for a1 in range(1, 4) for a4 in range(1, 4)
-            for a2 in range(1, 101) for a3 in range(1, 2000)
-            if a1 * a2 * a3 * a4 * m2
-            + (a1 * a2 - a2 * a3 + a3 * a4 + a1 * a4) * n2 == 0
+            for a1 in range(1, 4) for a4 in range(1, 4) for a2 in range(1, 101)
+            for coef, const in [(a1 * a2 * a4 * m2 + (a4 - a2) * n2,
+                                 (a1 * a2 + a1 * a4) * n2)]
+            for a3 in range(1, 2000) if a3 * coef + const == 0
         })
         # the solver bounds a2 but leaves a3 free, so compare the slice
         # with a3 under the brute ceiling
@@ -577,14 +578,15 @@ def test_len4_positive_known_keys():
 def len4_brute(n, bound, a3_cap):
     """Every all-positive length-4 tuple with a2 <= bound and a3 < a3_cap
     whose defect at ((n-1)/n)^2 vanishes, by exhaustion (a1*a4 < 4 is
-    forced for n >= 2)."""
+    forced for n >= 2).  The cleared defect a1 a2 a3 a4 (n-1)^2 + (a1 a2 -
+    a2 a3 + a3 a4 + a1 a4) n^2 is grouped by a3 as a3*coef + const."""
     m2, n2 = (n - 1) ** 2, n * n
     return sorted(
         (a1, a2, a3, a4)
-        for a1 in range(1, 4) for a4 in range(1, 4)
-        for a2 in range(1, bound + 1) for a3 in range(1, a3_cap)
-        if a1 * a2 * a3 * a4 * m2
-        + (a1 * a2 - a2 * a3 + a3 * a4 + a1 * a4) * n2 == 0
+        for a1 in range(1, 4) for a4 in range(1, 4) for a2 in range(1, bound + 1)
+        for coef, const in [(a1 * a2 * a4 * m2 + (a4 - a2) * n2,
+                             (a1 * a2 + a1 * a4) * n2)]
+        for a3 in range(1, a3_cap) if a3 * coef + const == 0
     )
 
 
@@ -728,3 +730,141 @@ def test_divisors_match_brute_force(m, limit):
     got = search_module._divisors(naive_factorization(m), limit)
     assert len(got) == len(set(got))
     assert set(got) == brute
+
+
+# --- the census's factor of f = (n+1)^2 - 2 and its divisor pairs ----------
+
+def factorize_f(n):
+    """f = (n+1)^2 - 2 factored as the census does at a1*a4 = 1: its one 2
+    for odd n, then the table primes = +-1 (mod 8) and the odd tail."""
+    f, factors = (n + 1) ** 2 - 2, {}
+    if n % 2:
+        factors[2] = 1
+    search_module._factorize(f >> (n % 2), factors, search_module._prime_table_pm1)
+    return factors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2 * 10**5))
+@example(2)
+@example(3)
+@example(9)  # f = 98 = 2 * 7^2
+@example(65535)  # n + 1 = 2^16: sqrt(f) is just below the table's ceiling
+@example(65536)  # sqrt(f) passes the ceiling, and the odd tail runs
+@example(65537)
+def test_factorize_f_with_the_primes_pm1_mod_8(n):
+    f = (n + 1) ** 2 - 2
+    naive = naive_factorization(f)
+    assert naive.get(2, 0) == n % 2  # 2 exactly once for odd n
+    assert all(p % 8 in (1, 7) for p in naive if p > 2)
+    assert factorize_f(n) == naive
+
+
+def test_factorize_f_edge_cases():
+    assert factorize_f(9) == {2: 1, 7: 2}
+    assert factorize_f(2) == {7: 1}
+    assert factorize_f(3) == {2: 1, 7: 1}
+    ceiling = search_module.PRIME_TABLE_CEILING
+    assert factorize_f(65535) == {2: 1, 2**31 - 1: 1}  # (2^16)^2 - 2
+    # both primes above the table: the smaller is found in the odd tail
+    assert 66103 * 68041 == 67065**2 - 2 and ceiling < 66103
+    assert factorize_f(67064) == {66103: 1, 68041: 1}
+
+
+def test_prime_table_pm1_is_empty_after_import_and_follows_the_table(monkeypatch):
+    src = os.path.dirname(os.path.dirname(search_module.__file__))
+    code = ("import parafree.search as s; "
+            "assert s._primes_pm1 == [] and s._sieved_pm1 == 0")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    monkeypatch.setattr(search_module, "_primes", [])
+    monkeypatch.setattr(search_module, "_sieved", 0)
+    monkeypatch.setattr(search_module, "_primes_pm1", [])
+    monkeypatch.setattr(search_module, "_sieved_pm1", 0)
+    for root in (1, 1000, 5000, 65537):
+        got = search_module._prime_table_pm1(root)
+        assert search_module._sieved_pm1 == search_module._sieved
+        assert got == [p for p in search_module._primes if p % 8 in (1, 7)], root
+    assert search_module._sieved == search_module.PRIME_TABLE_CEILING
+
+
+def census_pairs(n):
+    """The (a1, a4) with c = n^2 - a1*a4*(n-1)^2 > 0."""
+    m2 = (n - 1) ** 2
+    return [(a1, a4) for a1 in range(1, 4) for a4 in range(1, 4)
+            if n * n - a1 * a4 * m2 > 0]
+
+
+@st.composite
+def congruent_divisor_cases(draw):
+    n = draw(st.integers(2, 10**4))
+    a1, a4 = draw(st.sampled_from(census_pairs(n)))
+    c = n * n - a1 * a4 * (n - 1) ** 2
+    limit = draw(st.one_of(st.none(), st.integers(1, 10**4 * c - a4 * n * n)))
+    return n, a1, a4, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(congruent_divisor_cases())
+@example((2, 1, 2, None))  # c = 2 shares its prime with n
+@example((2, 2, 1, 5))
+@example((2, 1, 3, None))  # c = 1
+@example((2, 3, 1, 7))
+@example((3, 1, 2, None))  # c = 1
+@example((3, 2, 1, 4))
+def test_congruent_divisors_match_the_flat_filter(drawn):
+    n, a1, a4, limit = drawn
+    n2 = n * n
+    c = n2 - a1 * a4 * (n - 1) ** 2
+    rest = naive_factorization(a1 * a4 * (n2 + c))
+    factors = dict(rest)
+    for p, e in naive_factorization(n).items():
+        factors[p] = factors.get(p, 0) + 2 * e
+    flat = [x for x in search_module._divisors(factors, limit) if (x + a4 * n2) % c == 0]
+    got = search_module._congruent_divisors(n2, naive_factorization(n), rest, c, a4, limit)
+    assert sorted(got) == sorted(flat)
+
+
+def len4_divisor_oracle(n, bound):
+    """The census at one n by the flat divisor filter over
+    naive_factorization: every divisor X of a1*a4*n^2*f up to the limit,
+    both congruences tested on each."""
+    n2, hits = n * n, []
+    for a1, a4 in census_pairs(n):
+        c = n2 - a1 * a4 * (n - 1) ** 2
+        limit = None if bound is None else bound * c - a4 * n2
+        if limit is not None and limit < 1:
+            continue
+        xy = a1 * a4 * n2 * (n2 + c)
+        factors = naive_factorization(a1 * a4 * (n2 + c))
+        for p, e in naive_factorization(n).items():
+            factors[p] = factors.get(p, 0) + 2 * e
+        for x in search_module._divisors(factors, limit):
+            if (x + a4 * n2) % c == 0 and (xy // x + a1 * n2) % c == 0:
+                hits.append((a1, (x + a4 * n2) // c, (xy // x + a1 * n2) // c, a4))
+    return sorted(hits)
+
+
+def test_len4_positive_past_the_prime_table():
+    sigmas = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
+    members = {}
+    for sigma in sigmas:
+        for k in range(-14, 15):
+            n = family_n(sigma, k)
+            if n in (86330, 292539, 532271):
+                members.setdefault(n, set()).add(family_instance("B", k, sigma).candidate)
+    assert set(members) == {86330, 292539, 532271}
+    assert members.keys() <= {n for sigma in sigmas
+                              for n in enumerate_n_values(sigma, range(-14, 15))}
+    for n, candidates in members.items():
+        tau = Fraction((n - 1) ** 2, n * n)
+        hits = search_len4_positive(n, n, None)[n]
+        assert hits == len4_divisor_oracle(n, None)
+        for cand in candidates:
+            for hit in (cand, cand[::-1]):
+                assert hit in hits and defect(hit, tau) == 0, (n, hit)
+    # f = (n+1)^2 - 2 above 2^32: sqrt(f) passes the table's ceiling
+    for bound in (None, 10**4):
+        oracle = {n: hits for n in range(65500, 65601)
+                  if (hits := len4_divisor_oracle(n, bound))}
+        assert search_len4_positive(65500, 65600, bound) == oracle
