@@ -22,13 +22,15 @@ x and preconditions; `family_tau`, `family_instance` and `family_lookup`
 take their members from it.  Every sequence term is read off a power of a
 2x2 integer matrix, `Mat2 ** k` by binary powering, so a member at k costs
 O(log k) matrix products.  The lookup inverts every formula on the integers
-p, q of tau = p/q in lowest terms: A and B need p and q to be squares (A:
-sqrt(q) even and |sqrt(p) - sqrt(q)| = 1; B: sqrt(p) = sqrt(q) - 1,
+p, q of tau = p/q in lowest terms, with integer products and no square
+root: A and B need (q + 1 - p)^2 = 4q, that is p and q squares with
+|sqrt(p) - sqrt(q)| = 1 (A: sqrt(q) even; B: sqrt(p) = sqrt(q) - 1,
 inverted by binary lifting over the repeated squares, O(log k) matrix
 squares plus as many matrix-vector steps, only for the sigma whose
-6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E)
-needs 5q^2 +- 4 (2q^2 +- 1) to be a square before its sequence is walked
-up to q, one term at a time.
+6/(s0 s1) divides sqrt(q)), C needs |p - 2q| = 1, and D (E) needs
+Cassini's identity r^2 + r q - q^2 = +-1 (r^2 + 2 r q - q^2 = +-1) for
+r = p - 2q (p - 3q) before its sequence is walked up to q, one term at a
+time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .exact import ExpWord, G, Mat2, eval_word
 from .halfrel import (
@@ -321,50 +323,49 @@ def _b_indices(s: SigmaPair, n: int) -> list[int]:
     return [k for k, (a, b) in enumerate(pairs, 2 * m - 1) if k >= 0 and c * a * b == n]
 
 
-def _is_square(n: int) -> bool:
-    return isqrt(n) ** 2 == n
-
-
-def _family_candidates(tau: Fraction) -> Iterator[tuple[str, int, Optional[SigmaPair]]]:
+def _family_candidates(tau: Fraction) -> list[tuple[str, int, Optional[SigmaPair]]]:
     """(family, k, sigma) for each member that may have this tau, found by
     inverting each family formula on tau = p/q in lowest terms, in lookup
-    order."""
+    order.  Each family is tested on p and q with integer products alone."""
     p, q = tau.numerator, tau.denominator
-    sp, sq = isqrt(max(p, 0)), isqrt(q)
-    if p > 0 and sp * sp == p and sq * sq == q:
-        # family A: sp/sq = |2k-1|/|2k| in lowest terms, so sq is even and
-        # sp = sq - 1 for k > 0, sp = sq + 1 for k < 0
-        if sq % 2 == 0 and abs(sp - sq) == 1:
-            yield "A", sq // 2 if sp < sq else -(sq // 2), None
-        # family B: sp/sq = (n-1)/n with n = sq; n_k = 6/(s0 s1) u_k u_{k+1},
+    out: list[tuple[str, int, Optional[SigmaPair]]] = []
+    # families A and B: p = (sq -+ 1)^2 with q = sq^2 exactly when
+    # (q + 1 - p)^2 = 4q, and then d = q + 1 - p = +-2 sq
+    d = q + 1 - p
+    if d * d == 4 * q:
+        sq = abs(d) // 2
+        # family A: sqrt(tau) = |2k-1|/|2k| in lowest terms, so sq is even
+        # and sqrt(p) = sq - 1 (d > 0) for k > 0, sq + 1 for k < 0
+        if sq % 2 == 0:
+            out.append(("A", sq // 2 if d > 0 else -(sq // 2), None))
+        # family B: sqrt(tau) = (n-1)/n with n = sq; n_k = 6/(s0 s1) u_k u_{k+1},
         # so only a sigma whose 6/(s0 s1) divides n can match.  One walk per
         # such sigma; family_n(sigma, -j) = family_n(swapped sigma, j)
-        if sp == sq - 1:
+        if d > 0:
             ks = {sigma: _b_indices(sigma, sq) for sigma in _SIGMA_PAIRS
                   if sq % (6 // (sigma[0] * sigma[1])) == 0}
             for sigma, found in ks.items():
-                for k in found + [-j for j in ks[sigma[::-1]] if j > 0]:
-                    yield "B", k, sigma
+                out += [("B", k, sigma) for k in found + [-j for j in ks[sigma[::-1]] if j > 0]]
     # family C: tau - 2 = (p - 2q)/q with gcd(p - 2q, q) = 1, so
     # k = 1/(tau - 2) is an integer iff |p - 2q| = 1, and then k = q (p - 2q)
     if abs(p - 2 * q) == 1:
-        for family in ("C_general", "C_even", "C_quad"):
-            yield family, q * (p - 2 * q), None
-    # families D and E: F_{k+2}/F_k and H_{k+1}/P_k are in lowest terms, so
-    # |F_k| (|P_k|) is q.  q is a Fibonacci number iff 5q^2 +- 4 is a square,
-    # and a Pell number iff 2q^2 +- 1 is a square (H^2 - 2P^2 = +-1); only
-    # then walk X_{m+1} = c X_m + X_{m-1} up to q and try every k = +-m with
-    # X_m = q (|F_{-m}| = F_m, |P_{-m}| = P_m).  tau = t + X_{k-1}/X_k with
-    # t = 2 (D) or 3 (E) is >= t for k > 0 and <= 1 for k < 0, so p >= t q
-    # fixes the sign of k
-    for family, c, x, x_next, f, e, t in (("D", 1, 1, 1, 5, 4, 2), ("E", 2, 1, 2, 2, 1, 3)):
-        if not (_is_square(f * q * q + e) or _is_square(f * q * q - e)):
+        out += [(family, q * (p - 2 * q), None) for family in ("C_general", "C_even", "C_quad")]
+    # families D and E: tau = t + X_{k-1}/X_k with t = 2, X = F (D) or t = 3,
+    # X = P (E), for X_{m+1} = c X_m + X_{m-1}, in lowest terms, so q = |X_k|
+    # and r = p - t q = +-X_{k-1}.  Cassini's identity X_{k+1} X_{k-1} - X_k^2
+    # = (-1)^k makes r^2 + c r q - q^2 = +-1; only then walk X up to q and
+    # try every k = +-m with X_m = q (|X_{-m}| = X_m).  tau is >= t for
+    # k > 0 and <= 1 for k < 0, so p >= t q fixes the sign of k
+    for family, c, x, x_next, t in (("D", 1, 1, 1, 2), ("E", 2, 1, 2, 3)):
+        r = p - t * q
+        if abs(r * r + c * r * q - q * q) != 1:
             continue
         sign, m = 1 if p >= t * q else -1, 1
         while x <= q:
             if x == q:
-                yield family, sign * m, None
+                out.append((family, sign * m, None))
             m, x, x_next = m + 1, x_next, c * x_next + x
+    return out
 
 
 def family_lookup(tau: Fraction) -> list[FamilyInstance]:

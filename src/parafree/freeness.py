@@ -13,11 +13,16 @@ open, ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING
 search at -tau.  The group is never searched at -tau.  No phase runs
 once both sides are settled.
 
+A search that `search.lengths_to_walk` leaves no length builds no query.
+Any other is read off `search.hits_by_length` one length at a time, in
+shortlex order, and stops, its pool shut down, once no side is open.
+
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness."""
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -28,10 +33,9 @@ from .halfrel import (
     RelationWitness,
     build_relation,
     build_semigroup_witness,
-    classify_signs,
     minus_tau_transform,
 )
-from .search import SearchQuery, SignMode, search_half_relations
+from .search import SearchQuery, SignMode, hits_by_length, lengths_to_walk
 
 FREE_SCHOTTKY = "free_schottky"
 NON_FREE = "non_free"
@@ -88,15 +92,17 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     # every witness was proven by its builder (build_relation,
     # build_semigroup_witness, _mirrored_witness, or family_instance's
     # identity-word check); the CLI re-checks what it prints
-    for w in _witnesses(tau, effort, open_) if open_ else ():
-        if "group" in open_:
-            group = w
-            open_.discard("group")
-        if "semigroup" in open_ and w.kind is not RelationKind.GROUP_NONTRIVIAL:
-            semi = w
-            open_.discard("semigroup")
-        if not open_:
-            break
+    # closing the stream stops the walk it is in and shuts its pool down
+    with closing(_witnesses(tau, effort, open_)) as stream:
+        for w in stream if open_ else ():
+            if "group" in open_:
+                group = w
+                open_.discard("group")
+            if "semigroup" in open_ and w.kind is not RelationKind.GROUP_NONTRIVIAL:
+                semi = w
+                open_.discard("semigroup")
+            if not open_:
+                break
     return TauClassification(
         tau,
         FREE_SCHOTTKY if group_free else UNKNOWN if group is None else NON_FREE,
@@ -127,15 +133,17 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
             yield _mirrored_witness(inst)
         if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
             yield build_semigroup_witness(inst.candidate, minus)
-    # no result limit for the group: the search builds every hit before
-    # the cut anyway, and its all-positive hits are those of ALL_POSITIVE
-    if "group" in open_:
-        query = SearchQuery(tau, effort.max_len, effort.bound, SignMode.NONZERO_ANY, None)
-    else:
-        query = SearchQuery(tau, effort.max_len, effort.bound, SignMode.ALL_POSITIVE)
-    for hit in search_half_relations(query, workers=effort.workers).hits:
-        if "group" in open_ or classify_signs(hit) is positive:
-            yield build_relation(hit, tau)
+    p, q, bound = tau.numerator, tau.denominator, effort.bound
+    if lengths_to_walk(p, q, effort.max_len, bound):
+        # while the group is open, NONZERO_ANY: its all-positive hits are
+        # those of ALL_POSITIVE
+        mode = SignMode.NONZERO_ANY if "group" in open_ else SignMode.ALL_POSITIVE
+        with closing(hits_by_length(SearchQuery(tau, effort.max_len, bound, mode),
+                                    effort.workers)) as blocks:
+            for block in blocks:
+                for hit in block:
+                    if "group" in open_ or min(hit) > 0:
+                        yield build_relation(hit, tau)
     if "semigroup" not in open_ or tau > 0:
         return
     # Odd lengths only (max_len rounded down to odd).  Conjugating by
@@ -143,8 +151,9 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
     # entry by entry in |a_i|, into an all-positive one at tau, and the
     # search at tau above, with the same effort, has just found none.
     max_len = effort.max_len - (1 - effort.max_len % 2)
-    report = search_half_relations(
-        SearchQuery(minus, max_len, effort.bound, SignMode.ALTERNATING), workers=effort.workers
-    )
-    if report.hits:
-        yield build_semigroup_witness(report.hits[0], minus)
+    if lengths_to_walk(-p, q, max_len, bound):
+        with closing(hits_by_length(SearchQuery(minus, max_len, bound, SignMode.ALTERNATING),
+                                    effort.workers)) as blocks:
+            hit = next((block[0] for block in blocks if block), None)
+        if hit is not None:
+            yield build_semigroup_witness(hit, minus)

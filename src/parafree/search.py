@@ -20,13 +20,13 @@ c12 and c21.  Each length therefore walks only the end pairs with
 |a_1| <= |a_l|, and a_1 > 0 for NONZERO_ANY, and adds each hit's images:
 the reversal (the negated reversal for even-length ALTERNATING, whose
 reversal starts positive), and for NONZERO_ANY the negation and negated
-reversal too.  `freeness.classify_tau` reads the all-positive hits off
-its unlimited NONZERO_ANY report instead of running an ALL_POSITIVE
-search.
+reversal too.
 
-Hits are ordered by (length, tuple), so once the hits of lengths <= l
-exceed the result limit, the reported ones are all known and the search
-stops.
+`hits_by_length` yields each length's hits, sorted, one length at a
+time, so hits are ordered by (length, tuple): once the hits of lengths
+<= l exceed the result limit, the reported ones are all known and
+`search_half_relations` stops.  `freeness.classify_tau` reads its
+witnesses off the same generator and stops it once they are known.
 
 A rational-root test settles many tau before any walk.  The defect of a
 nonzero tuple is tau * P_l(tau), where P_l has integer coefficients,
@@ -35,9 +35,11 @@ degree floor((l-1)/2) and leading coefficient a_1 * a_2 * ... * a_l
 entry at every letter).  By the rational-root theorem, a half-relation
 at tau = p/q in lowest terms therefore has q | a_1 * ... * a_l, and with
 |a_i| <= bound every prime factor of q is <= bound.  So a query whose q
-has a larger prime factor has no hit in any sign mode, and the search
-returns the empty, exhausted report without walking or starting a pool.
-The test is trial division by d <= min(bound, sqrt(q)).
+has a larger prime factor has no hit in any sign mode, and
+`lengths_to_walk`, the one statement of the root gates, leaves it no
+length: the search returns the empty, exhausted report without walking
+or starting a pool.  The test is trial division by d <= min(bound,
+sqrt(q)).
 
 The numerator half of the theorem settles lengths 3 and 4.  There P_l
 = a_1*...*a_l * tau + c_0 is linear, so its one nonzero root is
@@ -76,12 +78,12 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .halfrel import Candidate, is_half_relation, negate
 
@@ -233,30 +235,35 @@ def _search_branch(args: tuple) -> list[Candidate]:
     return out
 
 
-def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
-    """Enumerate all half-relations for the query, in shortlex order.
-
-    Lengths run in increasing order, and the search stops after the first
-    length at which the hits exceed the result limit.  Deterministic and
-    worker-count independent: each length is split on the value of a_1
-    and the hits are merged with a canonical sort.  At most one worker
-    per branch is started, in one pool per query.
-    """
-    p, q, bound = query.tau.numerator, query.tau.denominator, query.bound
+def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
+    """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
+    terms) within the bound, in any sign mode: none when q has a prime
+    factor above the bound.  The one statement of the root gates."""
     # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
     # never zero at tau != 0, so every hit has length >= 3; at l = 3 and 4
     # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2,
     # and |tau| <= 2, or tau = 3 at l = 3
     near = abs(p) <= 2 * q
-    lengths = [l for l in range(3, query.max_len + 1)
+    lengths = [l for l in range(3, max_len + 1)
                if l >= 5
                or l == 3 and abs(p) <= 3 * bound and (near or (p, q) == (3, 1))
                or l == 4 and abs(p) <= 2 * bound * bound and near]
-    if not lengths or not _is_smooth(q, bound):
-        # no length left, or a root p/q of P_l has q | a_1*...*a_l, whose
-        # primes are <= bound
-        return SearchReport(query, (), True)
-    mode, limit = query.sign_mode, query.result_limit
+    # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
+    return lengths if lengths and _is_smooth(q, bound) else []
+
+
+def hits_by_length(query: SearchQuery, workers: int = 1) -> Iterator[list[Candidate]]:
+    """The hits of each walked length in increasing order, each list
+    sorted, so their concatenation is in shortlex order; the query's
+    result limit is not applied.  Deterministic and worker-count
+    independent: each length is split on the value of a_1.  At most one
+    worker per branch is started, in one pool that lives as long as the
+    generator; closing the generator shuts the pool down."""
+    p, q, bound = query.tau.numerator, query.tau.denominator, query.bound
+    lengths = lengths_to_walk(p, q, query.max_len, bound)
+    if not lengths:
+        return
+    mode = query.sign_mode
     positions = _positions(query.max_len, bound, mode)
     firsts = [a1 for a1 in positions[1][0]
               if a1 > 0 or mode is not SignMode.NONZERO_ANY]
@@ -268,8 +275,6 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
         _factorize(q, q_factors)
         wide = [s for s in _divisors(q_factors, None) if s > bound]
     workers = min(workers, len(firsts))
-    found: set[Candidate] = set()
-    exhausted = True
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         run = pool.map if pool is not None else map
@@ -277,18 +282,25 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
             prefix = positions[:length + 1]
             cuts = {s: [a for a in prefix[length - 2][0] if s // gcd(s, a) <= bound]
                     for s in wide if length >= 4}
-            args = [(p, q, a1, prefix, cuts) for a1 in firsts]
-            for branch_hits in run(_search_branch, args):
+            found: set[Candidate] = set()
+            for branch_hits in run(_search_branch, [(p, q, a1, prefix, cuts) for a1 in firsts]):
                 for hit in branch_hits:
                     found.update(_orbit(hit, mode))
-            if limit is not None and len(found) > limit:
+            yield sorted(found)
+
+
+def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
+    """Enumerate all half-relations for the query, in shortlex order, from
+    `hits_by_length`.  The search stops after the first length at which
+    the hits exceed the result limit."""
+    limit, hits = query.result_limit, []
+    with closing(hits_by_length(query, workers)) as blocks:
+        for block in blocks:
+            hits += block
+            if limit is not None and len(hits) > limit:
                 # the first `limit` hits in shortlex order are all known
-                exhausted = False
-                break
-    hits = sorted(found, key=lambda c: (len(c), c))
-    if not exhausted:
-        hits = hits[:limit]
-    return SearchReport(query, tuple(hits), exhausted)
+                return SearchReport(query, tuple(hits[:limit]), False)
+    return SearchReport(query, tuple(hits), True)
 
 
 # the census trial-divides by the primes below this, then by odd numbers

@@ -2,6 +2,7 @@
 exact formula inversion, and witness soundness."""
 
 import dataclasses
+import multiprocessing
 from fractions import Fraction
 from math import gcd
 
@@ -19,11 +20,23 @@ from parafree.freeness import (
     NON_SEMIGROUP_FREE,
     UNKNOWN,
     SearchEffort,
+    TauClassification,
     classify_tau,
     family_lookup,
 )
-from parafree.halfrel import RelationKind, build_semigroup_witness, minus_tau_transform
-from parafree.search import SearchQuery, SignMode, search_half_relations
+from parafree.halfrel import (
+    RelationKind,
+    build_relation,
+    build_semigroup_witness,
+    minus_tau_transform,
+)
+from parafree.search import (
+    SearchQuery,
+    SignMode,
+    hits_by_length,
+    lengths_to_walk,
+    search_half_relations,
+)
 
 SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
 
@@ -262,14 +275,15 @@ def test_classify_tau_zero_is_unknown():
 
 
 def spy_searches(monkeypatch):
-    """Record the sign mode of every search classify runs."""
+    """Record the sign mode of every search classify runs: each is one
+    walk of `hits_by_length`."""
     modes = []
 
     def spy(query, workers=1):
         modes.append(query.sign_mode)
-        return search_half_relations(query, workers)
+        return hits_by_length(query, workers)
 
-    monkeypatch.setattr(freeness, "search_half_relations", spy)
+    monkeypatch.setattr(freeness, "hits_by_length", spy)
     return modes
 
 
@@ -299,7 +313,7 @@ def test_semigroup_witness_read_from_the_group_search(monkeypatch):
 
 def test_over_limit_group_search_still_gives_the_semigroup_witness(monkeypatch):
     # 1,146 hits at effort (5, 8), past the default result limit of 1,000:
-    # the group search runs without a limit, so no second search is needed
+    # the group's walk applies no limit, so no second search is needed
     effort = SearchEffort(max_len=5, bound=8)
     tau = Fraction(2, 3)
     modes = spy_searches(monkeypatch)
@@ -334,23 +348,29 @@ def test_alternating_search_at_odd_lengths_gives_the_same_classification(monkeyp
     def odd_only(query, workers=1):
         if query.sign_mode is SignMode.ALTERNATING:
             alternating_lengths.append(query.max_len)
-        return search_half_relations(query, workers)
+        return hits_by_length(query, workers)
 
+    # the full-length run gates and walks the alternating search at
+    # effort.max_len; every other search already runs at it
     def full_length(query, workers=1):
         if query.sign_mode is SignMode.ALTERNATING:
             query = dataclasses.replace(query, max_len=effort.max_len)
-        return search_half_relations(query, workers)
+        return hits_by_length(query, workers)
+
+    def full_gate(p, q, max_len, bound):
+        return lengths_to_walk(p, q, effort.max_len, bound)
 
     taus = {Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q) if p}
     compared = 0
     for tau in sorted(taus):
         ran = len(alternating_lengths)
-        monkeypatch.setattr(freeness, "search_half_relations", odd_only)
+        monkeypatch.setattr(freeness, "hits_by_length", odd_only)
         got = classify_tau(tau, effort)
-        if len(alternating_lengths) > ran:  # otherwise both runs are the same
-            monkeypatch.setattr(freeness, "search_half_relations", full_length)
-            assert classify_tau(tau, effort) == got, tau
-            compared += 1
+        monkeypatch.setattr(freeness, "hits_by_length", full_length)
+        monkeypatch.setattr(freeness, "lengths_to_walk", full_gate)
+        assert classify_tau(tau, effort) == got, tau
+        monkeypatch.undo()
+        compared += len(alternating_lengths) > ran
     assert compared > 0 and set(alternating_lengths) == {3}
 
 
@@ -370,6 +390,69 @@ def test_no_alternating_search_for_positive_tau(monkeypatch):
     assert modes[-1] is SignMode.ALTERNATING
 
 
+def reference_classification(tau, effort):
+    """classify_tau from unlimited searches: the witness stream of the
+    freeness module, with each search taken whole from
+    `search_half_relations` (its first NONZERO_ANY hit, its first
+    all-positive hit, and for tau < 0 the first hit of the odd-length
+    ALTERNATING search at -tau), read by the same first-witness rule."""
+    minus, max_len, bound = -tau, effort.max_len, effort.bound
+    stream = [instance_witness(inst) for inst in family_lookup(tau)]
+    for inst in family_lookup(minus):
+        stream.append(freeness._mirrored_witness(inst))
+        if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
+            stream.append(build_semigroup_witness(inst.candidate, minus))
+    hits = search_half_relations(
+        SearchQuery(tau, max_len, bound, SignMode.NONZERO_ANY, None)).hits
+    positive = [h for h in hits if min(h) > 0]
+    stream += [build_relation(h, tau) for h in [*hits[:1], *positive[:1]]]
+    if tau < 0:
+        odd = max_len - (1 - max_len % 2)
+        alt = search_half_relations(
+            SearchQuery(minus, odd, bound, SignMode.ALTERNATING, None)).hits
+        stream += [build_semigroup_witness(h, minus) for h in alt[:1]]
+    group_free, semi_free = abs(tau) >= 4, tau >= 1 or tau <= -4
+    group = None if group_free else next(iter(stream), None)
+    semi = None if semi_free else next(
+        (w for w in stream if w.kind is not RelationKind.GROUP_NONTRIVIAL), None)
+    return TauClassification(
+        tau,
+        FREE_SCHOTTKY if group_free else UNKNOWN if group is None else NON_FREE,
+        group,
+        FREE_SCHOTTKY if semi_free else UNKNOWN if semi is None else NON_SEMIGROUP_FREE,
+        semi,
+        effort,
+    )
+
+
+def test_classify_matches_the_unlimited_searches():
+    # the walk stops once both sides are settled, and a gated tau builds
+    # no query: neither may change a status or a witness
+    taus = {Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q) if p}
+    for effort in (SearchEffort(4, 8), SearchEffort(3, 4)):
+        for tau in sorted(taus):
+            assert classify_tau(tau, effort) == reference_classification(tau, effort), tau
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, max_len=st.integers(3, 6), bound=st.integers(1, 6))
+def test_classify_matches_the_unlimited_searches_at_random(tau, max_len, bound):
+    effort = SearchEffort(max_len, bound)
+    assert classify_tau(tau, effort) == reference_classification(tau, effort)
+
+
+def test_an_abandoned_walk_shuts_its_pool_down():
+    # 1/10 is settled at length 4, so its walk at workers=2 is closed
+    # before length 5; -3/25 walks at tau, then the alternating search at
+    # 3/25, which settles both sides
+    for tau, effort in ((Fraction(1, 10), SearchEffort(5, 8, 2)),
+                        (Fraction(-3, 25), SearchEffort(4, 8, 2))):
+        cls = classify_tau(tau, effort)
+        assert (cls.group_status, cls.semigroup_status) == (NON_FREE, NON_SEMIGROUP_FREE)
+        assert cls == reference_classification(tau, effort)
+        assert multiprocessing.active_children() == []
+
+
 def test_classify_family_values():
     cls = classify_tau(Fraction(5, 2))
     assert cls.group_status == NON_FREE
@@ -384,18 +467,20 @@ def test_classify_family_values():
 def test_classify_reads_both_sides_from_the_first_family_lookups(monkeypatch):
     # a family member at tau settles the group (5/2 is semigroup-free by
     # threshold), and at -5/2 the mirrored member and its alternating
-    # candidate settle both sides: no further lookup and no search runs
+    # candidate settle both sides: no further lookup, no gate and no search
+    # runs
     lookups = []
 
     def counted(tau):
         lookups.append(tau)
         return family_lookup(tau)
 
-    def no_search(query, workers=1):
-        raise AssertionError(f"search ran: {query}")
+    def no_search(*args, **kwargs):
+        raise AssertionError(f"search ran: {args}")
 
     monkeypatch.setattr(freeness, "family_lookup", counted)
-    monkeypatch.setattr(freeness, "search_half_relations", no_search)
+    monkeypatch.setattr(freeness, "lengths_to_walk", no_search)
+    monkeypatch.setattr(freeness, "hits_by_length", no_search)
     cls = classify_tau(Fraction(5, 2))
     assert lookups == [Fraction(5, 2)]
     assert cls.group_status == NON_FREE
@@ -411,12 +496,30 @@ def test_classify_reads_both_sides_from_the_first_family_lookups(monkeypatch):
 
 
 def test_a_threshold_settled_semigroup_is_not_searched(monkeypatch):
-    # 12/5 >= 1 is semigroup-free and the group stays unknown at (4, 8):
+    # 12/7 >= 1 is semigroup-free and the group stays unknown at (4, 8):
     # only the group's search runs, not the semigroup's at -tau
     modes = spy_searches(monkeypatch)
-    cls = classify_tau(Fraction(12, 5))
+    cls = classify_tau(Fraction(12, 7))
     assert (cls.group_status, cls.semigroup_status) == (UNKNOWN, FREE_SCHOTTKY)
     assert modes == [SignMode.NONZERO_ANY]
+
+
+def test_a_gated_tau_builds_no_query(monkeypatch):
+    # 7/13 and -7/13: 13 is a prime above the bound 8, at tau and at -tau;
+    # 12/5: |tau| > 2 drops lengths 3 and 4, the only ones at (4, 8)
+    effort = SearchEffort(4, 8)
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return SearchQuery(*args, **kwargs)
+
+    monkeypatch.setattr(freeness, "SearchQuery", counted)
+    for tau, semigroup in ((Fraction(7, 13), UNKNOWN), (Fraction(-7, 13), UNKNOWN),
+                           (Fraction(12, 5), FREE_SCHOTTKY)):
+        cls = classify_tau(tau, effort)
+        assert (cls.group_status, cls.semigroup_status) == (UNKNOWN, semigroup), tau
+    assert built == []
 
 
 def test_semigroup_witness_settles_the_group():

@@ -18,6 +18,8 @@ from parafree.halfrel import defect, is_half_relation, negate, poly_hr
 from parafree.search import (
     SearchQuery,
     SignMode,
+    hits_by_length,
+    lengths_to_walk,
     search_half_relations,
     search_len4_positive,
 )
@@ -266,6 +268,32 @@ def test_result_limit_stops_after_the_length_that_crosses_it(monkeypatch):
     assert crossed >= {3, 4, 5}
 
 
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, mode=st.sampled_from(SignMode),
+       max_len=st.integers(1, 6), bound=st.integers(1, 5))
+@example(tau=Fraction(1, 2), mode=SignMode.NONZERO_ANY, max_len=6, bound=5)
+def test_blocks_join_to_the_unlimited_hits(tau, mode, max_len, bound):
+    # one sorted block per walked length, in increasing length
+    query = SearchQuery(tau, max_len, bound, mode, None)
+    blocks = list(hits_by_length(query))
+    lengths = lengths_to_walk(tau.numerator, tau.denominator, max_len, bound)
+    assert len(blocks) == len(lengths)
+    for length, block in zip(lengths, blocks):
+        assert block == sorted(block) and all(len(h) == length for h in block)
+    assert tuple(itertools.chain.from_iterable(blocks)) == search_half_relations(query).hits
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, mode=st.sampled_from(SignMode),
+       max_len=st.integers(1, 4), bound=st.integers(1, 4), limit=st.integers(1, 60))
+@example(tau=Fraction(2), mode=SignMode.NONZERO_ANY, max_len=4, bound=4, limit=6)
+def test_result_limit_matches_naive_oracle_at_random(tau, mode, max_len, bound, limit):
+    naive = naive_search(tau, max_len, bound, mode)
+    report = search_half_relations(SearchQuery(tau, max_len, bound, mode, limit))
+    assert list(report.hits) == naive[:limit]
+    assert report.exhausted == (len(naive) <= limit)
+
+
 def test_result_limit_truncates():
     query = SearchQuery(Fraction(2), 4, 6, result_limit=3)
     report = search_half_relations(query)
@@ -352,6 +380,27 @@ def test_smoothness_test_stops_at_the_bound_and_at_the_square_root():
     assert search_module._is_smooth(1009 * 1013, 10**40)
     report = search_half_relations(SearchQuery(Fraction(1, 2**127 - 1), 12, 10))
     assert report.hits == () and report.exhausted
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(-40, 40).filter(bool), q=st.integers(1, 30),
+       max_len=st.integers(1, 5), bound=st.integers(1, 3))
+@example(p=7, q=13, max_len=5, bound=3)  # q prime above the bound
+@example(p=5, q=2, max_len=4, bound=3)  # |tau| > 2, not 3
+@example(p=3, q=1, max_len=4, bound=1)  # tau = 3 keeps length 3
+def test_the_gate_keeps_every_length_with_a_hit(p, q, max_len, bound):
+    # checked against the oracle alone: wherever the gate leaves no
+    # length, no mode has a hit; and a q with a prime above the bound
+    # leaves none
+    assume(math.gcd(p, q) == 1)
+    tau, lengths = Fraction(p, q), lengths_to_walk(p, q, max_len, bound)
+    assert lengths == sorted(set(lengths)) and set(lengths) <= set(range(3, max_len + 1))
+    if max(naive_factorization(q), default=1) > bound:
+        assert lengths == []
+    for mode in SignMode:
+        assert {len(h) for h in naive_search(tau, max_len, bound, mode)} <= set(lengths)
+        if not lengths:
+            assert search_half_relations(SearchQuery(tau, max_len, bound, mode, None)).hits == ()
 
 
 # --- numerator gate at lengths 3 and 4 ---------------------------------
