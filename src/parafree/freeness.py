@@ -13,8 +13,8 @@ open, ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING
 search at -tau.  The group is never searched at -tau.  No phase runs
 once both sides are settled.
 
-A search that `search.lengths_to_walk` leaves no length builds no query.
-Any other is read off `search.hits_by_length` one length at a time, in
+A search walks the lengths `search.lengths_to_walk` leaves it (the
+ALTERNATING one its odd ones) by `search.hits_by_length`, if any, in
 shortlex order, and stops, its pool shut down, once no side is open.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
@@ -133,27 +133,24 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
             yield _mirrored_witness(inst)
         if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
             yield build_semigroup_witness(inst.candidate, minus)
-    p, q, bound = tau.numerator, tau.denominator, effort.bound
-    if lengths_to_walk(p, q, effort.max_len, bound):
+    p, q, bound, workers = tau.numerator, tau.denominator, effort.bound, effort.workers
+    if lengths := lengths_to_walk(p, q, effort.max_len, bound):
         # while the group is open, NONZERO_ANY: its all-positive hits are
         # those of ALL_POSITIVE
         mode = SignMode.NONZERO_ANY if "group" in open_ else SignMode.ALL_POSITIVE
-        with closing(hits_by_length(SearchQuery(tau, effort.max_len, bound, mode),
-                                    effort.workers)) as blocks:
+        with closing(hits_by_length(tau, lengths, bound, mode, workers)) as blocks:
             for block in blocks:
                 for hit in block:
                     if "group" in open_ or min(hit) > 0:
                         yield build_relation(hit, tau)
     if "semigroup" not in open_ or tau > 0:
         return
-    # Odd lengths only (max_len rounded down to odd).  Conjugating by
-    # diag(1,-1) turns an even-length alternating half-relation at -tau,
-    # entry by entry in |a_i|, into an all-positive one at tau, and the
-    # search at tau above, with the same effort, has just found none.
-    max_len = effort.max_len - (1 - effort.max_len % 2)
-    if lengths_to_walk(-p, q, max_len, bound):
-        with closing(hits_by_length(SearchQuery(minus, max_len, bound, SignMode.ALTERNATING),
-                                    effort.workers)) as blocks:
+    # Odd lengths only: conjugating by diag(1,-1) turns an even-length
+    # alternating half-relation at -tau, entry by entry in |a_i|, into an
+    # all-positive one at tau, and the search at tau has just found none at
+    # these even lengths (the gate reads the sign of p at l = 3 only).
+    if odd := [l for l in lengths_to_walk(-p, q, effort.max_len, bound) if l % 2]:
+        with closing(hits_by_length(minus, odd, bound, SignMode.ALTERNATING, workers)) as blocks:
             hit = next((block[0] for block in blocks if block), None)
         if hit is not None:
             yield build_semigroup_witness(hit, minus)

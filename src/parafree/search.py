@@ -1,14 +1,16 @@
 """Bounded exhaustive discovery of half-relations with exact pruning.
 
-The search runs one length l = 3..max_len at a time.  A nonzero tuple of
-length 1 or 2 has defect tau*a_1 or tau*a_1*a_2, so those lengths have no
-solutions and are skipped.  For each l it fixes both ends, a_1 and a_l,
-walks the middle positions depth-first, and solves the last free
-position exactly: the defect is a linear functional of the prefix
-matrix with a_l folded in, affine in a_{l-1} with coefficients affine in
-a_{l-2}, so one loop over a_{l-2} reads off every a_{l-1}.  All matrix
-arithmetic is done on integer matrices scaled by q^(#h-letters), where
-tau = p/q, so the hot loop never touches rational numbers.
+The walk, `hits_by_length`, runs the lengths it is given one at a time,
+and `lengths_to_walk` is the one statement of which lengths those are.
+A nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2, so
+those lengths have no solutions and are never listed.  For each length
+l the walk fixes both ends, a_1 and a_l, walks the middle positions
+depth-first, and solves the last free position exactly: the defect is
+a linear functional of the prefix matrix with a_l folded in, affine in
+a_{l-1} with coefficients affine in a_{l-2}, so one loop over a_{l-2}
+reads off every a_{l-1}.  All matrix arithmetic is done on integer
+matrices scaled by q^(#h-letters), where tau = p/q, so the hot loop
+never touches rational numbers.
 
 Two symmetries prune the walk.  Conjugating by diag(1,-1) maps the word
 of a to the word of -a with c12 and c21 negated, so defect(-a) =
@@ -22,11 +24,15 @@ the reversal (the negated reversal for even-length ALTERNATING, whose
 reversal starts positive), and for NONZERO_ANY the negation and negated
 reversal too.
 
-`hits_by_length` yields each length's hits, sorted, one length at a
-time, so hits are ordered by (length, tuple): once the hits of lengths
+`hits_by_length` yields each given length's hits, sorted, one length at
+a time, so hits are ordered by (length, tuple): once the hits of lengths
 <= l exceed the result limit, the reported ones are all known and
 `search_half_relations` stops.  `freeness.classify_tau` reads its
 witnesses off the same generator and stops it once they are known.
+
+No hit exists at |tau| >= 4: a hit has nonzero entries, so it is a
+nontrivial relation of <g, h_tau>, which is free there (the Schottky
+threshold of `freeness.FREE_SCHOTTKY`), and such a tau gets no length.
 
 A rational-root test settles many tau before any walk.  The defect of a
 nonzero tuple is tau * P_l(tau), where P_l has integer coefficients,
@@ -36,10 +42,9 @@ entry at every letter).  By the rational-root theorem, a half-relation
 at tau = p/q in lowest terms therefore has q | a_1 * ... * a_l, and with
 |a_i| <= bound every prime factor of q is <= bound.  So a query whose q
 has a larger prime factor has no hit in any sign mode, and
-`lengths_to_walk`, the one statement of the root gates, leaves it no
-length: the search returns the empty, exhausted report without walking
-or starting a pool.  The test is trial division by d <= min(bound,
-sqrt(q)).
+`lengths_to_walk` leaves it no length: the search returns the empty,
+exhausted report without walking or starting a pool.  The test is trial
+division by d <= min(bound, sqrt(q)).
 
 The numerator half of the theorem settles lengths 3 and 4.  There P_l
 = a_1*...*a_l * tau + c_0 is linear, so its one nonzero root is
@@ -48,10 +53,10 @@ c_0 = a_1 - a_2 + a_3, so |c_0| <= 3*bound; at l = 4, c_0 = a_1 (a_2 +
 a_4) + a_3 (a_4 - a_2), so |c_0| <= bound (|a_2 + a_4| + |a_4 - a_2|)
 <= 2*bound^2.  Both bounds are attained, and they hold in every sign
 mode, so a length whose bound is below |p| has no hit and is not walked.
-Lengths l >= 5 are never dropped: P_l then has degree >= 2 and c_0 may
-vanish, as for (1, 2, 1, 1, 1), whose c_0 is 0 and which has the root
-tau = -2; p then divides only the lowest nonzero coefficient, which is
-cubic or more in the bound and bounds nothing in the search.
+Below |tau| = 4 no length l >= 5 is dropped: P_l then has degree >= 2
+and c_0 may vanish, as for (1, 2, 1, 1, 1), whose c_0 is 0 and which has
+the root tau = -2; p then divides only the lowest nonzero coefficient,
+which is cubic or more in the bound and bounds nothing in the search.
 
 The same root -c_0/(a_1*...*a_l) bounds |tau| at lengths 3 and 4, at any
 bound.  At l = 4, |c_0| <= |a_1| |a_2 + a_4| + |a_3| |a_4 - a_2| <= 2
@@ -81,9 +86,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, compress, count
 from math import gcd, isqrt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .halfrel import Candidate, is_half_relation, negate
 
@@ -237,34 +243,35 @@ def _search_branch(args: tuple) -> list[Candidate]:
 
 def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
-    terms) within the bound, in any sign mode: none when q has a prime
-    factor above the bound.  The one statement of the root gates."""
+    terms) within the bound, in any sign mode: none when |tau| >= 4 or q
+    has a prime factor above the bound.  The one statement of the gates."""
     # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
-    # never zero at tau != 0, so every hit has length >= 3; at l = 3 and 4
+    # never zero at tau != 0, so every hit has length >= 3; a hit is a
+    # nontrivial relation of <g, h_tau>, free at |tau| >= 4; at l = 3 and 4
     # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2,
     # and |tau| <= 2, or tau = 3 at l = 3
     near = abs(p) <= 2 * q
     lengths = [l for l in range(3, max_len + 1)
-               if l >= 5
+               if l >= 5 and abs(p) < 4 * q
                or l == 3 and abs(p) <= 3 * bound and (near or (p, q) == (3, 1))
                or l == 4 and abs(p) <= 2 * bound * bound and near]
     # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
     return lengths if lengths and _is_smooth(q, bound) else []
 
 
-def hits_by_length(query: SearchQuery, workers: int = 1) -> Iterator[list[Candidate]]:
-    """The hits of each walked length in increasing order, each list
-    sorted, so their concatenation is in shortlex order; the query's
-    result limit is not applied.  Deterministic and worker-count
+def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
+                   workers: int = 1) -> Iterator[list[Candidate]]:
+    """The hits at tau of each of the lengths, each list sorted, so their
+    concatenation is in shortlex order; no result limit applies.  lengths
+    must be ascending, each >= 3, as `lengths_to_walk` lists them: the
+    walk gates nothing itself.  Deterministic and worker-count
     independent: each length is split on the value of a_1.  At most one
     worker per branch is started, in one pool that lives as long as the
     generator; closing the generator shuts the pool down."""
-    p, q, bound = query.tau.numerator, query.tau.denominator, query.bound
-    lengths = lengths_to_walk(p, q, query.max_len, bound)
     if not lengths:
         return
-    mode = query.sign_mode
-    positions = _positions(query.max_len, bound, mode)
+    p, q = tau.numerator, tau.denominator
+    positions = _positions(lengths[-1], bound, mode)
     firsts = [a1 for a1 in positions[1][0]
               if a1 > 0 or mode is not SignMode.NONZERO_ANY]
     # the divisors of q above the bound, at which the walk cuts pairs (a, c)
@@ -291,10 +298,12 @@ def hits_by_length(query: SearchQuery, workers: int = 1) -> Iterator[list[Candid
 
 def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     """Enumerate all half-relations for the query, in shortlex order, from
-    `hits_by_length`.  The search stops after the first length at which
-    the hits exceed the result limit."""
-    limit, hits = query.result_limit, []
-    with closing(hits_by_length(query, workers)) as blocks:
+    `hits_by_length` over the lengths of `lengths_to_walk`.  The search
+    stops after the first length at which the hits exceed the result
+    limit."""
+    tau, bound, limit, hits = query.tau, query.bound, query.result_limit, []
+    lengths = lengths_to_walk(tau.numerator, tau.denominator, query.max_len, bound)
+    with closing(hits_by_length(tau, lengths, bound, query.sign_mode, workers)) as blocks:
         for block in blocks:
             hits += block
             if limit is not None and len(hits) > limit:
@@ -305,49 +314,30 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
 
 # the census trial-divides by the primes below this, then by odd numbers
 PRIME_TABLE_CEILING = 1 << 16
-_primes: list[int] = []  # every prime below _sieved, ascending
-_sieved = 0
-_primes_pm1: list[int] = []  # the primes of the table = +-1 (mod 8), ascending
-_sieved_pm1 = 0  # the _sieved of the table _primes_pm1 was read off
 
 
-def _prime_table(root: int) -> list[int]:
-    """The cached primes, first grown (by doubling, from 128) until they
-    pass root or reach PRIME_TABLE_CEILING.  Nothing is sieved before the
-    first call."""
-    global _primes, _sieved
-    if root >= _sieved and _sieved < PRIME_TABLE_CEILING:
-        size = max(_sieved, 128)
-        while size <= root and size < PRIME_TABLE_CEILING:
-            size *= 2
-        sieve = bytearray([1]) * size
-        sieve[:2] = b"\0\0"
-        for p in range(2, isqrt(size - 1) + 1):
-            if sieve[p]:
-                sieve[p * p::p] = bytes(len(range(p * p, size, p)))
-        _primes, _sieved = list(compress(range(size), sieve)), size
-    return _primes
+@cache
+def _prime_tables() -> tuple[list[int], list[int]]:
+    """The primes below PRIME_TABLE_CEILING, ascending, and those of them
+    = +-1 (mod 8), the odd primes modulo which 2 is a square.  Sieved on
+    the first call, not at import."""
+    size = PRIME_TABLE_CEILING
+    sieve = bytearray([1]) * size
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(size - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, size, p)))
+    primes = list(compress(range(size), sieve))
+    return primes, [p for p in primes if p % 8 in (1, 7)]
 
 
-def _prime_table_pm1(root: int) -> list[int]:
-    """The primes of `_prime_table(root)` that are = +-1 (mod 8), the odd
-    primes modulo which 2 is a square; read off the table again each time
-    it grows."""
-    global _primes_pm1, _sieved_pm1
-    primes = _prime_table(root)
-    if _sieved_pm1 != _sieved:
-        _primes_pm1, _sieved_pm1 = [p for p in primes if p % 8 in (1, 7)], _sieved
-    return _primes_pm1
-
-
-def _factorize(m: int, into: dict[int, int],
-               table: Callable[[int], list[int]] = _prime_table) -> None:
+def _factorize(m: int, into: dict[int, int], pm1: bool = False) -> None:
     """Add the prime factorisation of m >= 1 to `into`, by trial division
-    by d with d^2 <= m: the primes of `table(isqrt(m))`, then, past its last
-    prime, every odd d, so the result never depends on the table's size.
-    A table that leaves out primes, such as `_prime_table_pm1`, is exact
-    only for the m that none of the left-out primes divides."""
-    primes = table(isqrt(m))
+    by d with d^2 <= m: the table primes (only those = +-1 (mod 8) if
+    pm1), then, past the last of them, every odd d.  The pm1 list is
+    exact only for the m that no left-out table prime (2, and those = +-3
+    (mod 8)) divides."""
+    primes = _prime_tables()[pm1]
     for d in chain(primes, count(primes[-1] + 2, 2)):
         if d * d > m:
             break
@@ -432,7 +422,7 @@ def search_len4_positive(n_from: int, n_to: int,
     `is_half_relation`.
 
     n and the a_i are factored by trial division over a cached table of
-    the primes below PRIME_TABLE_CEILING, sieved on demand, and over the
+    the primes below PRIME_TABLE_CEILING, sieved once, and over the
     odd numbers past its last prime.  At a_1*a_4 = 1, f = (n+1)^2 - 2 is
     divided by fewer primes.  An odd prime p | f has (n+1)^2 = 2 (mod p),
     so 2 is a square mod p and p = +-1 (mod 8).  For odd n, (n+1)^2 = 0
@@ -465,7 +455,7 @@ def search_len4_positive(n_from: int, n_to: int,
                     if a1 * a4 == 1:  # f = (n+1)^2 - 2
                         if n & 1:
                             rest[2] = 1
-                        _factorize(f >> (n & 1), rest, _prime_table_pm1)
+                        _factorize(f >> (n & 1), rest, pm1=True)
                     else:
                         for m in (a1, a4, f):
                             _factorize(m, rest)

@@ -1,7 +1,6 @@
 """Tests for tau classification: Schottky thresholds, family lookup by
 exact formula inversion, and witness soundness."""
 
-import dataclasses
 import multiprocessing
 from fractions import Fraction
 from math import gcd
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 import parafree.families as families
 import parafree.freeness as freeness
 import parafree.halfrel as halfrel
+import parafree.search as search_module
 from parafree.exact import ExpWord, G, scaled_product
 from parafree.families import family_instance, family_n, family_tau, instance_witness
 from parafree.freeness import (
@@ -279,9 +279,9 @@ def spy_searches(monkeypatch):
     walk of `hits_by_length`."""
     modes = []
 
-    def spy(query, workers=1):
-        modes.append(query.sign_mode)
-        return hits_by_length(query, workers)
+    def spy(tau, lengths, bound, mode, workers=1):
+        modes.append(mode)
+        return hits_by_length(tau, lengths, bound, mode, workers)
 
     monkeypatch.setattr(freeness, "hits_by_length", spy)
     return modes
@@ -345,33 +345,39 @@ def test_alternating_search_at_odd_lengths_gives_the_same_classification(monkeyp
     effort = SearchEffort(4, 8)
     alternating_lengths = []
 
-    def odd_only(query, workers=1):
-        if query.sign_mode is SignMode.ALTERNATING:
-            alternating_lengths.append(query.max_len)
-        return hits_by_length(query, workers)
+    def odd_only(tau, lengths, bound, mode, workers=1):
+        if mode is SignMode.ALTERNATING:
+            alternating_lengths.append(tuple(lengths))
+        return hits_by_length(tau, lengths, bound, mode, workers)
 
-    # the full-length run gates and walks the alternating search at
-    # effort.max_len; every other search already runs at it
-    def full_length(query, workers=1):
-        if query.sign_mode is SignMode.ALTERNATING:
-            query = dataclasses.replace(query, max_len=effort.max_len)
-        return hits_by_length(query, workers)
+    def gate_lengths(tau):
+        return lengths_to_walk(tau.numerator, tau.denominator, effort.max_len, effort.bound)
 
-    def full_gate(p, q, max_len, bound):
-        return lengths_to_walk(p, q, effort.max_len, bound)
+    # the full-length run passes the alternating search every length the
+    # gate leaves, even lengths included
+    def full_length(tau, lengths, bound, mode, workers=1):
+        if mode is SignMode.ALTERNATING:
+            lengths = gate_lengths(tau)
+        return hits_by_length(tau, lengths, bound, mode, workers)
 
     taus = {Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q) if p}
-    compared = 0
+    compared = even_only = 0
     for tau in sorted(taus):
         ran = len(alternating_lengths)
         monkeypatch.setattr(freeness, "hits_by_length", odd_only)
         got = classify_tau(tau, effort)
         monkeypatch.setattr(freeness, "hits_by_length", full_length)
-        monkeypatch.setattr(freeness, "lengths_to_walk", full_gate)
         assert classify_tau(tau, effort) == got, tau
         monkeypatch.undo()
         compared += len(alternating_lengths) > ran
-    assert compared > 0 and set(alternating_lengths) == {3}
+        if tau < 0 and got.semigroup_status == UNKNOWN and len(alternating_lengths) == ran:
+            # no odd length left, so neither run walks: the full-length
+            # walk would have found nothing at the even ones either
+            even = gate_lengths(-tau)
+            assert not any(hits_by_length(-tau, even, effort.bound, SignMode.ALTERNATING)), tau
+            even_only += bool(even)
+    assert compared > 0 and set(alternating_lengths) == {(3,)}
+    assert even_only > 0
 
 
 def test_no_alternating_search_for_positive_tau(monkeypatch):
@@ -506,7 +512,8 @@ def test_a_threshold_settled_semigroup_is_not_searched(monkeypatch):
 
 def test_a_gated_tau_builds_no_query(monkeypatch):
     # 7/13 and -7/13: 13 is a prime above the bound 8, at tau and at -tau;
-    # 12/5: |tau| > 2 drops lengths 3 and 4, the only ones at (4, 8)
+    # 12/5: |tau| > 2 drops lengths 3 and 4, the only ones at (4, 8); and a
+    # walked tau builds none either: 1/10 at tau, -3/25 at tau and at 3/25
     effort = SearchEffort(4, 8)
     built = []
 
@@ -515,11 +522,37 @@ def test_a_gated_tau_builds_no_query(monkeypatch):
         return SearchQuery(*args, **kwargs)
 
     monkeypatch.setattr(freeness, "SearchQuery", counted)
-    for tau, semigroup in ((Fraction(7, 13), UNKNOWN), (Fraction(-7, 13), UNKNOWN),
-                           (Fraction(12, 5), FREE_SCHOTTKY)):
+    modes = spy_searches(monkeypatch)
+    for tau, group, semigroup, walked in (
+            (Fraction(7, 13), UNKNOWN, UNKNOWN, []),
+            (Fraction(-7, 13), UNKNOWN, UNKNOWN, []),
+            (Fraction(12, 5), UNKNOWN, FREE_SCHOTTKY, []),
+            (Fraction(1, 10), NON_FREE, NON_SEMIGROUP_FREE, [SignMode.NONZERO_ANY]),
+            (Fraction(-3, 25), NON_FREE, NON_SEMIGROUP_FREE,
+             [SignMode.NONZERO_ANY, SignMode.ALTERNATING])):
+        modes.clear()
         cls = classify_tau(tau, effort)
-        assert (cls.group_status, cls.semigroup_status) == (UNKNOWN, semigroup), tau
+        assert (cls.group_status, cls.semigroup_status) == (group, semigroup), tau
+        assert modes == walked, tau
     assert built == []
+
+
+def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):
+    # -9/5 at (5, 6): the search at -9/5 leaves the semigroup open, and the
+    # gate leaves 3, 4 and 5 at 9/5, of which the alternating search walks
+    # the odd ones
+    walked = []
+    real_branch = search_module._search_branch
+
+    def spy(args):
+        p, q, _, positions, _ = args
+        walked.append((Fraction(p, q), len(positions) - 1))
+        return real_branch(args)
+
+    monkeypatch.setattr(search_module, "_search_branch", spy)
+    classify_tau(Fraction(-9, 5), SearchEffort(5, 6))
+    assert lengths_to_walk(9, 5, 5, 6) == [3, 4, 5]
+    assert list(dict.fromkeys(l for tau, l in walked if tau > 0)) == [3, 5]
 
 
 def test_semigroup_witness_settles_the_group():

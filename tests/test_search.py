@@ -92,6 +92,26 @@ def test_schottky_regime_is_empty():
     assert report.hits == () and report.exhausted
 
 
+SCHOTTKY_TAUS = [Fraction(t) for t in (4, -4, "9/2", "17/4", "-13/3", 5, 7)]
+
+
+def test_no_hit_at_or_past_the_schottky_threshold():
+    # a hit is a nontrivial relation of <g, h_tau>, free at |tau| >= 4
+    for tau in SCHOTTKY_TAUS:
+        assert naive_search(tau, 5, 4, SignMode.NONZERO_ANY) == [], tau
+
+
+def test_the_schottky_gate_walks_nothing(monkeypatch):
+    walked = []
+    monkeypatch.setattr(search_module, "_search_branch", walked.append)
+    for tau in SCHOTTKY_TAUS:
+        assert lengths_to_walk(tau.numerator, tau.denominator, 12, 10**6) == []
+        for mode in SignMode:
+            report = search_half_relations(SearchQuery(tau, 6, 6, mode))
+            assert report.hits == () and report.exhausted, (tau, mode)
+    assert walked == []
+
+
 def test_sign_modes_restrict():
     tau = Fraction(4, 9)
     full = search_half_relations(SearchQuery(tau, 4, 27))
@@ -273,14 +293,18 @@ def test_result_limit_stops_after_the_length_that_crosses_it(monkeypatch):
        max_len=st.integers(1, 6), bound=st.integers(1, 5))
 @example(tau=Fraction(1, 2), mode=SignMode.NONZERO_ANY, max_len=6, bound=5)
 def test_blocks_join_to_the_unlimited_hits(tau, mode, max_len, bound):
-    # one sorted block per walked length, in increasing length
-    query = SearchQuery(tau, max_len, bound, mode, None)
-    blocks = list(hits_by_length(query))
+    # one sorted block per given length, in increasing length
     lengths = lengths_to_walk(tau.numerator, tau.denominator, max_len, bound)
+    blocks = list(hits_by_length(tau, lengths, bound, mode))
     assert len(blocks) == len(lengths)
     for length, block in zip(lengths, blocks):
         assert block == sorted(block) and all(len(h) == length for h in block)
+    query = SearchQuery(tau, max_len, bound, mode, None)
     assert tuple(itertools.chain.from_iterable(blocks)) == search_half_relations(query).hits
+    # the walk walks what it is given: the odd lengths alone give their blocks
+    odd = [l for l in lengths if l % 2]
+    assert (list(hits_by_length(tau, odd, bound, mode))
+            == [b for l, b in zip(lengths, blocks) if l % 2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -706,9 +730,9 @@ def naive_factorization(m):
     return factors
 
 
-def factorize(m):
+def factorize(m, pm1=False):
     factors = {}
-    search_module._factorize(m, factors)
+    search_module._factorize(m, factors, pm1)
     return factors
 
 
@@ -743,28 +767,27 @@ def test_factorize_edge_cases():
     assert factors == {2: 4, 5: 1, 7: 3}
 
 
-def test_prime_table_grows_on_demand_up_to_its_ceiling(monkeypatch):
-    monkeypatch.setattr(search_module, "_primes", [])
-    monkeypatch.setattr(search_module, "_sieved", 0)
-    factorize(1)
-    assert search_module._sieved == 128
-    factorize(1000**2)  # root 1000: doubled past it
-    assert search_module._sieved == 1024
-    assert search_module._primes == [p for p in range(1024)
-                                     if naive_factorization(p) == {p: 1}]
-    factorize(65537**2)  # root above the ceiling
+def test_first_factoring_sieves_every_prime_below_the_ceiling():
     ceiling = search_module.PRIME_TABLE_CEILING
-    assert search_module._sieved == ceiling
-    assert search_module._primes[-1] < ceiling
-    assert len(search_module._primes) == 6542  # pi(2^16)
+    search_module._prime_tables.cache_clear()
+    factorize(1)
+    primes, pm1 = search_module._prime_tables()
+    assert primes == [p for p in range(ceiling) if naive_factorization(p) == {p: 1}]
+    assert len(primes) == 6542  # pi(2^16)
+    assert pm1 == [p for p in primes if p % 8 in (1, 7)]
+    factorize(65537**2)  # root above the ceiling: sieved once all the same
+    factorize(7 * 17, pm1=True)
+    assert search_module._prime_tables.cache_info().misses == 1
+
+
+def run_fresh(code):
+    src = os.path.dirname(os.path.dirname(search_module.__file__))
+    subprocess.run([sys.executable, "-c", "import parafree.search as s; " + code],
+                   check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_prime_table_is_empty_after_import():
-    src = os.path.dirname(os.path.dirname(search_module.__file__))
-    code = ("import parafree.search as s; "
-            "assert s._primes == [] and s._sieved == 0")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
+    run_fresh("assert s._prime_tables.cache_info().currsize == 0")
 
 
 @settings(max_examples=200, deadline=None)
@@ -789,7 +812,7 @@ def factorize_f(n):
     f, factors = (n + 1) ** 2 - 2, {}
     if n % 2:
         factors[2] = 1
-    search_module._factorize(f >> (n % 2), factors, search_module._prime_table_pm1)
+    search_module._factorize(f >> (n % 2), factors, pm1=True)
     return factors
 
 
@@ -820,21 +843,12 @@ def test_factorize_f_edge_cases():
     assert factorize_f(67064) == {66103: 1, 68041: 1}
 
 
-def test_prime_table_pm1_is_empty_after_import_and_follows_the_table(monkeypatch):
-    src = os.path.dirname(os.path.dirname(search_module.__file__))
-    code = ("import parafree.search as s; "
-            "assert s._primes_pm1 == [] and s._sieved_pm1 == 0")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": src})
-    monkeypatch.setattr(search_module, "_primes", [])
-    monkeypatch.setattr(search_module, "_sieved", 0)
-    monkeypatch.setattr(search_module, "_primes_pm1", [])
-    monkeypatch.setattr(search_module, "_sieved_pm1", 0)
-    for root in (1, 1000, 5000, 65537):
-        got = search_module._prime_table_pm1(root)
-        assert search_module._sieved_pm1 == search_module._sieved
-        assert got == [p for p in search_module._primes if p % 8 in (1, 7)], root
-    assert search_module._sieved == search_module.PRIME_TABLE_CEILING
+def test_prime_table_pm1_is_empty_after_import_and_follows_the_table():
+    # a first factoring with pm1=True sieves the one table its list is read off
+    run_fresh("assert s._prime_tables.cache_info().currsize == 0; "
+              "s._factorize(7, {}, pm1=True); primes, pm1 = s._prime_tables(); "
+              "assert s._prime_tables.cache_info().misses == 1; "
+              "assert pm1 == [p for p in primes if p % 8 in (1, 7)]")
 
 
 def census_pairs(n):
