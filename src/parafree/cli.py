@@ -25,7 +25,7 @@ from .halfrel import (
     is_half_relation,
     poly_hr,
 )
-from .search import SearchQuery, SignMode, search_half_relations
+from .search import DEFAULT_RESULT_LIMIT, SearchQuery, SignMode, search_half_relations
 
 class InputError(Exception):
     pass
@@ -324,16 +324,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, help="free trailing exponent (families c, e)")
     p.set_defaults(func=cmd_family)
 
-    # the options shared by search and classify
+    # the options shared by search and classify, defaulting to the library's effort
+    defaults = SearchEffort()
     effort = argparse.ArgumentParser(add_help=False, parents=[common])
     effort.add_argument("--tau", required=True)
-    effort.add_argument("--max-len", dest="max_len", type=int, default=4)
-    effort.add_argument("--bound", type=int, default=8)
-    effort.add_argument("--workers", type=int, default=1)
+    effort.add_argument("--max-len", dest="max_len", type=int, default=defaults.max_len)
+    effort.add_argument("--bound", type=int, default=defaults.bound)
+    effort.add_argument("--workers", type=int, default=defaults.workers)
 
     p = sub.add_parser("search", parents=[effort], help="bounded exhaustive half-relation search")
     p.add_argument("--signs", choices=sorted(_SIGN_MODES), default="nonzero")
-    p.add_argument("--limit", type=int, default=1000)
+    p.add_argument("--limit", type=int, default=DEFAULT_RESULT_LIMIT)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("classify", parents=[effort], help="classify a rational tau")

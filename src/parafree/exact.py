@@ -213,9 +213,8 @@ class UniPoly:
     lowest degree first, trailing zeros trimmed.  An int operand of +, -
     or * is read as a constant polynomial.
 
-    The public constructor converts and trims its coefficients; the ring
-    operations build their results from int coefficients through
-    `_trusted`, which only trims."""
+    The one constructor converts the coefficients to int and trims them;
+    every ring operation builds its result through it."""
 
     coeffs: tuple[int, ...]
 
@@ -224,17 +223,6 @@ class UniPoly:
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def _trusted(cls, coeffs: Sequence[int]) -> "UniPoly":
-        """The polynomial with these int coefficients, trimmed but not
-        converted or checked."""
-        n = len(coeffs)
-        while n and coeffs[n - 1] == 0:
-            n -= 1
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "coeffs", tuple(coeffs[:n]))
-        return poly
 
     @staticmethod
     def const(c: int) -> "UniPoly":
@@ -257,14 +245,14 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
-            other = UniPoly._trusted((other,))
+            other = UniPoly((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return UniPoly._trusted([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        return UniPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly._trusted([-x for x in self.coeffs])
+        return UniPoly(tuple(-x for x in self.coeffs))
 
     def __sub__(self, other: "UniPoly | int") -> "UniPoly":
         return self + (-other)
@@ -272,22 +260,16 @@ class UniPoly:
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
             return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly._trusted(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
             for j, y in enumerate(other.coeffs, i):
                 out[j] += x * y
-        return UniPoly._trusted(out)
+        return UniPoly(tuple(out))
 
     __rmul__ = __mul__
 
     def scale(self, c: int) -> "UniPoly":
-        if c == 1:
-            return self  # eval_word scales every symbolic entry by q = 1
-        return UniPoly._trusted([c * x for x in self.coeffs])
+        return UniPoly(tuple(c * x for x in self.coeffs))
 
     def evaluate(self, tau: Fraction) -> Fraction:
         acc = Fraction(0)

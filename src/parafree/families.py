@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExpWord, G, Mat2, eval_word
+from .exact import ExpWord, G, Mat2
 from .halfrel import (
     Candidate,
     RelationKind,
@@ -242,11 +242,11 @@ def _member(
 
 def _verified(inst: FamilyInstance) -> FamilyInstance:
     """The instance, once its candidate is a half-relation at its tau and
-    its identity word, if any, is a relator there."""
-    tau, word = inst.tau, inst.identity_word
-    if not is_half_relation(inst.candidate, tau):
+    its identity word, if any, is a relator there: the witness's `check()`
+    proves the word nontrivial and equal to the identity on `scaled_product`."""
+    if not is_half_relation(inst.candidate, inst.tau):
         raise AssertionError(f"family {inst.family} k={inst.k}: candidate failed verification")
-    if word is not None and not eval_word(word, tau).is_identity():
+    if inst.identity_word is not None and not instance_witness(inst).check():
         raise AssertionError(f"family {inst.family} k={inst.k}: exceptional word is not a relator")
     return inst
 

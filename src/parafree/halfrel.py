@@ -101,10 +101,11 @@ class RelationWitness:
         return all(x * rhs_den == y * lhs_den for x, y in zip(lhs, rhs))
 
 
-def _scaled_defect(candidate: Sequence[int], tau: Fraction) -> tuple[int, int]:
+def _scaled_defect(candidate: Sequence[int], tau: Fraction | int) -> tuple[int, int]:
     """The defect as an unreduced (numerator, positive denominator), read
     off the word's scaled product N / den at tau = p/q: (p*N12 - q*N21,
-    q*den) for odd length, (N11 - N22, den) for even length."""
+    q*den) for odd length, (N11 - N22, den) for even length.  An int tau
+    is read as tau/1, so its denominator is 1."""
     n11, n12, n21, n22, den = scaled_product(word_from_exponents(candidate), tau)
     if len(candidate) % 2 == 1:
         p, q = tau.numerator, tau.denominator
@@ -119,10 +120,9 @@ def defect(candidate: Sequence[int], tau: Fraction) -> Fraction:
 
 def symbolic_defect(candidate: Sequence[int]) -> UniPoly:
     """The defect as a polynomial in tau, read off the integer kernel by
-    Kronecker substitution: the word is evaluated once by `scaled_product`
-    at tau = t = 2^K with K = 2 + sum of bit_length(|a_i| + 1), and the
-    integer defect D(t) is split into balanced base-t digits, which are
-    the coefficients.
+    Kronecker substitution: the integer defect D(t) = `_scaled_defect` at
+    tau = t = 2^K with K = 2 + sum of bit_length(|a_i| + 1) is split into
+    balanced base-t digits, which are the coefficients.
 
     Exact, because every coefficient is below t/2 in absolute value.  The
     1-norm of the coefficients is submultiplicative, so the entries of a
@@ -136,14 +136,13 @@ def symbolic_defect(candidate: Sequence[int]) -> UniPoly:
     reference the tests compare this with."""
     shift = 2 + sum((abs(a) + 1).bit_length() for a in candidate)
     t = 1 << shift
-    n11, n12, n21, n22, _ = scaled_product(word_from_exponents(candidate), t)
-    d = t * n12 - n21 if len(candidate) % 2 == 1 else n11 - n22
+    d, _ = _scaled_defect(candidate, t)  # den = 1 at an int tau
     half, mask, coeffs = t >> 1, t - 1, []
     while d:
         c = ((d + half) & mask) - half  # the digit in [-t/2, t/2)
         coeffs.append(c)
         d = (d - c) >> shift
-    return UniPoly._trusted(coeffs)
+    return UniPoly(tuple(coeffs))
 
 
 def poly_hr(candidate: Sequence[int]) -> UniPoly:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import parafree.cli as cli
 from parafree.cli import main
 from parafree.exact import ExpWord, eval_word, parse_rational
+from parafree.freeness import SearchEffort
 from parafree.halfrel import defect
-from parafree.search import SearchReport
+from parafree.search import DEFAULT_RESULT_LIMIT, SearchReport
 
 
 def run(capsys, *argv):
@@ -325,6 +326,15 @@ def test_search_tau_zero_is_an_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: tau must be nonzero")
+
+
+def test_search_and_classify_default_to_the_library_effort():
+    parser, library = cli.build_parser(), SearchEffort()
+    for command in ("search", "classify"):
+        args = parser.parse_args([command, "--tau=1/2"])
+        assert (args.max_len, args.bound, args.workers) == \
+            (library.max_len, library.bound, library.workers)
+    assert parser.parse_args(["search", "--tau=1/2"]).limit == DEFAULT_RESULT_LIMIT
 
 
 # --- classify ----------------------------------------------------------

@@ -289,8 +289,9 @@ polys = st.lists(st.integers(-10**12, 10**12) | st.just(0), max_size=6).map(
 @settings(max_examples=300, deadline=None)
 @given(a=polys, b=polys, c=st.sampled_from([0, 1, -1]) | st.integers(-10**6, 10**6))
 def test_unipoly_operations_match_the_public_constructor(a, b, c):
-    # the ring operations build results without the public constructor's
-    # checks; each must equal UniPoly(...) of the coefficients computed naively
+    # the naive reference for the ring operations: each builds its result
+    # through the one constructor and must equal UniPoly(...) of the
+    # coefficients computed naively, as ints with trailing zeros trimmed
     n = max(len(a.coeffs), len(b.coeffs))
     pa, pb, pc = _padded(a, n), _padded(b, n), _padded(a, 1)
     prod = [0] * (len(a.coeffs) + len(b.coeffs))

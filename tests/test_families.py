@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parafree.families as families
 from parafree.exact import ExpWord, G, eval_word
 from parafree.families import (
     EXCEPTIONAL_TAU2_WORD,
@@ -20,6 +21,7 @@ from parafree.families import (
     accumulation_target,
     enumerate_n_values,
     family_instance,
+    family_lookup,
     family_n,
     family_tau,
     fib,
@@ -298,6 +300,17 @@ def test_exceptional_e_one():
     assert inst.exceptional and inst.tau == 3
     assert inst.identity_word == EXCEPTIONAL_TAU3_WORD
     assert eval_word(inst.identity_word, Fraction(3)).is_identity()
+
+
+@pytest.mark.parametrize("exponents", [(0,), (2, 0, -2), (1, -1, -1, 1)])
+def test_an_exceptional_word_must_be_a_nontrivial_relator(monkeypatch, exponents):
+    # g^0 and g^2 h^0 g^-2 are trivial in the free group and evaluate to the
+    # identity; g h^-1 g^-1 h is nontrivial but no relator at tau = 2
+    monkeypatch.setattr(families, "EXCEPTIONAL_TAU2_WORD", ExpWord(G, exponents))
+    with pytest.raises(AssertionError, match="exceptional word is not a relator"):
+        family_instance("D", 1)
+    with pytest.raises(AssertionError, match="exceptional word is not a relator"):
+        family_lookup(Fraction(2))
 
 
 def test_instance_witness_checks():
