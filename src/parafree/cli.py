@@ -3,6 +3,12 @@
 Output is JSON lines on stdout (one self-contained object per line),
 diagnostics on stderr.  Exit codes: 0 success with a result, 1 success
 with no result (no hits / not a half-relation), 2 invalid input.
+
+Every record is one envelope, built by `Emitter.emit`: {"command",
+"inputs", "result", "verified"}.  Every relation a record prints is one
+witness record, built by `_witness_json`: tau, word_tau, lhs, rhs, kind
+and verified (its `check()`).  The witness's kind is the one statement
+of what its words prove; no record restates it.
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ from typing import Optional, Sequence
 from .exact import ExpWord, Mat2, eval_word, format_rational, parse_rational
 from .families import family_instance, family_n, instance_witness, validate_options
 from .freeness import SearchEffort, classify_tau
-from .halfrel import (
-    RelationWitness,
-    build_relation,
-    classify_signs,
-    defect,
-    is_half_relation,
-    poly_hr,
+from .halfrel import RelationWitness, build_relation, defect, is_half_relation, poly_hr
+from .search import (
+    DEFAULT_RESULT_LIMIT,
+    SearchQuery,
+    SignMode,
+    check_effort,
+    search_half_relations,
 )
-from .search import DEFAULT_RESULT_LIMIT, SearchQuery, SignMode, search_half_relations
 
 class InputError(Exception):
     pass
@@ -89,7 +94,9 @@ class Emitter:
         self.table = table
         self._rows: list[dict] = []
 
-    def emit(self, record: dict) -> None:
+    def emit(self, command: str, inputs: dict, result: dict, verified: bool) -> None:
+        record = {"command": command, "inputs": inputs, "result": result,
+                  "verified": verified}
         if self.table:
             self._rows.append(record)
         else:
@@ -126,25 +133,15 @@ def cmd_verify(args, emit: Emitter) -> int:
     seq = _parse_seq(args.seq)
     d = defect(seq, tau)
     ok = d == 0
-    result = {
-        "defect": format_rational(d),
-        "is_half_relation": ok,
-        "kind": classify_signs(seq).value,
-    }
+    result = {"defect": format_rational(d), "is_half_relation": ok}
     try:
         witness = build_relation(seq, tau)
     except ValueError:
         pass  # not a half-relation, tau = 0 or a zero entry: no witness
     else:
-        result["lhs"] = _word_json(witness.lhs)
-        result["rhs"] = _word_json(witness.rhs)
+        result["witness"] = _witness_json(witness)
         result["matrix"] = _matrix_json(eval_word(witness.lhs, tau))
-    emit.emit({
-        "command": "verify",
-        "inputs": {"tau": format_rational(tau), "seq": list(seq)},
-        "result": result,
-        "verified": ok,
-    })
+    emit.emit("verify", {"tau": format_rational(tau), "seq": list(seq)}, result, ok)
     return 0 if ok else 1
 
 
@@ -185,19 +182,12 @@ def cmd_family(args, emit: Emitter) -> int:
             "tau": format_rational(inst.tau),
             "candidate": list(inst.candidate),
             "exceptional": inst.exceptional,
-            "kind": inst.kind.value,
             "witness": witness,
         }
         if base == "B":
             result["n"] = family_n(inst.sigma, k)
-        record = {
-            "command": "family",
-            "inputs": {"name": base, "k": k, "sigma": list(sigma) if sigma else None,
-                       "x": inst.x},
-            "result": result,
-            "verified": witness["verified"],
-        }
-        emit.emit(record)
+        inputs = {"name": base, "k": k, "sigma": list(sigma) if sigma else None, "x": inst.x}
+        emit.emit("family", inputs, result, witness["verified"])
         emitted = True
     return 0 if emitted else 1
 
@@ -212,14 +202,8 @@ _SIGN_MODES = {
 def cmd_search(args, emit: Emitter) -> int:
     tau = _parse_tau(args.tau)
     try:
-        SearchEffort(args.max_len, args.bound, args.workers)
-        query = SearchQuery(
-            tau,
-            args.max_len,
-            args.bound,
-            _SIGN_MODES[args.signs],
-            args.limit,
-        )
+        query = SearchQuery(tau, args.max_len, args.bound, _SIGN_MODES[args.signs], args.limit)
+        check_effort(query.max_len, query.bound, args.workers)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     started = time.monotonic()
@@ -234,22 +218,13 @@ def cmd_search(args, emit: Emitter) -> int:
     }
     checks = [is_half_relation(hit, tau) for hit in report.hits]
     for hit, ok in zip(report.hits, checks):
-        emit.emit({
-            "command": "search",
-            "inputs": inputs,
-            "result": {"hit": list(hit)},
-            "verified": ok,
-        })
-    emit.emit({
-        "command": "search",
-        "inputs": inputs,
-        "result": {
-            "hit_count": len(report.hits),
-            "exhausted": report.exhausted,
-            "elapsed_s": round(elapsed, 3),
-        },
-        "verified": bool(checks) and all(checks),
-    })
+        emit.emit("search", inputs, {"hit": list(hit)}, ok)
+    summary = {
+        "hit_count": len(report.hits),
+        "exhausted": report.exhausted,
+        "elapsed_s": round(elapsed, 3),
+    }
+    emit.emit("search", inputs, summary, bool(checks) and all(checks))
     return 0 if report.hits else 1
 
 
@@ -270,12 +245,7 @@ def cmd_classify(args, emit: Emitter) -> int:
         "semigroup_witness": semi,
         "effort": {"max_len": effort.max_len, "bound": effort.bound},
     }
-    emit.emit({
-        "command": "classify",
-        "inputs": {"tau": format_rational(tau)},
-        "result": result,
-        "verified": bool(checks) and all(checks),
-    })
+    emit.emit("classify", {"tau": format_rational(tau)}, result, bool(checks) and all(checks))
     return 0
 
 
@@ -285,15 +255,9 @@ def cmd_poly(args, emit: Emitter) -> int:
     # the defect has degree <= l//2 + 1 in tau, so agreeing with tau*P(tau)
     # at l//2 + 2 distinct points proves the identity
     points = [Fraction(t) for t in range(1, len(seq) // 2 + 3)]
-    emit.emit({
-        "command": "poly",
-        "inputs": {"seq": list(seq)},
-        "result": {
-            "coefficients": list(poly.coeffs),
-            "rendering": poly.render(),
-        },
-        "verified": all(defect(seq, t) == t * poly.evaluate(t) for t in points),
-    })
+    result = {"coefficients": list(poly.coeffs), "rendering": poly.render()}
+    verified = all(defect(seq, t) == t * poly.evaluate(t) for t in points)
+    emit.emit("poly", {"seq": list(seq)}, result, verified)
     return 0
 
 

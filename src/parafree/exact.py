@@ -12,6 +12,7 @@ Everything here is immutable and pure; safe for concurrent use.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +119,9 @@ class ExpWord:
     """Alternating word: a starting generator tag plus the exponent list.
 
     Letter i (0-based) uses `start` if i is even, the other generator if odd;
-    the strict alternation is implied by the representation.
+    the strict alternation is implied by the representation.  Each exponent
+    goes through `operator.index`, so one that is not an int (a float, a
+    Fraction) raises TypeError.
     """
 
     start: str
@@ -129,7 +132,7 @@ class ExpWord:
             raise ValueError(f"bad start tag {self.start!r}")
         if len(self.exponents) < 1:
             raise ValueError("word must have at least one letter")
-        object.__setattr__(self, "exponents", tuple(int(a) for a in self.exponents))
+        object.__setattr__(self, "exponents", tuple(map(operator.index, self.exponents)))
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -213,13 +216,14 @@ class UniPoly:
     lowest degree first, trailing zeros trimmed.  An int operand of +, -
     or * is read as a constant polynomial.
 
-    The one constructor converts the coefficients to int and trims them;
-    every ring operation builds its result through it."""
+    The one constructor takes each coefficient through `operator.index`
+    (TypeError on one that is not an int, such as a float or a Fraction)
+    and trims them; every ring operation builds its result through it."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
+        c = tuple(map(operator.index, self.coeffs))
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

@@ -438,11 +438,3 @@ def accumulation_report(
             continue
         rows.append((k, tau, abs(tau - targets[1 if k > 0 else -1])))
     return rows
-
-
-def format_fixed(x: Fraction, digits: int = 50) -> str:
-    """Decimal rendering of a nonnegative fraction, truncated to `digits`."""
-    scale = 10**digits
-    whole, rem = divmod(abs(x.numerator) * scale // x.denominator, scale)
-    sign = "-" if x < 0 else ""
-    return f"{sign}{whole}.{str(rem).zfill(digits)}"

@@ -35,7 +35,7 @@ from .halfrel import (
     build_semigroup_witness,
     minus_tau_transform,
 )
-from .search import SearchQuery, SignMode, hits_by_length, lengths_to_walk
+from .search import SignMode, check_effort, hits_by_length, lengths_to_walk
 
 FREE_SCHOTTKY = "free_schottky"
 NON_FREE = "non_free"
@@ -51,9 +51,7 @@ class SearchEffort:
 
     def __post_init__(self) -> None:
         # checked even when no search runs (a threshold or family settles tau)
-        SearchQuery(Fraction(1), self.max_len, self.bound)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        check_effort(self.max_len, self.bound, self.workers)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,17 @@ MAX_LEN_LIMIT = 12
 DEFAULT_RESULT_LIMIT = 1000
 
 
+def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
+    """The one statement of the effort limits: ValueError if max_len is
+    outside [1, MAX_LEN_LIMIT], bound < 1 or workers < 1."""
+    if not 1 <= max_len <= MAX_LEN_LIMIT:
+        raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 @dataclass(frozen=True)
 class SearchQuery:
     tau: Fraction
@@ -115,10 +126,7 @@ class SearchQuery:
     def __post_init__(self) -> None:
         if self.tau == 0:
             raise ValueError("tau must be nonzero (every tuple is a half-relation at 0)")
-        if not 1 <= self.max_len <= MAX_LEN_LIMIT:
-            raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
+        check_effort(self.max_len, self.bound)
         if self.result_limit is not None and self.result_limit < 1:
             raise ValueError("result_limit must be >= 1")
 
@@ -300,7 +308,8 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     """Enumerate all half-relations for the query, in shortlex order, from
     `hits_by_length` over the lengths of `lengths_to_walk`.  The search
     stops after the first length at which the hits exceed the result
-    limit."""
+    limit.  ValueError if workers < 1."""
+    check_effort(query.max_len, query.bound, workers)
     tau, bound, limit, hits = query.tau, query.bound, query.result_limit, []
     lengths = lengths_to_walk(tau.numerator, tau.denominator, query.max_len, bound)
     with closing(hits_by_length(tau, lengths, bound, query.sign_mode, workers)) as blocks:

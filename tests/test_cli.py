@@ -14,7 +14,7 @@ import parafree.cli as cli
 from parafree.cli import main
 from parafree.exact import ExpWord, eval_word, parse_rational
 from parafree.freeness import SearchEffort
-from parafree.halfrel import defect
+from parafree.halfrel import build_relation, defect
 from parafree.search import DEFAULT_RESULT_LIMIT, SearchReport
 
 
@@ -43,9 +43,12 @@ def test_verify_half_relation(capsys):
     (rec,) = recs
     assert rec["verified"] is True
     assert rec["result"]["is_half_relation"] is True
-    assert rec["result"]["kind"] == "group_nontrivial"
     assert rec["result"]["defect"] == "0"
-    lhs, rhs = word_of(rec["result"]["lhs"]), word_of(rec["result"]["rhs"])
+    witness = rec["result"]["witness"]
+    assert witness["kind"] == "group_nontrivial"
+    assert witness["tau"] == witness["word_tau"] == "9/4"
+    assert witness["verified"] is True
+    lhs, rhs = word_of(witness["lhs"]), word_of(witness["rhs"])
     tau = Fraction(9, 4)
     assert eval_word(lhs, tau) == eval_word(rhs, tau)
     # half-relations that induce no relation: tau = 0, and a zero entry
@@ -54,7 +57,28 @@ def test_verify_half_relation(capsys):
         assert code == 0
         (rec,) = recs
         assert rec["result"]["is_half_relation"] is True
-        assert not {"lhs", "rhs", "matrix"} & set(rec["result"])
+        assert not {"witness", "lhs", "rhs", "matrix"} & set(rec["result"])
+
+
+def test_verify_prints_the_witness_record(capsys):
+    # the witness record that family and classify print, equal to
+    # `_witness_json` of build_relation's witness, and no record-level kind
+    code, recs = run(capsys, "verify", "--tau", "9/4", "--seq", "1,-1,1,14,2")
+    result = recs[0]["result"]
+    assert set(result) == {"defect", "is_half_relation", "witness", "matrix"}
+    assert result["witness"] == cli._witness_json(build_relation((1, -1, 1, 14, 2), Fraction(9, 4)))
+
+
+def test_verify_states_no_kind_its_words_do_not_prove(capsys):
+    # (1, -1, 1, -1, 2) alternates, so its sign class is a semigroup
+    # relation at -3, but the printed words prove a group relation at 3
+    code, recs = run(capsys, "verify", "--tau", "3", "--seq", "1,-1,1,-1,2")
+    assert code == 0 and recs[0]["verified"] is True
+    result = recs[0]["result"]
+    assert "kind" not in result
+    assert result["witness"]["kind"] == "group_nontrivial"
+    assert result["witness"]["word_tau"] == "3"
+    assert reverify_witness(result["witness"])
 
 
 def test_verify_prints_the_lhs_matrix(capsys):
@@ -70,7 +94,7 @@ def test_verify_non_half_relation(capsys):
     (rec,) = recs
     assert rec["verified"] is False
     assert rec["result"]["defect"] == "6"
-    assert "lhs" not in rec["result"]
+    assert not {"witness", "lhs", "rhs", "matrix"} & set(rec["result"])
 
 
 def test_verify_malformed_inputs(capsys):
@@ -93,8 +117,10 @@ def test_verify_round_trip(capsys):
     (rec,) = recs
     tau = parse_rational(rec["inputs"]["tau"])
     assert defect(tuple(rec["inputs"]["seq"]), tau) == 0
-    assert eval_word(word_of(rec["result"]["lhs"]), tau) == \
-        eval_word(word_of(rec["result"]["rhs"]), tau)
+    witness = rec["result"]["witness"]
+    assert parse_rational(witness["word_tau"]) == tau
+    assert eval_word(word_of(witness["lhs"]), tau) == \
+        eval_word(word_of(witness["rhs"]), tau)
 
 
 # --- family ------------------------------------------------------------
@@ -214,12 +240,18 @@ def test_family_rejects_options_it_does_not_use(capsys):
 
 def test_family_witness_kind_is_what_it_proves(capsys):
     # C_general k = 3 alternates: its sign class is a semigroup relation at
-    # -7/3, but its symmetric words prove a group relation at 7/3
-    code, recs = run(capsys, "family", "--name", "c", "--k", "3")
-    result = recs[0]["result"]
-    assert result["kind"] == "semigroup_at_minus_tau"
-    assert result["witness"]["kind"] == "group_nontrivial"
-    assert result["witness"]["word_tau"] == "7/3"
+    # -7/3, but its symmetric words prove a group relation at 7/3; D k = 1's
+    # candidate has a zero entry (sign class trivial), but its relator words
+    # prove a nontrivial group relation at 2.  The record states only the
+    # witness's kind
+    for argv, tau in ((["--name", "c", "--k", "3"], "7/3"), (["--name", "d", "--k", "1"], "2")):
+        code, recs = run(capsys, "family", *argv)
+        assert code == 0 and recs[0]["verified"] is True
+        result = recs[0]["result"]
+        assert "kind" not in result
+        assert result["witness"]["kind"] == "group_nontrivial"
+        assert result["witness"]["word_tau"] == tau
+        assert result["witness"]["verified"] is True
     code, recs = run(capsys, "classify", "--tau", "7/3")
     assert recs[0]["result"]["group_witness"]["kind"] == "group_nontrivial"
 
@@ -463,3 +495,38 @@ def test_json_lines_are_standalone(capsys):
     assert len(recs) == 4
     for rec in recs:
         assert set(rec) == {"command", "inputs", "result", "verified"}
+    # every command's records are the one envelope, on success and on no
+    # result alike
+    for argv in (
+        ["verify", "--tau", "9/4", "--seq", "1,-1,1,14,2"],
+        ["verify", "--tau", "2", "--seq", "1,1,1"],
+        ["family", "--name", "b", "--sigma", "2,3", "--k-range", "1..2"],
+        ["search", "--tau", "2", "--max-len", "3", "--bound", "2"],
+        ["search", "--tau", "5", "--max-len", "4", "--bound", "6"],
+        ["classify", "--tau", "64/81"],
+        ["classify", "--tau", "-4"],
+        ["poly", "--seq", "1,-1,1,-1,7"],
+    ):
+        code, recs = run(capsys, *argv)
+        assert code in (0, 1) and recs, argv
+        for rec in recs:
+            assert set(rec) == {"command", "inputs", "result", "verified"}, argv
+            assert rec["command"] == argv[0]
+
+
+def test_every_printed_witness_is_the_one_witness_record(capsys):
+    # verify's, family's and classify's witnesses have the keys of the one
+    # record `_witness_json` builds
+    keys = set(cli._witness_json(build_relation((1, -1, 1, 14, 2), Fraction(9, 4))))
+    code, recs = run(capsys, "verify", "--tau", "16/25", "--seq", "1,3,50,1")
+    witnesses = [recs[0]["result"]["witness"]]
+    code, recs = run(capsys, "family", "--name", "a", "--k-range", "-1..1")
+    witnesses += [r["result"]["witness"] for r in recs]
+    for tau in ("64/81", "17/5", "-5/2"):
+        code, recs = run(capsys, "classify", "--tau", tau)
+        result = recs[0]["result"]
+        witnesses += [w for w in (result["group_witness"], result["semigroup_witness"]) if w]
+    assert len(witnesses) >= 7
+    for w in witnesses:
+        assert set(w) == keys
+        assert w["verified"] is True and reverify_witness(w)

@@ -156,6 +156,16 @@ def test_expword_construction_and_end():
         ExpWord(G, ())
 
 
+def test_expword_takes_integral_exponents_only():
+    # (1.5, 2.9) was truncated to (1, 2) without a word; an integer-valued
+    # Fraction is not an int either
+    for exps in ((1.5, 2.9), (Fraction(1, 2),), (1, Fraction(3)), ("1",)):
+        with pytest.raises(TypeError):
+            ExpWord(G, exps)
+    assert ExpWord(G, (True, 2)).exponents == (1, 2)
+    assert all(type(a) is int for a in ExpWord(H, (True, 2)).exponents)
+
+
 def test_expword_letters_alternate():
     w = ExpWord(H, (2, 3, -1, 5))
     tags = [tag for tag, _ in w.letters()]
@@ -255,6 +265,16 @@ def test_word_from_exponents():
 def rand_poly(deg=5, bound=9):
     return UniPoly(tuple(rng.randint(-bound, bound)
                          for _ in range(rng.randint(0, deg + 1))))
+
+
+def test_unipoly_takes_integral_coefficients_only():
+    # (1/2, 3) was truncated to (0, 3), and (2.9,) to (2,), without a word;
+    # an integer-valued Fraction is not an int either
+    for coeffs in ((Fraction(1, 2), 3), (2.9,), (Fraction(4), 1), ("7",)):
+        with pytest.raises(TypeError):
+            UniPoly(coeffs)
+    assert UniPoly((True, 0)).coeffs == (1,)
+    assert type(UniPoly((True,)).coeffs[0]) is int
 
 
 def test_unipoly_trims_and_degree():

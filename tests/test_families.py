@@ -25,7 +25,6 @@ from parafree.families import (
     family_n,
     family_tau,
     fib,
-    format_fixed,
     instance_witness,
     markov_poly,
     pell,
@@ -369,9 +368,3 @@ def test_accumulation_report_options():
     with pytest.raises(ValueError):
         accumulation_report("D", range(1, 4), sigma=(1, 2))
     assert [k for k, _, _ in accumulation_report("B", range(-1, 2), sigma=(2, 3))] == [-1, 1]
-
-
-def test_format_fixed():
-    assert format_fixed(Fraction(1, 4), 4) == "0.2500"
-    assert format_fixed(Fraction(-1, 3), 5) == "-0.33333"
-    assert format_fixed(Fraction(7), 2) == "7.00"

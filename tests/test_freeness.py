@@ -513,15 +513,17 @@ def test_a_threshold_settled_semigroup_is_not_searched(monkeypatch):
 def test_a_gated_tau_builds_no_query(monkeypatch):
     # 7/13 and -7/13: 13 is a prime above the bound 8, at tau and at -tau;
     # 12/5: |tau| > 2 drops lengths 3 and 4, the only ones at (4, 8); and a
-    # walked tau builds none either: 1/10 at tau, -3/25 at tau and at 3/25
+    # walked tau builds none either: 1/10 at tau, -3/25 at tau and at 3/25.
+    # Every SearchQuery is counted, whichever module builds it
     effort = SearchEffort(4, 8)
     built = []
+    check = SearchQuery.__post_init__
 
-    def counted(*args, **kwargs):
-        built.append(args)
-        return SearchQuery(*args, **kwargs)
+    def counted(query):
+        built.append(query)
+        check(query)
 
-    monkeypatch.setattr(freeness, "SearchQuery", counted)
+    monkeypatch.setattr(SearchQuery, "__post_init__", counted)
     modes = spy_searches(monkeypatch)
     for tau, group, semigroup, walked in (
             (Fraction(7, 13), UNKNOWN, UNKNOWN, []),

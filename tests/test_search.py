@@ -56,6 +56,15 @@ def test_query_validation():
         SearchQuery(tau, 3, 5, result_limit=0)
 
 
+def test_search_rejects_fewer_than_one_worker():
+    # both ran serially without a word before
+    query = SearchQuery(Fraction(1, 4), 4, 8)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            search_half_relations(query, workers=workers)
+    assert search_half_relations(query, workers=1).hits
+
+
 def test_matches_naive_oracle():
     grid = [Fraction(2), Fraction(1, 4), Fraction(9, 4), Fraction(-3, 2)]
     for tau in grid:
