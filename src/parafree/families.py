@@ -370,7 +370,19 @@ def _family_candidates(tau: Fraction) -> list[tuple[str, int, Optional[SigmaPair
 
 def family_lookup(tau: Fraction) -> list[FamilyInstance]:
     """All family instances whose tau equals the input, found by exact
-    inversion of each family formula; each is verified before return."""
+    inversion of each family formula; each is verified before return.
+
+    Every family tau is positive, so tau <= 0 gets [] before any
+    arithmetic.  A and B are squares of nonzero rationals: 2k - 1 is odd,
+    and n = 1, the one n with (n-1)/n = 0, is rejected.  C is (2k+1)/k,
+    whose terms share the sign of k != 0.  D is F_{k+2}/F_k and E is
+    H_{k+1}/P_k, each a ratio of two terms of one sign.  For k > 0 every
+    term is positive.  For k = -m < 0, X_{-j} = (-1)^(j+1) X_j (X = F or
+    P) gives F_k and P_k the sign (-1)^(m+1), and so F_{k+2} = F_{2-m}
+    (at m = 1, F_1 = 1; m = 2, where F_0 = 0, is rejected) and H_{k+1} =
+    P_{1-m} + P_{-m} = (-1)^(m+1) (P_m - P_{m-1}), as P_m > P_{m-1}."""
+    if tau <= 0:
+        return []
     out: list[FamilyInstance] = []
     for family, k, sigma in _family_candidates(tau):
         try:

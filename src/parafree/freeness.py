@@ -6,9 +6,10 @@ verified witnesses at tau for the sides they leave open.
 One rule reads the stream: the first witness settles the group, and the
 first one whose kind is not GROUP_NONTRIVIAL (positive words, which are a
 group relation too) also settles the semigroup.  The stream, in order:
-family members at tau (`families.family_lookup`); family members at -tau,
-mirrored to a group relation at tau and, when alternating, turned into
-positive words at tau; the search at tau (NONZERO_ANY while the group is
+the family members at tau or at -tau, whichever is positive, since every
+family tau is (`families.family_lookup`), those at -tau mirrored to a
+group relation at tau and, when alternating, turned into positive words
+at tau; the search at tau (NONZERO_ANY while the group is
 open, ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING
 search at -tau.  The group is never searched at -tau.  No phase runs
 once both sides are settled.
@@ -121,16 +122,17 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
     odd-length hit would give a nonempty positive word in g and h_tau
     equal to the identity, and every such product of these nonnegative
     unipotent matrices has a positive off-diagonal entry."""
-    positive = RelationKind.SEMIGROUP_AT_TAU
-    for inst in family_lookup(tau):
-        if "group" in open_ or inst.kind is positive:
-            yield instance_witness(inst)
     minus = -tau
-    for inst in family_lookup(minus):
-        if "group" in open_:
-            yield _mirrored_witness(inst)
-        if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
-            yield build_semigroup_witness(inst.candidate, minus)
+    if tau > 0:  # every family tau is positive (`family_lookup`)
+        for inst in family_lookup(tau):
+            if "group" in open_ or inst.kind is RelationKind.SEMIGROUP_AT_TAU:
+                yield instance_witness(inst)
+    else:
+        for inst in family_lookup(minus):
+            if "group" in open_:
+                yield _mirrored_witness(inst)
+            if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
+                yield build_semigroup_witness(inst.candidate, minus)
     p, q, bound, workers = tau.numerator, tau.denominator, effort.bound, effort.workers
     if lengths := lengths_to_walk(p, q, effort.max_len, bound):
         # while the group is open, NONZERO_ANY: its all-positive hits are

@@ -82,16 +82,18 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress, count
 from math import gcd, isqrt
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .halfrel import Candidate, is_half_relation, negate
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class SignMode(enum.Enum):
@@ -267,6 +269,15 @@ def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     return lengths if lengths and _is_smooth(q, bound) else []
 
 
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of `workers` processes.  Its module, and multiprocessing with
+    it, is imported here, on the first walk with workers > 1, so that
+    `import parafree` does not pay for them."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
                    workers: int = 1) -> Iterator[list[Candidate]]:
     """The hits at tau of each of the lengths, each list sorted, so their
@@ -275,7 +286,10 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
     walk gates nothing itself.  Deterministic and worker-count
     independent: each length is split on the value of a_1.  At most one
     worker per branch is started, in one pool that lives as long as the
-    generator; closing the generator shuts the pool down."""
+    generator; closing the generator shuts the pool down.  ValueError
+    (`check_effort`) on the first step if workers < 1, bound < 1 or the
+    longest length is above MAX_LEN_LIMIT."""
+    check_effort(max(lengths, default=MAX_LEN_LIMIT), bound, workers)
     if not lengths:
         return
     p, q = tau.numerator, tau.denominator
@@ -290,8 +304,7 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
         _factorize(q, q_factors)
         wide = [s for s in _divisors(q_factors, None) if s > bound]
     workers = min(workers, len(firsts))
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
+    with _process_pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
         for length in lengths:
             prefix = positions[:length + 1]
@@ -308,8 +321,7 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     """Enumerate all half-relations for the query, in shortlex order, from
     `hits_by_length` over the lengths of `lengths_to_walk`.  The search
     stops after the first length at which the hits exceed the result
-    limit.  ValueError if workers < 1."""
-    check_effort(query.max_len, query.bound, workers)
+    limit.  ValueError if workers < 1 (`hits_by_length`)."""
     tau, bound, limit, hits = query.tau, query.bound, query.result_limit, []
     lengths = lengths_to_walk(tau.numerator, tau.denominator, query.max_len, bound)
     with closing(hits_by_length(tau, lengths, bound, query.sign_mode, workers)) as blocks:

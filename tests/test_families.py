@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parafree.families as families
@@ -249,6 +249,25 @@ def test_family_tau_and_instance_accept_the_same_inputs(family, k, sigma):
     assert (tau is None) == (inst is None)
     if inst is not None:
         assert inst.tau == tau
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(-10**4, 10**4),
+       st.sampled_from([None] + SIGMAS))
+@example("D", -1, None)
+@example("D", -3, None)
+@example("E", -1, None)
+@example("E", -2, None)
+@example("B", 0, (1, 2))
+@example("B", -1, (3, 2))
+@example("C_general", -1, None)
+@example("A", -1, None)
+def test_every_family_tau_is_positive(family, k, sigma):
+    # classify looks a family member up at tau or -tau, whichever is positive
+    tau = _or_none(family_tau, family, k, sigma)
+    if tau is not None:
+        assert tau > 0
+        assert family_lookup(-tau) == []
 
 
 # --- instances ---------------------------------------------------------

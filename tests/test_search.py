@@ -57,12 +57,19 @@ def test_query_validation():
 
 
 def test_search_rejects_fewer_than_one_worker():
-    # both ran serially without a word before
-    query = SearchQuery(Fraction(1, 4), 4, 8)
+    # both ran serially without a word before, in the search and in the
+    # walk that it and classify read, with or without lengths
+    tau, mode = Fraction(1, 4), SignMode.NONZERO_ANY
+    query = SearchQuery(tau, 4, 8, mode)
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             search_half_relations(query, workers=workers)
-    assert search_half_relations(query, workers=1).hits
+        for lengths in ([3, 4], []):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                next(hits_by_length(tau, lengths, 8, mode, workers))
+    hits = search_half_relations(query, workers=1).hits
+    assert len(hits) == 736
+    assert [h for block in hits_by_length(tau, [3, 4], 8, mode, 1) for h in block] == list(hits)
 
 
 def test_matches_naive_oracle():
@@ -154,7 +161,7 @@ def test_worker_counts_agree():
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor and records its max_workers."""
+    """Stands in for `_process_pool` and records its pool sizes."""
     sizes: list[int] = []
 
     def __init__(self, max_workers):
@@ -171,7 +178,7 @@ class _SerialPool:
 
 
 def test_pool_is_clamped_to_branches(monkeypatch):
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(search_module, "_process_pool", _SerialPool)
     _SerialPool.sizes = []
     tau = Fraction(-1, 2)
     # NONZERO_ANY branches on a_1 > 0 only; the signed modes on B values
@@ -389,7 +396,7 @@ def test_pruned_search_matches_naive_oracle_at_random(tau, mode, max_len, bound)
 
 def test_pruned_query_walks_nothing_and_starts_no_pool(monkeypatch):
     walked = []
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(search_module, "_process_pool", _SerialPool)
     monkeypatch.setattr(search_module, "_search_branch", walked.append)
     _SerialPool.sizes = []
     # 13 is a prime above the bound 10
@@ -506,7 +513,7 @@ def test_gated_search_matches_naive_oracle_at_random(
 
 def test_gated_query_walks_nothing_and_starts_no_pool(monkeypatch):
     walked = []
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(search_module, "_process_pool", _SerialPool)
     monkeypatch.setattr(search_module, "_search_branch", walked.append)
     _SerialPool.sizes = []
     # 32 is 8-smooth, so only the numerator settles it: 129 > 2*8^2;
@@ -797,6 +804,12 @@ def run_fresh(code):
 
 def test_prime_table_is_empty_after_import():
     run_fresh("assert s._prime_tables.cache_info().currsize == 0")
+
+
+def test_import_leaves_the_pool_stack_unimported():
+    # the pool's modules are imported on the first walk with workers > 1
+    run_fresh("import sys, parafree, parafree.cli; "
+              "assert not {'concurrent.futures', 'multiprocessing'} & set(sys.modules)")
 
 
 @settings(max_examples=200, deadline=None)
