@@ -323,11 +323,11 @@ def _b_indices(s: SigmaPair, n: int) -> list[int]:
     return [k for k, (a, b) in enumerate(pairs, 2 * m - 1) if k >= 0 and c * a * b == n]
 
 
-def _family_candidates(tau: Fraction) -> list[tuple[str, int, Optional[SigmaPair]]]:
-    """(family, k, sigma) for each member that may have this tau, found by
-    inverting each family formula on tau = p/q in lowest terms, in lookup
-    order.  Each family is tested on p and q with integer products alone."""
-    p, q = tau.numerator, tau.denominator
+def _family_candidates(p: int, q: int) -> list[tuple[str, int, Optional[SigmaPair]]]:
+    """(family, k, sigma) for each member that may have tau = p/q, in
+    lowest terms with q >= 1, found by inverting each family formula, in
+    lookup order.  Each family is tested on p and q with integer products
+    alone."""
     out: list[tuple[str, int, Optional[SigmaPair]]] = []
     # families A and B: p = (sq -+ 1)^2 with q = sq^2 exactly when
     # (q + 1 - p)^2 = 4q, and then d = q + 1 - p = +-2 sq
@@ -384,7 +384,7 @@ def family_lookup(tau: Fraction) -> list[FamilyInstance]:
     if tau <= 0:
         return []
     out: list[FamilyInstance] = []
-    for family, k, sigma in _family_candidates(tau):
+    for family, k, sigma in _family_candidates(tau.numerator, tau.denominator):
         try:
             inst = _member(family, k, sigma)
         except ValueError:

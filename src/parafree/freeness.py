@@ -18,6 +18,17 @@ A search walks the lengths `search.lengths_to_walk` leaves it (the
 ALTERNATING one its odd ones) by `search.hits_by_length`, if any, in
 shortlex order, and stops, its pool shut down, once no side is open.
 
+Before the stream is built, `classify_tau` decides from the integers p
+and q whether any phase can yield, in stream order and with short
+circuit: a family candidate at |tau| (`families._family_candidates`),
+the lengths at tau, and for tau < 0 the odd lengths at -tau.  When none
+can, it returns the thresholds' classification at once: no lookup, no
+stream and no Fraction comparison.  Otherwise the stream is handed the
+lengths already computed, so no gate runs twice.  The gates read the
+sign of p only at l = 3, where they also admit tau = 3, a family tau, so
+the third test never decides alone today; it keeps the return exact if
+a gate comes to read the sign.
+
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness."""
 
@@ -28,7 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .families import FamilyInstance, family_lookup, instance_witness, instance_words
+from .families import (
+    FamilyInstance,
+    _family_candidates,
+    family_lookup,
+    instance_witness,
+    instance_words,
+)
 from .halfrel import (
     RelationKind,
     RelationWitness,
@@ -88,20 +105,26 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
             open_.add("group")
         if not semi_free:
             open_.add("semigroup")
-    # every witness was proven by its builder (build_relation,
-    # build_semigroup_witness, _mirrored_witness, or family_instance's
-    # identity-word check); the CLI re-checks what it prints
-    # closing the stream stops the walk it is in and shuts its pool down
-    with closing(_witnesses(tau, effort, open_)) as stream:
-        for w in stream if open_ else ():
-            if "group" in open_:
-                group = w
-                open_.discard("group")
-            if "semigroup" in open_ and w.kind is not RelationKind.GROUP_NONTRIVIAL:
-                semi = w
-                open_.discard("semigroup")
-            if not open_:
-                break
+    # whether a phase can yield, from p and q (module docstring); each
+    # list is computed at most once, here or in the stream
+    lengths = odd = None
+    if open_ and (_family_candidates(abs(p), q)
+                  or (lengths := lengths_to_walk(p, q, effort.max_len, effort.bound))
+                  or p < 0 and (odd := _alternating_lengths(-p, q, effort))):
+        # every witness was proven by its builder (build_relation,
+        # build_semigroup_witness, _mirrored_witness, or family_instance's
+        # identity-word check); the CLI re-checks what it prints
+        # closing the stream stops the walk it is in and shuts its pool down
+        with closing(_witnesses(tau, effort, open_, lengths, odd)) as stream:
+            for w in stream:
+                if "group" in open_:
+                    group = w
+                    open_.discard("group")
+                if "semigroup" in open_ and w.kind is not RelationKind.GROUP_NONTRIVIAL:
+                    semi = w
+                    open_.discard("semigroup")
+                if not open_:
+                    break
     return TauClassification(
         tau,
         FREE_SCHOTTKY if group_free else UNKNOWN if group is None else NON_FREE,
@@ -112,11 +135,24 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     )
 
 
-def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator[RelationWitness]:
+def _alternating_lengths(p: int, q: int, effort: SearchEffort) -> list[int]:
+    """The lengths the alternating search at p/q > 0 walks: the odd ones
+    of `lengths_to_walk`.  Conjugating by diag(1,-1) turns an even-length
+    alternating half-relation at p/q, entry by entry in |a_i|, into an
+    all-positive one at -p/q, and the search there has already found none
+    at these even lengths (the gate reads the sign of p at l = 3 only)."""
+    return [l for l in lengths_to_walk(p, q, effort.max_len, effort.bound) if l % 2]
+
+
+def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str],
+               lengths: Optional[list[int]] = None,
+               odd: Optional[list[int]] = None) -> Iterator[RelationWitness]:
     """Verified witnesses at tau, in the order of the module docstring.
     open_ holds the sides ("group", "semigroup") classify_tau has not
     settled yet.  The first witness settles the group, so after it only
     witnesses that can settle the semigroup are built: positive words.
+    lengths and odd are the lengths of the search at tau and of the
+    alternating one at -tau, each computed here if None.
 
     The alternating search at -tau runs only for tau < 0: for tau > 0 an
     odd-length hit would give a nonempty positive word in g and h_tau
@@ -134,7 +170,9 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
             if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
                 yield build_semigroup_witness(inst.candidate, minus)
     p, q, bound, workers = tau.numerator, tau.denominator, effort.bound, effort.workers
-    if lengths := lengths_to_walk(p, q, effort.max_len, bound):
+    if lengths is None:
+        lengths = lengths_to_walk(p, q, effort.max_len, bound)
+    if lengths:
         # while the group is open, NONZERO_ANY: its all-positive hits are
         # those of ALL_POSITIVE
         mode = SignMode.NONZERO_ANY if "group" in open_ else SignMode.ALL_POSITIVE
@@ -145,11 +183,9 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str]) -> Iterator
                         yield build_relation(hit, tau)
     if "semigroup" not in open_ or tau > 0:
         return
-    # Odd lengths only: conjugating by diag(1,-1) turns an even-length
-    # alternating half-relation at -tau, entry by entry in |a_i|, into an
-    # all-positive one at tau, and the search at tau has just found none at
-    # these even lengths (the gate reads the sign of p at l = 3 only).
-    if odd := [l for l in lengths_to_walk(-p, q, effort.max_len, bound) if l % 2]:
+    if odd is None:
+        odd = _alternating_lengths(-p, q, effort)
+    if odd:
         with closing(hits_by_length(minus, odd, bound, SignMode.ALTERNATING, workers)) as blocks:
             hit = next((block[0] for block in blocks if block), None)
         if hit is not None:

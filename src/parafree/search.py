@@ -71,11 +71,15 @@ at most 3z <= 4z <= 2xyz when xy >= 2, and 2 + z <= 2z when xy = 1), so
 Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
 gcd(q, product of the prefix), and the b it solves at l - 1 is then a
 multiple of r / gcd(r, a*c), so the pair (a, c) is walked only when that
-is <= bound.  The allowed a for each divisor of q above the bound are
-listed once per query.  A pair with coeff = const = 0 is never cut:
-there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut:
+is <= bound.  The pairs left are read from a table, `_cut_table`, built
+once per (r, bound, end values, values at l - 2) and cached for the life
+of the process: it depends on q and the prefix, not on p.  A pair with
+coeff = const = 0 is never cut: there b = +-1 is a hit, so r / gcd(r,
+a*c) = 1.  A table is built only where it cuts.  Length 3 is not cut:
 there the a is a_1 alone, and the test would cost more than the one
-solve it saves.
+solve it saves.  At r <= bound nothing is cut.  Both walk their end and
+middle values directly, so no table is cached for them, however wide the
+bound.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, repeat
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -156,7 +160,7 @@ def _positions(max_len: int, bound: int, mode: SignMode) -> Positions:
     elif mode is SignMode.ALTERNATING:
         odd, even = neg, pos
     else:
-        odd = even = [a for m in pos[0] for a in (m, -m)], -bound, bound
+        odd = even = tuple(a for m in pos[0] for a in (m, -m)), -bound, bound
     return [odd if l % 2 == 1 else even for l in range(max_len + 1)]
 
 
@@ -172,50 +176,50 @@ def _orbit(hit: Candidate, mode: SignMode) -> tuple[Candidate, ...]:
 
 def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
          n11: int, n12: int, n21: int, n22: int,
-         positions: Positions, cuts: dict[int, list[int]],
-         out: list[Candidate]) -> None:
+         positions: Positions, bound: int, out: list[Candidate]) -> None:
     """Extend exps, whose word is the scaled matrix (n11 n12; n21 n22), to
     length l = len(positions) - 1: walk the middle positions up to l - 3,
     then for each a at l - 2 and c at l solve the b at l - 1 exactly.
 
     r is q over its gcd with the product of exps, so a hit's remaining
-    exponents have a product divisible by r.  cuts maps each divisor s >
-    bound of q to the values a at l - 2 with s / gcd(s, a) <= bound; it is
-    empty at l = 3."""
+    exponents have a product divisible by r; from l = 4 on, a table of
+    `_cut_table` lists the pairs (c, a) that this leaves when r > bound."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
             ra = r // gcd(r, a)
             if pos % 2 == 1:
                 _dfs(p, q, ra, exps + (a,), n11, n11 * a + n12, n21, n21 * a + n22,
-                     positions, cuts, out)
+                     positions, bound, out)
             else:
                 _dfs(p, q, ra, exps + (a,),
                      n11 * q + n12 * a * p, n12 * q, n21 * q + n22 * a * p, n22 * q,
-                     positions, cuts, out)
+                     positions, bound, out)
         return
     last_values, lo, hi = positions[l - 1]
-    every_a = positions[pos][0]
-    cut = r in cuts  # else no cut, or r and each r / gcd(r, c) are <= bound
+    ends, middles = positions[l][0], positions[pos][0]
+    # at l = 3 the a is a_1 alone, and a cut would save nothing; at r <=
+    # bound nothing is cut
+    pairs = (_cut_table(r, bound, ends, middles) if l >= 4 and r > bound
+             else zip(ends, repeat(middles)))
     # at l = 4, min(|a_2|, |a_4|) <= 2/|tau|: past |a_4| > 2q/|p| walk
     # only the a_2 up to it
     cap = 2 * q // abs(p)
+    # the scaled defect of exps + (a, b, c) is coeff*b + const with coeff
+    # = (x1*c + x2)*a + x3*c + x4 and const = y1*(a + c) + y2
     u, v, qn21, qn22 = p * n11, p * n12, q * n21, q * n22
-    for c in positions[l][0]:
-        # b is a multiple of r / gcd(r, a*c), so that must be <= bound
-        a_values = cuts.get(r // gcd(r, c), every_a) if cut else every_a
+    if l % 2 == 1:  # g^a h^b g^c: functional (p*c, p, -q, 0)
+        x1, x2, x3, x4 = p * u, -p * qn21, p * v, -p * qn22
+        y1, y2 = q * u, q * (v - qn21)
+    else:  # h^a g^b h^c: functional (q, p*c, 0, -q)
+        x1, x2, x3, x4 = p * v, -p * qn22, q * u, -q * qn21
+        y1, y2 = q * v, q * (q * n11 - qn22)
+    for c, a_values in pairs:
         if l == 4 and abs(c) > cap:
             a_values = a_values[:bisect_right(a_values, cap, key=abs)]
-        # the scaled defect of exps + (a, b, c) is coeff*b + const with
-        # coeff = c1*a + c0 and const = k1*a + k0
-        if l % 2 == 1:  # g^a h^b g^c: functional (p*c, p, -q, 0)
-            c1, c0 = p * (u * c - qn21), p * (v * c - qn22)
-            k1, k0 = q * u, q * (u * c + v - qn21)
-        else:  # h^a g^b h^c: functional (q, p*c, 0, -q)
-            c1, c0 = p * (v * c - qn22), q * (u * c - qn21)
-            k1, k0 = q * v, q * (q * n11 + v * c - qn22)
+        c1, c0, k0 = x1 * c + x2, x3 * c + x4, y1 * c + y2
         for a in a_values:
-            coeff, const = c1 * a + c0, k1 * a + k0
+            coeff, const = c1 * a + c0, y1 * a + k0
             if coeff:
                 if const % coeff == 0:
                     b = -const // coeff
@@ -224,6 +228,22 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
             elif const == 0:
                 # never cut: b = +-1 is a hit, so r / gcd(r, a*c) = 1
                 out.extend(exps + (a, b, c) for b in last_values)
+
+
+@cache
+def _cut_table(r: int, bound: int, ends: Sequence[int],
+               middles: Sequence[int]) -> list[tuple[int, Sequence[int]]]:
+    """The pairs (c, the a of middles that the cut leaves) for each end
+    value c, in order, without those that leave no a.  The b solved for
+    (a, c) is a multiple of s / gcd(s, a), s = r / gcd(r, c), so that must
+    be <= bound.  Built once per key; only for r > bound, where it cuts."""
+    table = []
+    for c in ends:
+        s = r // gcd(r, c)
+        a_values = middles if s <= bound else [a for a in middles if s // gcd(s, a) <= bound]
+        if a_values:
+            table.append((c, a_values))
+    return table
 
 
 def _is_smooth(q: int, bound: int) -> bool:
@@ -241,13 +261,13 @@ def _is_smooth(q: int, bound: int) -> bool:
 def _search_branch(args: tuple) -> list[Candidate]:
     """The hits of one length with a fixed a_1 and |a_1| <= |a_l|; the
     parallelization unit."""
-    p, q, a1, positions, cuts = args
+    p, q, a1, positions = args
     ends, lo, hi = positions[-1]
     branch = [*positions]
     branch[1] = [a1], a1, a1
     branch[-1] = ends[bisect_left(ends, abs(a1), key=abs):], lo, hi
     out: list[Candidate] = []
-    _dfs(p, q, q, (), 1, 0, 0, 1, branch, cuts, out)
+    _dfs(p, q, q, (), 1, 0, 0, 1, branch, max(-lo, hi), out)  # the bound
     return out
 
 
@@ -255,18 +275,19 @@ def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
     terms) within the bound, in any sign mode: none when |tau| >= 4 or q
     has a prime factor above the bound.  The one statement of the gates."""
+    # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
+    if not _is_smooth(q, bound):
+        return []
     # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
     # never zero at tau != 0, so every hit has length >= 3; a hit is a
     # nontrivial relation of <g, h_tau>, free at |tau| >= 4; at l = 3 and 4
     # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2,
     # and |tau| <= 2, or tau = 3 at l = 3
     near = abs(p) <= 2 * q
-    lengths = [l for l in range(3, max_len + 1)
-               if l >= 5 and abs(p) < 4 * q
-               or l == 3 and abs(p) <= 3 * bound and (near or (p, q) == (3, 1))
-               or l == 4 and abs(p) <= 2 * bound * bound and near]
-    # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
-    return lengths if lengths and _is_smooth(q, bound) else []
+    return [l for l in range(3, max_len + 1)
+            if l >= 5 and abs(p) < 4 * q
+            or l == 3 and abs(p) <= 3 * bound and (near or (p, q) == (3, 1))
+            or l == 4 and abs(p) <= 2 * bound * bound and near]
 
 
 def _process_pool(workers: int) -> ProcessPoolExecutor:
@@ -296,22 +317,13 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
     positions = _positions(lengths[-1], bound, mode)
     firsts = [a1 for a1 in positions[1][0]
               if a1 > 0 or mode is not SignMode.NONZERO_ANY]
-    # the divisors of q above the bound, at which the walk cuts pairs (a, c)
-    # from length 4 on; at l = 3 the a is a_1 alone, and a cut saves nothing
-    wide: list[int] = []
-    if q > bound and lengths[-1] >= 4:
-        q_factors: dict[int, int] = {}
-        _factorize(q, q_factors)
-        wide = [s for s in _divisors(q_factors, None) if s > bound]
     workers = min(workers, len(firsts))
     with _process_pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
         for length in lengths:
             prefix = positions[:length + 1]
-            cuts = {s: [a for a in prefix[length - 2][0] if s // gcd(s, a) <= bound]
-                    for s in wide if length >= 4}
             found: set[Candidate] = set()
-            for branch_hits in run(_search_branch, [(p, q, a1, prefix, cuts) for a1 in firsts]):
+            for branch_hits in run(_search_branch, [(p, q, a1, prefix) for a1 in firsts]):
                 for hit in branch_hits:
                     found.update(_orbit(hit, mode))
             yield sorted(found)

@@ -1,6 +1,7 @@
 """Tests for tau classification: Schottky thresholds, family lookup by
 exact formula inversion, and witness soundness."""
 
+import hashlib
 import multiprocessing
 from fractions import Fraction
 from math import gcd
@@ -525,6 +526,16 @@ def test_a_gated_tau_builds_no_query(monkeypatch):
 
     monkeypatch.setattr(SearchQuery, "__post_init__", counted)
     modes = spy_searches(monkeypatch)
+    # no family candidate at |tau| and no length: the three gated tau are
+    # settled before any family lookup or walk (`modes` records each
+    # hits_by_length call); the walked ones look up families first
+    looked_up = []
+
+    def lookup_spy(tau):
+        looked_up.append(tau)
+        return family_lookup(tau)
+
+    monkeypatch.setattr(freeness, "family_lookup", lookup_spy)
     for tau, group, semigroup, walked in (
             (Fraction(7, 13), UNKNOWN, UNKNOWN, []),
             (Fraction(-7, 13), UNKNOWN, UNKNOWN, []),
@@ -533,10 +544,64 @@ def test_a_gated_tau_builds_no_query(monkeypatch):
             (Fraction(-3, 25), NON_FREE, NON_SEMIGROUP_FREE,
              [SignMode.NONZERO_ANY, SignMode.ALTERNATING])):
         modes.clear()
+        looked_up.clear()
         cls = classify_tau(tau, effort)
         assert (cls.group_status, cls.semigroup_status) == (group, semigroup), tau
         assert modes == walked, tau
+        assert looked_up == ([abs(tau)] if walked else []), tau
     assert built == []
+
+
+def test_the_early_return_loses_nothing(monkeypatch):
+    # wherever classify_tau decides from p and q that no phase can yield
+    # and builds no stream, the stream with both sides open is empty
+    streamed = []
+    real_witnesses = freeness._witnesses
+
+    def spy(tau, *args):
+        streamed.append(tau)
+        return real_witnesses(tau, *args)
+
+    taus = sorted({Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q) if p})
+    settled = 0
+    for effort in (SearchEffort(4, 8), SearchEffort(5, 4), SearchEffort(3, 8)):
+        monkeypatch.setattr(freeness, "_witnesses", spy)
+        streamed.clear()
+        classifications = [classify_tau(tau, effort) for tau in taus]
+        monkeypatch.undo()
+        built = set(streamed)
+        for tau, cls in zip(taus, classifications):
+            if tau in built:
+                continue
+            settled += 1
+            assert (cls.group_witness, cls.semigroup_witness) == (None, None), tau
+            assert list(freeness._witnesses(tau, effort, {"group", "semigroup"})) == [], tau
+    assert settled > len(taus)
+
+
+def witness_key(w):
+    """A witness's words, start letters and kind as one string."""
+    if w is None:
+        return "-"
+    return (f"{w.lhs.start}{list(w.lhs.exponents)}={w.rhs.start}{list(w.rhs.exponents)}"
+            f":{w.kind.value}")
+
+
+def test_the_classify_batch_pool_is_pinned():
+    # every tau = p/q with q <= 128 and 0 < |tau| < 4 at (4, 8), as the
+    # classify-batch benchmark draws them: the statuses and the witnesses'
+    # words, start letters and kinds, against the digest taken before the
+    # gate-first return and the cached cut table, which change no result
+    taus = sorted({Fraction(p, q) for q in range(1, 129) for p in range(-4 * q + 1, 4 * q) if p})
+    digest = hashlib.sha256()
+    for tau in taus:
+        cls = classify_tau(tau, SearchEffort(4, 8))
+        digest.update(f"{tau} {cls.group_status} {cls.semigroup_status} "
+                      f"{witness_key(cls.group_witness)} "
+                      f"{witness_key(cls.semigroup_witness)}\n".encode())
+    assert len(taus) == 40174
+    assert digest.hexdigest() == (
+        "b8f4ed53d55005d87f237ab5b7536952917560e582c712af1d5632ff7bbb1a94")
 
 
 def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):
@@ -547,7 +612,7 @@ def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):
     real_branch = search_module._search_branch
 
     def spy(args):
-        p, q, _, positions, _ = args
+        p, q, _, positions = args
         walked.append((Fraction(p, q), len(positions) - 1))
         return real_branch(args)
 

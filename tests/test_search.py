@@ -274,7 +274,8 @@ def test_result_limit_stops_after_the_length_that_crosses_it(monkeypatch):
     real_branch = search_module._search_branch
 
     def spy(args):
-        walked.append(len(args[3]) - 1)  # the length of the branch
+        _, _, _, positions = args
+        walked.append(len(positions) - 1)  # the length of the branch
         return real_branch(args)
 
     crossed = set()
@@ -574,7 +575,8 @@ def test_tau_three_walks_only_length_three(monkeypatch):
     real_branch = search_module._search_branch
 
     def spy(args):
-        walked.append(len(args[3]) - 1)  # the length of the branch
+        _, _, _, positions = args
+        walked.append(len(positions) - 1)  # the length of the branch
         return real_branch(args)
 
     monkeypatch.setattr(search_module, "_search_branch", spy)
@@ -587,21 +589,67 @@ def test_tau_three_walks_only_length_three(monkeypatch):
 def test_divisibility_cut_reaches_the_solve_loop(monkeypatch):
     # 1/12 at l5 b8: q = 12 is 8-smooth and above the bound, so the walk
     # cuts at r = 12; a branch that starts at r = 1 would never cut
-    leaves = []
-    real_dfs = search_module._dfs
+    leaves, tables = [], []
+    real_dfs, real_table = search_module._dfs, search_module._cut_table
 
-    def spy(p, q, r, exps, n11, n12, n21, n22, positions, cuts, out):
+    def spy(p, q, r, exps, n11, n12, n21, n22, positions, bound, out):
         l = len(positions) - 1
         if len(exps) + 1 >= l - 2:  # the call that runs the solve loop
-            leaves.append((r, cuts, len(positions[l - 2][0])))
-        real_dfs(p, q, r, exps, n11, n12, n21, n22, positions, cuts, out)
+            leaves.append(r)
+        real_dfs(p, q, r, exps, n11, n12, n21, n22, positions, bound, out)
+
+    def table_spy(r, bound, ends, middles):
+        table = real_table(r, bound, ends, middles)
+        tables.append((r, middles, table))
+        return table
 
     monkeypatch.setattr(search_module, "_dfs", spy)  # _dfs recurses through it
+    monkeypatch.setattr(search_module, "_cut_table", table_spy)
     tau = Fraction(1, 12)
     search_half_relations(SearchQuery(tau, 5, 8, SignMode.NONZERO_ANY, None))
-    cut = [(cuts[12], n_a) for r, cuts, n_a in leaves if r == 12 and cuts.get(12)]
+    assert 12 in leaves
+    # the solve loop reads the r = 12 table, and for some end value c it
+    # leaves fewer a than the full list: 12 / gcd(12, c) > 8 at c = +-1
+    cut = [(middles, table) for r, middles, table in tables if r == 12]
     assert cut
-    assert all(len(a_values) < n_a for a_values, n_a in cut)  # 12 / gcd(12, 1) > 8
+    assert any(len(a_values) < len(middles) for middles, table in cut for _, a_values in table)
+
+
+def test_the_cut_table_is_the_naive_filter():
+    # the pairs (c, a) with s = r // gcd(r, c) <= bound or s // gcd(s, a)
+    # <= bound, in the order of the ends and middles, without the c that
+    # keep no a; ends and middles are both +-, both positive (ALL_POSITIVE
+    # at l = 4) or both negative (ALTERNATING at l = 5)
+    build = search_module._cut_table.__wrapped__  # uncached
+    for bound in range(1, 9):
+        for mode, l in ((SignMode.NONZERO_ANY, 4), (SignMode.ALL_POSITIVE, 4),
+                        (SignMode.ALTERNATING, 5)):
+            positions = search_module._positions(l, bound, mode)
+            ends, middles = positions[l][0], positions[l - 2][0]
+            for r in range(1, 301):
+                naive = []
+                for c in ends:
+                    s = r // math.gcd(r, c)
+                    a_values = [a for a in middles if s <= bound or s // math.gcd(s, a) <= bound]
+                    if a_values:
+                        naive.append((c, a_values))
+                table = build(r, bound, ends, middles)
+                assert [(c, list(a_values)) for c, a_values in table] == naive, (r, bound, mode)
+
+
+def test_no_cut_table_is_cached_where_no_cut_applies():
+    # the cache holds tables only for l >= 4 and r > bound: length 3 walks
+    # its ends and middles directly even at q = 96 > 50, and so does length
+    # 4 once q <= bound
+    tables = search_module._cut_table
+    tables.cache_clear()
+    for mode in SignMode:
+        search_half_relations(SearchQuery(Fraction(1, 96), 3, 50, mode, None))
+        for tau, bound in ((Fraction(1, 2), 40), (Fraction(7, 12), 12), (Fraction(-5, 8), 8)):
+            search_half_relations(SearchQuery(tau, 4, bound, mode, None))
+    assert tables.cache_info().currsize == 0
+    search_half_relations(SearchQuery(Fraction(1, 12), 4, 8))  # 12 > 8: cut
+    assert tables.cache_info().currsize > 0
 
 
 @st.composite
