@@ -19,15 +19,14 @@ ALTERNATING one its odd ones) by `search.hits_by_length`, if any, in
 shortlex order, and stops, its pool shut down, once no side is open.
 
 Before the stream is built, `classify_tau` decides from the integers p
-and q whether any phase can yield, in stream order and with short
-circuit: a family candidate at |tau| (`families._family_candidates`),
-the lengths at tau, and for tau < 0 the odd lengths at -tau.  When none
-can, it returns the thresholds' classification at once: no lookup, no
-stream and no Fraction comparison.  Otherwise the stream is handed the
-lengths already computed, so no gate runs twice.  The gates read the
-sign of p only at l = 3, where they also admit tau = 3, a family tau, so
-the third test never decides alone today; it keeps the return exact if
-a gate comes to read the sign.
+and q whether any phase can yield, with short circuit: a family
+candidate at |tau| (`families._family_candidates`), then the lengths at
+tau.  The odd lengths at -tau need no test of their own: the gates read
+the sign of p only at l = 3, where they admit tau = 3 and not -3, and 3
+is a family tau.  When neither test passes, it returns the thresholds'
+classification at once: no lookup, no stream and no Fraction
+comparison.  Otherwise the stream is handed the lengths at tau if they
+were computed.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness."""
@@ -105,17 +104,16 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
             open_.add("group")
         if not semi_free:
             open_.add("semigroup")
-    # whether a phase can yield, from p and q (module docstring); each
-    # list is computed at most once, here or in the stream
-    lengths = odd = None
+    # whether a phase can yield, from p and q (module docstring); the
+    # lengths are computed at most once, here or in the stream
+    lengths = None
     if open_ and (_family_candidates(abs(p), q)
-                  or (lengths := lengths_to_walk(p, q, effort.max_len, effort.bound))
-                  or p < 0 and (odd := _alternating_lengths(-p, q, effort))):
+                  or (lengths := lengths_to_walk(p, q, effort.max_len, effort.bound))):
         # every witness was proven by its builder (build_relation,
         # build_semigroup_witness, _mirrored_witness, or family_instance's
         # identity-word check); the CLI re-checks what it prints
         # closing the stream stops the walk it is in and shuts its pool down
-        with closing(_witnesses(tau, effort, open_, lengths, odd)) as stream:
+        with closing(_witnesses(tau, effort, open_, lengths)) as stream:
             for w in stream:
                 if "group" in open_:
                     group = w
@@ -135,24 +133,13 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     )
 
 
-def _alternating_lengths(p: int, q: int, effort: SearchEffort) -> list[int]:
-    """The lengths the alternating search at p/q > 0 walks: the odd ones
-    of `lengths_to_walk`.  Conjugating by diag(1,-1) turns an even-length
-    alternating half-relation at p/q, entry by entry in |a_i|, into an
-    all-positive one at -p/q, and the search there has already found none
-    at these even lengths (the gate reads the sign of p at l = 3 only)."""
-    return [l for l in lengths_to_walk(p, q, effort.max_len, effort.bound) if l % 2]
-
-
 def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str],
-               lengths: Optional[list[int]] = None,
-               odd: Optional[list[int]] = None) -> Iterator[RelationWitness]:
+               lengths: Optional[list[int]] = None) -> Iterator[RelationWitness]:
     """Verified witnesses at tau, in the order of the module docstring.
     open_ holds the sides ("group", "semigroup") classify_tau has not
     settled yet.  The first witness settles the group, so after it only
     witnesses that can settle the semigroup are built: positive words.
-    lengths and odd are the lengths of the search at tau and of the
-    alternating one at -tau, each computed here if None.
+    lengths are those of the search at tau, computed here if None.
 
     The alternating search at -tau runs only for tau < 0: for tau > 0 an
     odd-length hit would give a nonempty positive word in g and h_tau
@@ -183,9 +170,11 @@ def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str],
                         yield build_relation(hit, tau)
     if "semigroup" not in open_ or tau > 0:
         return
-    if odd is None:
-        odd = _alternating_lengths(-p, q, effort)
-    if odd:
+    # Odd lengths only: conjugating by diag(1,-1) turns an even-length
+    # alternating half-relation at -tau, entry by entry in |a_i|, into an
+    # all-positive one at tau, and the search at tau has just found none at
+    # these even lengths (the gate reads the sign of p at l = 3 only).
+    if odd := [l for l in lengths_to_walk(-p, q, effort.max_len, bound) if l % 2]:
         with closing(hits_by_length(minus, odd, bound, SignMode.ALTERNATING, workers)) as blocks:
             hit = next((block[0] for block in blocks if block), None)
         if hit is not None:

@@ -71,15 +71,13 @@ at most 3z <= 4z <= 2xyz when xy >= 2, and 2 + z <= 2z when xy = 1), so
 Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
 gcd(q, product of the prefix), and the b it solves at l - 1 is then a
 multiple of r / gcd(r, a*c), so the pair (a, c) is walked only when that
-is <= bound.  The pairs left are read from a table, `_cut_table`, built
-once per (r, bound, end values, values at l - 2) and cached for the life
-of the process: it depends on q and the prefix, not on p.  A pair with
-coeff = const = 0 is never cut: there b = +-1 is a hit, so r / gcd(r,
-a*c) = 1.  A table is built only where it cuts.  Length 3 is not cut:
+is <= bound.  The a left for each |c| are read from `_cut_table(r,
+bound, values at l - 2)`, which depends on neither p, a_1 nor the end
+values, and is built once per key, in a cache of at most
+`CUT_CACHE_SIZE` tables.  A pair with coeff = const = 0 is never cut:
+there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut:
 there the a is a_1 alone, and the test would cost more than the one
-solve it saves.  At r <= bound nothing is cut.  Both walk their end and
-middle values directly, so no table is cached for them, however wide the
-bound.
+solve it saves.  At r <= bound nothing is cut.  Neither builds a table.
 """
 
 from __future__ import annotations
@@ -89,8 +87,8 @@ from bisect import bisect_left, bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import chain, compress, count, repeat
+from functools import cache, lru_cache
+from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -108,6 +106,8 @@ class SignMode(enum.Enum):
 
 MAX_LEN_LIMIT = 12
 DEFAULT_RESULT_LIMIT = 1000
+# the most cut tables kept at once (`_cut_table`)
+CUT_CACHE_SIZE = 1024
 
 
 def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
@@ -182,8 +182,8 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     then for each a at l - 2 and c at l solve the b at l - 1 exactly.
 
     r is q over its gcd with the product of exps, so a hit's remaining
-    exponents have a product divisible by r; from l = 4 on, a table of
-    `_cut_table` lists the pairs (c, a) that this leaves when r > bound."""
+    exponents have a product divisible by r; from l = 4 on, the a this
+    leaves for each c are read from `_cut_table`."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
@@ -197,11 +197,10 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
                      positions, bound, out)
         return
     last_values, lo, hi = positions[l - 1]
-    ends, middles = positions[l][0], positions[pos][0]
+    middles = positions[pos][0]
     # at l = 3 the a is a_1 alone, and a cut would save nothing; at r <=
     # bound nothing is cut
-    pairs = (_cut_table(r, bound, ends, middles) if l >= 4 and r > bound
-             else zip(ends, repeat(middles)))
+    kept = _cut_table(r, bound, middles) if l >= 4 and r > bound else None
     # at l = 4, min(|a_2|, |a_4|) <= 2/|tau|: past |a_4| > 2q/|p| walk
     # only the a_2 up to it
     cap = 2 * q // abs(p)
@@ -214,7 +213,8 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     else:  # h^a g^b h^c: functional (q, p*c, 0, -q)
         x1, x2, x3, x4 = p * v, -p * qn22, q * u, -q * qn21
         y1, y2 = q * v, q * (q * n11 - qn22)
-    for c, a_values in pairs:
+    for c in positions[l][0]:
+        a_values = middles if kept is None else kept[abs(c)]
         if l == 4 and abs(c) > cap:
             a_values = a_values[:bisect_right(a_values, cap, key=abs)]
         c1, c0, k0 = x1 * c + x2, x3 * c + x4, y1 * c + y2
@@ -230,20 +230,19 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
                 out.extend(exps + (a, b, c) for b in last_values)
 
 
-@cache
-def _cut_table(r: int, bound: int, ends: Sequence[int],
-               middles: Sequence[int]) -> list[tuple[int, Sequence[int]]]:
-    """The pairs (c, the a of middles that the cut leaves) for each end
-    value c, in order, without those that leave no a.  The b solved for
-    (a, c) is a multiple of s / gcd(s, a), s = r / gcd(r, c), so that must
-    be <= bound.  Built once per key; only for r > bound, where it cuts."""
+@lru_cache(maxsize=CUT_CACHE_SIZE)
+def _cut_table(r: int, bound: int, middles: Sequence[int]) -> tuple[Sequence[int], ...]:
+    """At index |c| <= bound, the a of middles, in order, that the cut
+    leaves: the b solved for (a, c) is a multiple of s / gcd(s, a), s = r /
+    gcd(r, c), so that must be <= bound.  The c with one s share a list."""
+    by_s: dict[int, Sequence[int]] = {}
     table = []
-    for c in ends:
-        s = r // gcd(r, c)
-        a_values = middles if s <= bound else [a for a in middles if s // gcd(s, a) <= bound]
-        if a_values:
-            table.append((c, a_values))
-    return table
+    for m in range(bound + 1):
+        s = r // gcd(r, m)
+        if s not in by_s:
+            by_s[s] = middles if s <= bound else tuple(a for a in middles if s // gcd(s, a) <= bound)
+        table.append(by_s[s])
+    return tuple(table)
 
 
 def _is_smooth(q: int, bound: int) -> bool:
@@ -261,13 +260,13 @@ def _is_smooth(q: int, bound: int) -> bool:
 def _search_branch(args: tuple) -> list[Candidate]:
     """The hits of one length with a fixed a_1 and |a_1| <= |a_l|; the
     parallelization unit."""
-    p, q, a1, positions = args
+    p, q, a1, positions, bound = args
     ends, lo, hi = positions[-1]
     branch = [*positions]
     branch[1] = [a1], a1, a1
     branch[-1] = ends[bisect_left(ends, abs(a1), key=abs):], lo, hi
     out: list[Candidate] = []
-    _dfs(p, q, q, (), 1, 0, 0, 1, branch, max(-lo, hi), out)  # the bound
+    _dfs(p, q, q, (), 1, 0, 0, 1, branch, bound, out)
     return out
 
 
@@ -323,7 +322,7 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
         for length in lengths:
             prefix = positions[:length + 1]
             found: set[Candidate] = set()
-            for branch_hits in run(_search_branch, [(p, q, a1, prefix) for a1 in firsts]):
+            for branch_hits in run(_search_branch, [(p, q, a1, prefix, bound) for a1 in firsts]):
                 for hit in branch_hits:
                     found.update(_orbit(hit, mode))
             yield sorted(found)

@@ -579,6 +579,24 @@ def test_the_early_return_loses_nothing(monkeypatch):
     assert settled > len(taus)
 
 
+def test_odd_lengths_at_minus_tau_lie_among_the_lengths_at_tau():
+    # classify_tau tests no phase past the lengths at tau: for tau < 0 the
+    # odd lengths of the alternating search at -tau are among them, but at
+    # tau = -3, whose |tau| has a family candidate
+    outside = set()
+    for q in range(1, 31):
+        for p in range(-4 * q - 1, 0):
+            if gcd(p, q) != 1:
+                continue
+            for max_len in range(3, 9):
+                for bound in range(1, 11):
+                    odd = {l for l in lengths_to_walk(-p, q, max_len, bound) if l % 2}
+                    if not odd <= set(lengths_to_walk(p, q, max_len, bound)):
+                        outside.add((p, q))
+    assert outside == {(-3, 1)}
+    assert families._family_candidates(3, 1)
+
+
 def witness_key(w):
     """A witness's words, start letters and kind as one string."""
     if w is None:
@@ -612,7 +630,7 @@ def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):
     real_branch = search_module._search_branch
 
     def spy(args):
-        p, q, _, positions = args
+        p, q, _, positions, _ = args
         walked.append((Fraction(p, q), len(positions) - 1))
         return real_branch(args)
 

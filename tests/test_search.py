@@ -274,7 +274,7 @@ def test_result_limit_stops_after_the_length_that_crosses_it(monkeypatch):
     real_branch = search_module._search_branch
 
     def spy(args):
-        _, _, _, positions = args
+        _, _, _, positions, _ = args
         walked.append(len(positions) - 1)  # the length of the branch
         return real_branch(args)
 
@@ -575,7 +575,7 @@ def test_tau_three_walks_only_length_three(monkeypatch):
     real_branch = search_module._search_branch
 
     def spy(args):
-        _, _, _, positions = args
+        _, _, _, positions, _ = args
         walked.append(len(positions) - 1)  # the length of the branch
         return real_branch(args)
 
@@ -598,8 +598,8 @@ def test_divisibility_cut_reaches_the_solve_loop(monkeypatch):
             leaves.append(r)
         real_dfs(p, q, r, exps, n11, n12, n21, n22, positions, bound, out)
 
-    def table_spy(r, bound, ends, middles):
-        table = real_table(r, bound, ends, middles)
+    def table_spy(r, bound, middles):
+        table = real_table(r, bound, middles)
         tables.append((r, middles, table))
         return table
 
@@ -612,14 +612,14 @@ def test_divisibility_cut_reaches_the_solve_loop(monkeypatch):
     # leaves fewer a than the full list: 12 / gcd(12, c) > 8 at c = +-1
     cut = [(middles, table) for r, middles, table in tables if r == 12]
     assert cut
-    assert any(len(a_values) < len(middles) for middles, table in cut for _, a_values in table)
+    assert any(len(a_values) < len(middles) for middles, table in cut for a_values in table)
 
 
 def test_the_cut_table_is_the_naive_filter():
-    # the pairs (c, a) with s = r // gcd(r, c) <= bound or s // gcd(s, a)
-    # <= bound, in the order of the ends and middles, without the c that
-    # keep no a; ends and middles are both +-, both positive (ALL_POSITIVE
-    # at l = 4) or both negative (ALTERNATING at l = 5)
+    # at |c| for each end value c: the a with s = r // gcd(r, c) <= bound or
+    # s // gcd(s, a) <= bound, in the order of the middles; ends and middles
+    # are both +-, both positive (ALL_POSITIVE at l = 4) or both negative
+    # (ALTERNATING at l = 5)
     build = search_module._cut_table.__wrapped__  # uncached
     for bound in range(1, 9):
         for mode, l in ((SignMode.NONZERO_ANY, 4), (SignMode.ALL_POSITIVE, 4),
@@ -627,14 +627,12 @@ def test_the_cut_table_is_the_naive_filter():
             positions = search_module._positions(l, bound, mode)
             ends, middles = positions[l][0], positions[l - 2][0]
             for r in range(1, 301):
-                naive = []
+                table = build(r, bound, middles)
+                assert len(table) == bound + 1
                 for c in ends:
                     s = r // math.gcd(r, c)
-                    a_values = [a for a in middles if s <= bound or s // math.gcd(s, a) <= bound]
-                    if a_values:
-                        naive.append((c, a_values))
-                table = build(r, bound, ends, middles)
-                assert [(c, list(a_values)) for c, a_values in table] == naive, (r, bound, mode)
+                    naive = [a for a in middles if s <= bound or s // math.gcd(s, a) <= bound]
+                    assert list(table[abs(c)]) == naive, (r, bound, mode, c)
 
 
 def test_no_cut_table_is_cached_where_no_cut_applies():
@@ -650,6 +648,26 @@ def test_no_cut_table_is_cached_where_no_cut_applies():
     assert tables.cache_info().currsize == 0
     search_half_relations(SearchQuery(Fraction(1, 12), 4, 8))  # 12 > 8: cut
     assert tables.cache_info().currsize > 0
+
+
+def test_the_cut_cache_stays_bounded_over_a_sweep():
+    # a table is keyed by (r, bound, middles) alone, not by p, a_1 or the
+    # end values: a sweep of every tau with these q at (4, 8), in all three
+    # modes, keeps at most one table per divisor r > 8 of a q and per
+    # middle list (the +- one, or the positive one), and the cache never
+    # holds more than CUT_CACHE_SIZE
+    tables = search_module._cut_table
+    tables.cache_clear()
+    qs = (12, 16, 24, 36, 48, 72, 96)
+    for q in qs:
+        for p in range(-4 * q + 1, 4 * q):
+            if p and math.gcd(p, q) == 1:
+                for mode in SignMode:
+                    search_half_relations(SearchQuery(Fraction(p, q), 4, 8, mode, None))
+    divisors = {r for q in qs for r in range(9, q + 1) if q % r == 0}
+    info = tables.cache_info()
+    assert 0 < info.currsize <= 2 * len(divisors)
+    assert info.maxsize == search_module.CUT_CACHE_SIZE
 
 
 @st.composite
