@@ -9,10 +9,11 @@ group relation too) also settles the semigroup.  The stream, in order:
 the family members at tau or at -tau, whichever is positive, since every
 family tau is (`families.family_lookup`), those at -tau mirrored to a
 group relation at tau and, when alternating, turned into positive words
-at tau; the search at tau (NONZERO_ANY while the group is
-open, ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING
-search at -tau.  The group is never searched at -tau.  No phase runs
-once both sides are settled.
+at tau; the search at tau (NONZERO_ANY while the group is open,
+ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING search
+at -tau.  The group is never searched at -tau.  The stream takes only
+tau and the effort: it holds the group open until its first witness,
+and its reader closes it once the semigroup is settled.
 
 A search walks the lengths `search.lengths_to_walk` leaves it (the
 ALTERNATING one its odd ones) by `search.hits_by_length`, if any, in
@@ -25,8 +26,7 @@ tau.  The odd lengths at -tau need no test of their own: the gates read
 the sign of p only at l = 3, where they admit tau = 3 and not -3, and 3
 is a family tau.  When neither test passes, it returns the thresholds'
 classification at once: no lookup, no stream and no Fraction
-comparison.  Otherwise the stream is handed the lengths at tau if they
-were computed.
+comparison.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness."""
@@ -98,30 +98,21 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     group_free = abs(p) >= 4 * q
     semi_free = p >= q or p <= -4 * q
     group = semi = None
-    open_ = set()
-    if p:
-        if not group_free:
-            open_.add("group")
-        if not semi_free:
-            open_.add("semigroup")
-    # whether a phase can yield, from p and q (module docstring); the
-    # lengths are computed at most once, here or in the stream
-    lengths = None
-    if open_ and (_family_candidates(abs(p), q)
-                  or (lengths := lengths_to_walk(p, q, effort.max_len, effort.bound))):
+    # whether a phase can yield, from p and q (module docstring); a free
+    # group frees the semigroup too, so no side is open then
+    if p and not group_free and (_family_candidates(abs(p), q)
+                                 or lengths_to_walk(p, q, effort.max_len, effort.bound)):
         # every witness was proven by its builder (build_relation,
         # build_semigroup_witness, _mirrored_witness, or family_instance's
         # identity-word check); the CLI re-checks what it prints
         # closing the stream stops the walk it is in and shuts its pool down
-        with closing(_witnesses(tau, effort, open_, lengths)) as stream:
+        with closing(_witnesses(tau, effort)) as stream:
             for w in stream:
-                if "group" in open_:
+                if group is None:
                     group = w
-                    open_.discard("group")
-                if "semigroup" in open_ and w.kind is not RelationKind.GROUP_NONTRIVIAL:
+                if not semi_free and w.kind is not RelationKind.GROUP_NONTRIVIAL:
                     semi = w
-                    open_.discard("semigroup")
-                if not open_:
+                if semi_free or semi is not None:
                     break
     return TauClassification(
         tau,
@@ -133,42 +124,41 @@ def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauCla
     )
 
 
-def _witnesses(tau: Fraction, effort: SearchEffort, open_: set[str],
-               lengths: Optional[list[int]] = None) -> Iterator[RelationWitness]:
-    """Verified witnesses at tau, in the order of the module docstring.
-    open_ holds the sides ("group", "semigroup") classify_tau has not
-    settled yet.  The first witness settles the group, so after it only
+def _witnesses(tau: Fraction, effort: SearchEffort) -> Iterator[RelationWitness]:
+    """Verified witnesses at tau, in the order of the module docstring,
+    for a reader that stops once the semigroup is settled.  The group is
+    open until the first witness, which settles it, so after it only
     witnesses that can settle the semigroup are built: positive words.
-    lengths are those of the search at tau, computed here if None.
 
     The alternating search at -tau runs only for tau < 0: for tau > 0 an
     odd-length hit would give a nonempty positive word in g and h_tau
     equal to the identity, and every such product of these nonnegative
     unipotent matrices has a positive off-diagonal entry."""
-    minus = -tau
+    group, minus = True, -tau
     if tau > 0:  # every family tau is positive (`family_lookup`)
         for inst in family_lookup(tau):
-            if "group" in open_ or inst.kind is RelationKind.SEMIGROUP_AT_TAU:
+            if group or inst.kind is RelationKind.SEMIGROUP_AT_TAU:
+                group = False
                 yield instance_witness(inst)
     else:
         for inst in family_lookup(minus):
-            if "group" in open_:
+            if group:
+                group = False
                 yield _mirrored_witness(inst)
             if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
                 yield build_semigroup_witness(inst.candidate, minus)
     p, q, bound, workers = tau.numerator, tau.denominator, effort.bound, effort.workers
-    if lengths is None:
-        lengths = lengths_to_walk(p, q, effort.max_len, bound)
-    if lengths:
+    if lengths := lengths_to_walk(p, q, effort.max_len, bound):
         # while the group is open, NONZERO_ANY: its all-positive hits are
         # those of ALL_POSITIVE
-        mode = SignMode.NONZERO_ANY if "group" in open_ else SignMode.ALL_POSITIVE
+        mode = SignMode.NONZERO_ANY if group else SignMode.ALL_POSITIVE
         with closing(hits_by_length(tau, lengths, bound, mode, workers)) as blocks:
             for block in blocks:
                 for hit in block:
-                    if "group" in open_ or min(hit) > 0:
+                    if group or min(hit) > 0:
+                        group = False
                         yield build_relation(hit, tau)
-    if "semigroup" not in open_ or tau > 0:
+    if tau > 0:
         return
     # Odd lengths only: conjugating by diag(1,-1) turns an even-length
     # alternating half-relation at -tau, entry by entry in |a_i|, into an

@@ -302,14 +302,15 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
                    workers: int = 1) -> Iterator[list[Candidate]]:
     """The hits at tau of each of the lengths, each list sorted, so their
     concatenation is in shortlex order; no result limit applies.  lengths
-    must be ascending, each >= 3, as `lengths_to_walk` lists them: the
-    walk gates nothing itself.  Deterministic and worker-count
-    independent: each length is split on the value of a_1.  At most one
-    worker per branch is started, in one pool that lives as long as the
-    generator; closing the generator shuts the pool down.  ValueError
-    (`check_effort`) on the first step if workers < 1, bound < 1 or the
-    longest length is above MAX_LEN_LIMIT."""
+    are those `lengths_to_walk` lists, or some of them: the walk gates
+    nothing itself.  Deterministic and worker-count independent: each
+    length is split on the value of a_1.  One pool of at most one worker
+    per branch lives as long as the generator, whose closing shuts it down.
+    ValueError on the first step if the lengths do not ascend strictly from
+    3 or above, or if workers, bound or max(lengths) fail `check_effort`."""
     check_effort(max(lengths, default=MAX_LEN_LIMIT), bound, workers)
+    if any(b <= a for a, b in zip([2, *lengths], lengths)):
+        raise ValueError("lengths must be strictly ascending, each >= 3")
     if not lengths:
         return
     p, q = tau.numerator, tau.denominator

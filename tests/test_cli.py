@@ -351,6 +351,16 @@ def test_search_invalid_query(capsys):
     assert main(["search", "--tau", "2", "--workers", "-3"]) == 2
     assert main(["search", "--tau", "2", "--workers", "0"]) == 2
     assert "error: workers must be >= 1" in capsys.readouterr().err
+    # the query checks tau and max_len first; workers < 1 fails on the
+    # walk's first step, also where no length is walked (|tau| >= 4)
+    for argv, message in (
+            (["--tau", "9/2", "--workers", "0"], "workers must be >= 1"),
+            (["--tau", "0", "--workers", "0"],
+             "tau must be nonzero (every tuple is a half-relation at 0)"),
+            (["--tau", "1/4", "--max-len", "13", "--workers", "0"], "max_len must be in [1, 12]")):
+        assert main(["search", *argv]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
 
 
 def test_search_tau_zero_is_an_error(capsys):

@@ -4,6 +4,8 @@ exact formula inversion, and witness soundness."""
 import hashlib
 import multiprocessing
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import gcd
 
 from hypothesis import given, settings
@@ -554,7 +556,7 @@ def test_a_gated_tau_builds_no_query(monkeypatch):
 
 def test_the_early_return_loses_nothing(monkeypatch):
     # wherever classify_tau decides from p and q that no phase can yield
-    # and builds no stream, the stream with both sides open is empty
+    # and builds no stream, the stream is empty
     streamed = []
     real_witnesses = freeness._witnesses
 
@@ -575,8 +577,47 @@ def test_the_early_return_loses_nothing(monkeypatch):
                 continue
             settled += 1
             assert (cls.group_witness, cls.semigroup_witness) == (None, None), tau
-            assert list(freeness._witnesses(tau, effort, {"group", "semigroup"})) == [], tau
+            assert list(freeness._witnesses(tau, effort)) == [], tau
     assert settled > len(taus)
+
+
+def test_the_stream_builds_only_witnesses_that_can_settle_a_side(monkeypatch):
+    # the first witness settles the group, so every later build is of
+    # positive words, the only ones that can still settle the semigroup
+    events = []
+
+    def spy(name, real):
+        def recorded(*args):
+            events.append((name, args))
+            return real(*args)
+        return recorded
+
+    monkeypatch.setattr(freeness, "build_relation", spy("build", build_relation))
+    monkeypatch.setattr(freeness, "_mirrored_witness", spy("mirror", freeness._mirrored_witness))
+    monkeypatch.setattr(freeness, "hits_by_length", spy("walk", hits_by_length))
+    effort, nonzero = SearchEffort(4, 8), SignMode.NONZERO_ANY
+    # 2/15: one build of the walk's 300 hits, none of them positive
+    tau = Fraction(2, 15)
+    cls = classify_tau(tau, effort)
+    assert (cls.group_status, cls.semigroup_status) == (NON_FREE, UNKNOWN)
+    assert [name for name, _ in events] == ["walk", "build"]
+    assert sum(map(len, hits_by_length(tau, [3, 4], 8, nonzero))) == 300
+    # 2/3 and -4/3: the first hit settles the group, the first positive
+    # one the semigroup
+    for tau in (Fraction(2, 3), Fraction(-4, 3)):
+        events.clear()
+        cls = classify_tau(tau, effort)
+        assert (cls.group_status, cls.semigroup_status) == (NON_FREE, NON_SEMIGROUP_FREE)
+        builds = [args[0] for name, args in events if name == "build"]
+        assert len(builds) > 1 and all(min(hit) > 0 for hit in builds[1:]), tau
+    # -2: the member at 2 mirrored settles the group before the walk,
+    # which is then ALL_POSITIVE only
+    events.clear()
+    cls = classify_tau(Fraction(-2), effort)
+    assert (cls.group_status, cls.semigroup_status) == (NON_FREE, NON_SEMIGROUP_FREE)
+    assert [name for name, _ in events] == ["mirror", "walk", "build"]
+    assert events[1][1] == (Fraction(-2), [3, 4], 8, SignMode.ALL_POSITIVE, 1)
+    assert cls.semigroup_witness.kind is RelationKind.SEMIGROUP_AT_TAU
 
 
 def test_odd_lengths_at_minus_tau_lie_among_the_lengths_at_tau():
@@ -605,21 +646,69 @@ def witness_key(w):
             f":{w.kind.value}")
 
 
-def test_the_classify_batch_pool_is_pinned():
-    # every tau = p/q with q <= 128 and 0 < |tau| < 4 at (4, 8), as the
-    # classify-batch benchmark draws them: the statuses and the witnesses'
-    # words, start letters and kinds, against the digest taken before the
-    # gate-first return and the cached cut table, which change no result
+@cache
+def classified_pool():
+    """Every tau = p/q with q <= 128 and 0 < |tau| < 4, as the
+    classify-batch benchmark draws them, in sorted order, each with its
+    classification at (4, 8); computed once for the tests that read it."""
     taus = sorted({Fraction(p, q) for q in range(1, 129) for p in range(-4 * q + 1, 4 * q) if p})
+    return tuple(classify_tau(tau, SearchEffort(4, 8)) for tau in taus)
+
+
+def test_the_classify_batch_pool_is_pinned():
+    # the statuses and the witnesses' words, start letters and kinds of
+    # the whole pool, against the digest taken before the gate-first
+    # return and the cached cut table, which change no result
+    pool = classified_pool()
     digest = hashlib.sha256()
-    for tau in taus:
-        cls = classify_tau(tau, SearchEffort(4, 8))
-        digest.update(f"{tau} {cls.group_status} {cls.semigroup_status} "
+    for cls in pool:
+        digest.update(f"{cls.tau} {cls.group_status} {cls.semigroup_status} "
                       f"{witness_key(cls.group_witness)} "
                       f"{witness_key(cls.semigroup_witness)}\n".encode())
-    assert len(taus) == 40174
+    assert len(pool) == 40174
     assert digest.hexdigest() == (
         "b8f4ed53d55005d87f237ab5b7536952917560e582c712af1d5632ff7bbb1a94")
+
+
+def test_the_pool_matches_the_root_atlas():
+    # an oracle that shares no code with the walk: every tuple of length 3
+    # or 4 with entries in [-8, 8] \ {0}, one per orbit of reversal and
+    # negation (a1 > 0, a1 <= |a_l|), whose defect polynomial P is linear
+    # there, so its one root is read off `symbolic_defect`; with the
+    # family members at |tau|, these roots are what classify settles on
+    # the pool at (4, 8), each side at each sign
+    values = [a for a in range(-8, 9) if a]
+    roots, positive, odd_alternating = set(), set(), set()
+    for c in (t for l in (3, 4) for t in product(values, repeat=l)):
+        if not 0 < c[0] <= abs(c[-1]):
+            continue
+        zero, c1, c2 = halfrel.symbolic_defect(c).coeffs  # tau * (c1 + c2 tau)
+        assert zero == 0 and c2 != 0, c
+        root = Fraction(-c1, c2)
+        alternating = len(c) % 2 and all(a * b < 0 for a, b in zip(c, c[1:]))
+        # the alternating search runs at -tau for tau < 0 only (`_witnesses`)
+        assert not (alternating and root < 0), c
+        if not (0 < abs(root) < 4 and root.denominator <= 128):
+            continue
+        roots.add(root)
+        if min(c) > 0:
+            positive.add(root)
+        if alternating:
+            odd_alternating.add(-root)
+    pool = classified_pool()
+    members = {cls.tau: family_lookup(abs(cls.tau)) for cls in pool}
+    non_free = {tau for tau, found in members.items()
+                if found or tau in roots or tau in odd_alternating}
+    semigroup_kind = {True: RelationKind.SEMIGROUP_AT_TAU,
+                      False: RelationKind.SEMIGROUP_AT_MINUS_TAU}
+    non_semigroup_free = {
+        tau for tau, found in members.items()
+        if -4 < tau < 1 and (tau in positive or tau in odd_alternating
+                             or any(inst.kind is semigroup_kind[tau > 0] for inst in found))}
+    assert {cls.tau for cls in pool if cls.group_status == NON_FREE} == non_free
+    assert {cls.tau for cls in pool
+            if cls.semigroup_status == NON_SEMIGROUP_FREE} == non_semigroup_free
+    assert (len(non_free), len(non_semigroup_free)) == (1414, 652)
 
 
 def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):

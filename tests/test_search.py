@@ -72,6 +72,19 @@ def test_search_rejects_fewer_than_one_worker():
     assert [h for block in hits_by_length(tau, [3, 4], 8, mode, 1) for h in block] == list(hits)
 
 
+def test_the_walk_rejects_lengths_it_cannot_walk():
+    # at 1/4, bound 4, the walk read [2, 3] as a first block of 8 length-3
+    # tuples (+-1, +-1, +-1) to (+-4, +-4, +-4), none a half-relation;
+    # [4, 3] as blocks [0, 0] where [3, 4] gives [0, 136]; and [4, 4] as
+    # 136 hits twice
+    tau, mode = Fraction(1, 4), SignMode.NONZERO_ANY
+    for lengths in ([2, 3], [4, 3], [4, 4]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            next(hits_by_length(tau, lengths, 4, mode))
+    assert [len(block) for block in hits_by_length(tau, [3, 4], 4, mode)] == [0, 136]
+    assert list(hits_by_length(tau, [], 4, mode)) == []
+
+
 def test_matches_naive_oracle():
     grid = [Fraction(2), Fraction(1, 4), Fraction(9, 4), Fraction(-3, 2)]
     for tau in grid:
