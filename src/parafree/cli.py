@@ -28,6 +28,7 @@ from .search import (
     DEFAULT_RESULT_LIMIT,
     SearchQuery,
     SignMode,
+    check_effort,
     search_half_relations,
 )
 
@@ -200,13 +201,14 @@ _SIGN_MODES = {
 
 def cmd_search(args, emit: Emitter) -> int:
     tau = _parse_tau(args.tau)
-    started = time.monotonic()
     try:
         query = SearchQuery(tau, args.max_len, args.bound, _SIGN_MODES[args.signs], args.limit)
-        # workers < 1 fails on the walk's first step, before any search
-        report = search_half_relations(query, workers=args.workers)
+        # only the input is checked here: a ValueError from the walk is a fault
+        check_effort(query.max_len, query.bound, args.workers)
     except ValueError as exc:
         raise InputError(str(exc)) from None
+    started = time.monotonic()
+    report = search_half_relations(query, workers=args.workers)
     elapsed = time.monotonic() - started
     inputs = {
         "tau": format_rational(tau),

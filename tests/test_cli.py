@@ -351,8 +351,8 @@ def test_search_invalid_query(capsys):
     assert main(["search", "--tau", "2", "--workers", "-3"]) == 2
     assert main(["search", "--tau", "2", "--workers", "0"]) == 2
     assert "error: workers must be >= 1" in capsys.readouterr().err
-    # the query checks tau and max_len first; workers < 1 fails on the
-    # walk's first step, also where no length is walked (|tau| >= 4)
+    # the query checks tau and max_len first, then the effort with workers,
+    # also where no length is walked (|tau| >= 4)
     for argv, message in (
             (["--tau", "9/2", "--workers", "0"], "workers must be >= 1"),
             (["--tau", "0", "--workers", "0"],
