@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -331,10 +332,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     emit = Emitter(args.table)
     try:
         code = args.func(args, emit)
+        emit.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return code
 
 

@@ -16,6 +16,7 @@ the signs alternate starting negative.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -160,7 +161,7 @@ def is_half_relation(candidate: Sequence[int], tau: Fraction) -> bool:
 
 
 def negate(candidate: Sequence[int]) -> Candidate:
-    return tuple(-a for a in candidate)
+    return tuple(map(operator.neg, candidate))
 
 
 def is_alternating(candidate: Sequence[int]) -> bool:

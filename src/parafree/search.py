@@ -62,10 +62,11 @@ The same root -c_0/(a_1*...*a_l) bounds |tau| at lengths 3 and 4, at any
 bound.  At l = 4, |c_0| <= |a_1| |a_2 + a_4| + |a_3| |a_4 - a_2| <= 2
 max(|a_1|, |a_3|) max(|a_2|, |a_4|), so every hit has |tau| min(|a_1|,
 |a_3|) min(|a_2|, |a_4|) <= 2: |tau| <= 2, and once |a_4| > 2/|tau| only
-the a_2 with |a_2| <= 2/|tau| are walked.  At l = 3, with x, y, z the
-|a_i|, x + y + z <= 2xyz unless x = y = z = 1 (for z = max >= 2 it is
-at most 3z <= 4z <= 2xyz when xy >= 2, and 2 + z <= 2z when xy = 1), so
-|tau| <= 2, or tau = 3, which comes only from +-(1, -1, 1).  A length
+the a_2 with |a_2| <= 2/|tau| are walked (`_capped_table`, below).  At
+l = 3, with x, y, z the |a_i|, x + y + z <= 2xyz unless x = y = z = 1
+(for z = max >= 2 it is at most 3z <= 4z <= 2xyz when xy >= 2, and 2 +
+z <= 2z when xy = 1), so |tau| <= 2, or tau = 3, which comes only from
++-(1, -1, 1).  A length
 3 or 4 outside its bound is not walked.
 
 Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
@@ -78,6 +79,13 @@ values, and is built once per key, in a cache of at most
 there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut:
 there the a is a_1 alone, and the test would cost more than the one
 solve it saves.  At r <= bound nothing is cut.  Neither builds a table.
+
+At l = 4 with cap = 2q // |p| below the bound, the leaf reads its a off
+`_capped_table`: the cut table's lists (the middles at r <= bound), cut
+to |a| <= cap past |c| > cap, cached apart in at most `CUT_CACHE_SIZE`
+tables; a capped table with no a left is (), which ends the leaf.  Every
+leaf skips an end value with no a before computing its coefficients, and
+`_positions` is cached per (max_len, bound, mode).
 """
 
 from __future__ import annotations
@@ -106,7 +114,7 @@ class SignMode(enum.Enum):
 
 MAX_LEN_LIMIT = 12
 DEFAULT_RESULT_LIMIT = 1000
-# the most cut tables kept at once (`_cut_table`)
+# the most cut tables kept at once, in each of `_cut_table` and `_capped_table`
 CUT_CACHE_SIZE = 1024
 
 
@@ -145,9 +153,10 @@ class SearchReport:
 
 
 # per 1-indexed position: the allowed exponents and their range (lo, hi)
-Positions = list[tuple[Sequence[int], int, int]]
+Positions = Sequence[tuple[Sequence[int], int, int]]
 
 
+@lru_cache(maxsize=3 * MAX_LEN_LIMIT)  # every max_len and mode at one bound
 def _positions(max_len: int, bound: int, mode: SignMode) -> Positions:
     """The allowed exponents at positions 1..max_len (index 0 unused), in
     increasing magnitude.
@@ -161,7 +170,7 @@ def _positions(max_len: int, bound: int, mode: SignMode) -> Positions:
         odd, even = neg, pos
     else:
         odd = even = tuple(a for m in pos[0] for a in (m, -m)), -bound, bound
-    return [odd if l % 2 == 1 else even for l in range(max_len + 1)]
+    return tuple(odd if l % 2 == 1 else even for l in range(max_len + 1))
 
 
 def _orbit(hit: Candidate, mode: SignMode) -> tuple[Candidate, ...]:
@@ -183,7 +192,8 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
 
     r is q over its gcd with the product of exps, so a hit's remaining
     exponents have a product divisible by r; from l = 4 on, the a this
-    leaves for each c are read from `_cut_table`."""
+    leaves for each c are read from `_cut_table`, or at l = 4 with a cap
+    2q/|p| below the bound from `_capped_table`."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
@@ -198,12 +208,18 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
         return
     last_values, lo, hi = positions[l - 1]
     middles = positions[pos][0]
-    # at l = 3 the a is a_1 alone, and a cut would save nothing; at r <=
-    # bound nothing is cut
-    kept = _cut_table(r, bound, middles) if l >= 4 and r > bound else None
-    # at l = 4, min(|a_2|, |a_4|) <= 2/|tau|: past |a_4| > 2q/|p| walk
-    # only the a_2 up to it
-    cap = 2 * q // abs(p)
+    if l == 4 and (cap := 2 * q // abs(p)) < bound:
+        # min(|a_2|, |a_4|) <= 2/|tau| cuts the a past |c| > cap; () when
+        # no c has an a left; every r <= bound cuts as little as r = 1
+        kept = _capped_table(r if r > bound else 1, bound, middles, cap)
+        if not kept:
+            return
+    elif l >= 4 and r > bound:
+        kept = _cut_table(r, bound, middles)
+    else:
+        # at l = 3 the a is a_1 alone, and a cut would save nothing; at r
+        # <= bound nothing is cut
+        kept = None
     # the scaled defect of exps + (a, b, c) is coeff*b + const with coeff
     # = (x1*c + x2)*a + x3*c + x4 and const = y1*(a + c) + y2
     u, v, qn21, qn22 = p * n11, p * n12, q * n21, q * n22
@@ -215,8 +231,8 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
         y1, y2 = q * v, q * (q * n11 - qn22)
     for c in positions[l][0]:
         a_values = middles if kept is None else kept[abs(c)]
-        if l == 4 and abs(c) > cap:
-            a_values = a_values[:bisect_right(a_values, cap, key=abs)]
+        if not a_values:  # nothing to solve at this c
+            continue
         c1, c0, k0 = x1 * c + x2, x3 * c + x4, y1 * c + y2
         for a in a_values:
             coeff, const = c1 * a + c0, y1 * a + k0
@@ -243,6 +259,19 @@ def _cut_table(r: int, bound: int, middles: Sequence[int]) -> tuple[Sequence[int
             by_s[s] = middles if s <= bound else tuple(a for a in middles if s // gcd(s, a) <= bound)
         table.append(by_s[s])
     return tuple(table)
+
+
+@lru_cache(maxsize=CUT_CACHE_SIZE)
+def _capped_table(r: int, bound: int, middles: Sequence[int],
+                  cap: int) -> tuple[Sequence[int], ...]:
+    """At l = 4 with cap = 2q/|p| < bound: at index |c|, the a of
+    `_cut_table` (middles itself at r <= bound), and past |c| > cap only
+    those with |a| <= cap, since every hit has min(|a_2|, |a_4|) <= cap.
+    () when no a is left at any |c| >= 1."""
+    lists = _cut_table(r, bound, middles) if r > bound else (middles,) * (bound + 1)
+    table = tuple(a_values if m <= cap else a_values[:bisect_right(a_values, cap, key=abs)]
+                  for m, a_values in enumerate(lists))
+    return table if any(table[1:]) else ()
 
 
 def _is_smooth(q: int, bound: int) -> bool:

@@ -4,6 +4,9 @@ and the round-trip property (records re-verify from their own data)."""
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -540,3 +543,18 @@ def test_every_printed_witness_is_the_one_witness_record(capsys):
     for w in witnesses:
         assert set(w) == keys
         assert w["verified"] is True and reverify_witness(w)
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the search writes about 574 KB; the reader takes one line and closes
+    # the pipe, so a later write raises BrokenPipeError
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parafree.cli", "search", "--tau", "1/4", "--max-len", "5",
+         "--bound", "8", "--limit", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+    assert json.loads(proc.stdout.readline())["command"] == "search"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in stderr, stderr

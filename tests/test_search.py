@@ -25,20 +25,25 @@ from parafree.search import (
 )
 
 
+def sign_pools(length, bound, mode):
+    """The mode's allowed values at positions 1..length, within the bound."""
+    pools = []
+    for i in range(1, length + 1):
+        if mode is SignMode.ALL_POSITIVE:
+            pools.append(range(1, bound + 1))
+        elif mode is SignMode.ALTERNATING:
+            pools.append(range(-bound, 0) if i % 2 == 1
+                         else range(1, bound + 1))
+        else:
+            pools.append([a for a in range(-bound, bound + 1) if a != 0])
+    return pools
+
+
 def naive_search(tau, max_len, bound, mode):
     """Brute-force enumeration of every tuple; the correctness oracle."""
     hits = []
     for l in range(1, max_len + 1):
-        pools = []
-        for i in range(1, l + 1):
-            if mode is SignMode.ALL_POSITIVE:
-                pools.append(range(1, bound + 1))
-            elif mode is SignMode.ALTERNATING:
-                pools.append(range(-bound, 0) if i % 2 == 1
-                             else range(1, bound + 1))
-            else:
-                pools.append([a for a in range(-bound, bound + 1) if a != 0])
-        for cand in itertools.product(*pools):
+        for cand in itertools.product(*sign_pools(l, bound, mode)):
             if defect(cand, tau) == 0:
                 hits.append(cand)
     return sorted(set(hits), key=lambda c: (len(c), c))
@@ -681,6 +686,53 @@ def test_the_cut_cache_stays_bounded_over_a_sweep():
     info = tables.cache_info()
     assert 0 < info.currsize <= 2 * len(divisors)
     assert info.maxsize == search_module.CUT_CACHE_SIZE
+
+
+def test_the_length_four_cap_reaches_the_solve_loop(monkeypatch):
+    # the cap min(|a_2|, |a_4|) <= 2q/|p| prunes only pairs with no hit, so
+    # no oracle sees it: at 3/2 (cap 1) the leaf reads a capped table whose
+    # lists past |c| > 1 hold only +-1, and at 1/12 (2q/|p| = 24 >= 8) none
+    tables = []
+    real_table = search_module._capped_table
+
+    def spy(r, bound, middles, cap):
+        table = real_table(r, bound, middles, cap)
+        tables.append((cap, table))
+        return table
+
+    monkeypatch.setattr(search_module, "_capped_table", spy)
+    search_half_relations(SearchQuery(Fraction(3, 2), 4, 8, SignMode.NONZERO_ANY, None))
+    assert tables and {cap for cap, _ in tables} == {1}
+    past_cap = [a for _, table in tables for a_values in table[2:] for a in a_values]
+    assert past_cap and set(past_cap) == {1, -1}
+    tables.clear()
+    search_half_relations(SearchQuery(Fraction(1, 12), 4, 8, SignMode.NONZERO_ANY, None))
+    assert tables == []
+    assert real_table.cache_info().maxsize == search_module.CUT_CACHE_SIZE
+
+
+def test_lengths_three_and_four_match_the_root_atlas():
+    # at lengths 3 and 4, P_l = a_1*...*a_l * tau + c_0 is linear, so each
+    # tuple of the sign pools has one root -c_0/(a_1*...*a_l), read off
+    # `poly_hr`; at every tau with q <= 16 and 0 < |tau| < 4, every bound
+    # to 8 and each mode, the walk's blocks are the tuples with root tau,
+    # sorted: every cap 2q/|p| below the bound and every cut table of q
+    atlas = {}
+    for mode in SignMode:
+        for l in (3, 4):
+            for cand in itertools.product(*sign_pools(l, 8, mode)):
+                c0, c1 = poly_hr(cand).coeffs
+                assert c1 == math.prod(cand), cand
+                if c0:
+                    atlas.setdefault((mode, l, Fraction(-c0, c1)), []).append(cand)
+    taus = sorted({Fraction(p, q) for q in range(1, 17) for p in range(-4 * q + 1, 4 * q) if p})
+    for tau in taus:
+        for mode in SignMode:
+            at_tau = [sorted(atlas.get((mode, l, tau), [])) for l in (3, 4)]
+            for bound in range(1, 9):
+                expected = [[c for c in block if max(map(abs, c)) <= bound] for block in at_tau]
+                assert list(hits_by_length(tau, [3, 4], bound, mode)) == expected, (
+                    tau, bound, mode)
 
 
 @st.composite
