@@ -38,13 +38,11 @@ class InputError(Exception):
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
+    # split always yields a part, so an empty text fails int('')
     try:
-        seq = tuple(int(part.strip()) for part in text.split(","))
+        return tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
         raise InputError(f"malformed integer sequence {text!r}") from None
-    if not seq:
-        raise InputError("empty sequence")
-    return seq
 
 
 def _parse_tau(text: str) -> Fraction:

@@ -62,7 +62,7 @@ The same root -c_0/(a_1*...*a_l) bounds |tau| at lengths 3 and 4, at any
 bound.  At l = 4, |c_0| <= |a_1| |a_2 + a_4| + |a_3| |a_4 - a_2| <= 2
 max(|a_1|, |a_3|) max(|a_2|, |a_4|), so every hit has |tau| min(|a_1|,
 |a_3|) min(|a_2|, |a_4|) <= 2: |tau| <= 2, and once |a_4| > 2/|tau| only
-the a_2 with |a_2| <= 2/|tau| are walked (`_capped_table`, below).  At
+the a_2 with |a_2| <= 2/|tau| are walked (the capped table, below).  At
 l = 3, with x, y, z the |a_i|, x + y + z <= 2xyz unless x = y = z = 1
 (for z = max >= 2 it is at most 3z <= 4z <= 2xyz when xy >= 2, and 2 +
 z <= 2z when xy = 1), so |tau| <= 2, or tau = 3, which comes only from
@@ -73,18 +73,20 @@ Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
 gcd(q, product of the prefix), and the b it solves at l - 1 is then a
 multiple of r / gcd(r, a*c), so the pair (a, c) is walked only when that
 is <= bound.  The a left for each |c| are read from `_cut_table(r,
-bound, values at l - 2)`, which depends on neither p, a_1 nor the end
-values, and is built once per key, in a cache of at most
+bound, values at l - 2[, cap])`, which depends on neither p, a_1 nor the
+end values, and is built once per key, in one cache of at most
 `CUT_CACHE_SIZE` tables.  A pair with coeff = const = 0 is never cut:
 there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut:
 there the a is a_1 alone, and the test would cost more than the one
-solve it saves.  At r <= bound nothing is cut.  Neither builds a table.
+solve it saves.  At r <= bound nothing is cut.  Neither builds an
+uncapped table.
 
 At l = 4 with cap = 2q // |p| below the bound, the leaf reads its a off
-`_capped_table`: the cut table's lists (the middles at r <= bound), cut
-to |a| <= cap past |c| > cap, cached apart in at most `CUT_CACHE_SIZE`
-tables; a capped table with no a left is (), which ends the leaf.  Every
-leaf skips an end value with no a before computing its coefficients, and
+the capped table, `_cut_table(r, bound, middles, cap)` with every r <=
+bound keyed as r = 1: the cut lists (the middles at r <= bound), cut to
+|a| <= cap past |c| > cap.  A branch whose own end values, |c| >= |a_1|,
+have no a left in it ends before computing its coefficients.  Every leaf
+skips an end value with no a before computing its coefficients, and
 `_positions` is cached per (max_len, bound, mode).
 """
 
@@ -114,7 +116,7 @@ class SignMode(enum.Enum):
 
 MAX_LEN_LIMIT = 12
 DEFAULT_RESULT_LIMIT = 1000
-# the most cut tables kept at once, in each of `_cut_table` and `_capped_table`
+# the most cut tables, capped or not, that `_cut_table` keeps at once
 CUT_CACHE_SIZE = 1024
 
 
@@ -192,8 +194,9 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
 
     r is q over its gcd with the product of exps, so a hit's remaining
     exponents have a product divisible by r; from l = 4 on, the a this
-    leaves for each c are read from `_cut_table`, or at l = 4 with a cap
-    2q/|p| below the bound from `_capped_table`."""
+    leaves for each c are read from `_cut_table`, at l = 4 with a cap
+    2q/|p| below the bound from its capped table, and a branch whose end
+    values have no a left ends before its coefficients are computed."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
@@ -207,12 +210,12 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
                      positions, bound, out)
         return
     last_values, lo, hi = positions[l - 1]
-    middles = positions[pos][0]
+    middles, ends = positions[pos][0], positions[l][0]
     if l == 4 and (cap := 2 * q // abs(p)) < bound:
-        # min(|a_2|, |a_4|) <= 2/|tau| cuts the a past |c| > cap; () when
-        # no c has an a left; every r <= bound cuts as little as r = 1
-        kept = _capped_table(r if r > bound else 1, bound, middles, cap)
-        if not kept:
+        # min(|a_2|, |a_4|) <= 2/|tau| cuts the a past |c| > cap; every r
+        # <= bound cuts as little as r = 1; the ends ascend in |c|
+        kept = _cut_table(r if r > bound else 1, bound, middles, cap)
+        if not any(kept[abs(ends[0]):]):  # no a left at this branch's ends
             return
     elif l >= 4 and r > bound:
         kept = _cut_table(r, bound, middles)
@@ -229,7 +232,7 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     else:  # h^a g^b h^c: functional (q, p*c, 0, -q)
         x1, x2, x3, x4 = p * v, -p * qn22, q * u, -q * qn21
         y1, y2 = q * v, q * (q * n11 - qn22)
-    for c in positions[l][0]:
+    for c in ends:
         a_values = middles if kept is None else kept[abs(c)]
         if not a_values:  # nothing to solve at this c
             continue
@@ -247,31 +250,23 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
 
 
 @lru_cache(maxsize=CUT_CACHE_SIZE)
-def _cut_table(r: int, bound: int, middles: Sequence[int]) -> tuple[Sequence[int], ...]:
+def _cut_table(r: int, bound: int, middles: Sequence[int],
+               cap: int | None = None) -> tuple[Sequence[int], ...]:
     """At index |c| <= bound, the a of middles, in order, that the cut
     leaves: the b solved for (a, c) is a multiple of s / gcd(s, a), s = r /
-    gcd(r, c), so that must be <= bound.  The c with one s share a list."""
-    by_s: dict[int, Sequence[int]] = {}
+    gcd(r, c), so that must be <= bound.  With a cap (l = 4, cap = 2q/|p|
+    < bound), past |c| > cap only the a with |a| <= cap are left, since
+    every hit has min(|a_2|, |a_4|) <= cap.  The c with one s, and past
+    the cap or not, share a list."""
+    by_s: dict[tuple[int, bool], Sequence[int]] = {}
     table = []
     for m in range(bound + 1):
-        s = r // gcd(r, m)
-        if s not in by_s:
-            by_s[s] = middles if s <= bound else tuple(a for a in middles if s // gcd(s, a) <= bound)
-        table.append(by_s[s])
+        s, capped = r // gcd(r, m), cap is not None and m > cap
+        if (s, capped) not in by_s:
+            a_values = middles if s <= bound else tuple(a for a in middles if s // gcd(s, a) <= bound)
+            by_s[s, capped] = a_values[:bisect_right(a_values, cap, key=abs)] if capped else a_values
+        table.append(by_s[s, capped])
     return tuple(table)
-
-
-@lru_cache(maxsize=CUT_CACHE_SIZE)
-def _capped_table(r: int, bound: int, middles: Sequence[int],
-                  cap: int) -> tuple[Sequence[int], ...]:
-    """At l = 4 with cap = 2q/|p| < bound: at index |c|, the a of
-    `_cut_table` (middles itself at r <= bound), and past |c| > cap only
-    those with |a| <= cap, since every hit has min(|a_2|, |a_4|) <= cap.
-    () when no a is left at any |c| >= 1."""
-    lists = _cut_table(r, bound, middles) if r > bound else (middles,) * (bound + 1)
-    table = tuple(a_values if m <= cap else a_values[:bisect_right(a_values, cap, key=abs)]
-                  for m, a_values in enumerate(lists))
-    return table if any(table[1:]) else ()
 
 
 def _is_smooth(q: int, bound: int) -> bool:

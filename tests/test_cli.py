@@ -105,6 +105,22 @@ def test_verify_malformed_inputs(capsys):
     assert main(["verify", "--tau", "2", "--seq", "1,a"]) == 2
 
 
+def test_malformed_sequences_and_k_ranges_exit_two(capsys):
+    # an empty sequence is a malformed one; a k range needs '..' and two
+    # integers
+    for argv, message in (
+        (["verify", "--tau", "1", "--seq="], "error: malformed integer sequence"),
+        (["verify", "--tau", "1", "--seq", "1,,2"], "error: malformed integer sequence"),
+        (["poly", "--seq="], "error: malformed integer sequence"),
+        (["family", "--name", "b", "--sigma=", "--k", "1"], "error: malformed integer sequence"),
+        (["family", "--name", "d", "--k-range", "5"], "error: malformed k range"),
+        (["family", "--name", "d", "--k-range", "a..b"], "error: malformed k range"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message), argv
+
+
 def test_verify_negative_values(capsys):
     code, recs = run(capsys, "verify", "--tau", "1", "--seq", "-1,-1,1,-1,-1,1")
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import parafree.families as families
+from parafree.cli import main
 from parafree.exact import ExpWord, G, eval_word
 from parafree.families import (
     EXCEPTIONAL_TAU2_WORD,
@@ -329,6 +330,16 @@ def test_an_exceptional_word_must_be_a_nontrivial_relator(monkeypatch, exponents
         family_instance("D", 1)
     with pytest.raises(AssertionError, match="exceptional word is not a relator"):
         family_lookup(Fraction(2))
+
+
+def test_a_failed_candidate_check_is_raised_not_skipped(monkeypatch):
+    # a member whose candidate fails its check is an AssertionError, which
+    # a k-range sweep does not skip: it skips only ValueError (excluded k)
+    monkeypatch.setattr(families, "is_half_relation", lambda seq, tau: False)
+    with pytest.raises(AssertionError, match="candidate failed verification"):
+        family_instance("D", 3)
+    with pytest.raises(AssertionError, match="candidate failed verification"):
+        main(["family", "--name", "d", "--k-range", "2..4"])
 
 
 def test_instance_witness_checks():

@@ -8,6 +8,7 @@ from functools import cache
 from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +218,14 @@ def test_mirrored_witness_evaluates_two_words_at_minus_tau(monkeypatch):
     w = freeness._mirrored_witness(exceptional)
     assert (w.lhs, w.rhs) == (minus_tau_transform(exceptional.identity_word), ExpWord(G, (0,)))
     assert w.tau == -2 and w.check()
+
+
+def test_a_failed_mirror_is_raised(monkeypatch):
+    # the member's words unchanged are no relation at -tau, and the mirror's
+    # own check says so
+    monkeypatch.setattr(freeness, "minus_tau_transform", lambda word: word)
+    with pytest.raises(AssertionError, match="minus-tau rewrite failed to verify"):
+        freeness._mirrored_witness(family_lookup(Fraction(5, 2))[0])
 
 
 def test_every_emitted_witness_proves_a_nontrivial_relation():

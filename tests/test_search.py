@@ -653,54 +653,110 @@ def test_the_cut_table_is_the_naive_filter():
                     assert list(table[abs(c)]) == naive, (r, bound, mode, c)
 
 
-def test_no_cut_table_is_cached_where_no_cut_applies():
-    # the cache holds tables only for l >= 4 and r > bound: length 3 walks
+def test_the_capped_table_is_the_naive_filter():
+    # with a cap below the bound, the list at |c| is the naive cut list, and
+    # past |c| > cap only its a with |a| <= cap, for the ends and middles of
+    # the naive-filter test above
+    build = search_module._cut_table.__wrapped__  # uncached
+    for bound in range(1, 9):
+        for mode, l in ((SignMode.NONZERO_ANY, 4), (SignMode.ALL_POSITIVE, 4),
+                        (SignMode.ALTERNATING, 5)):
+            positions = search_module._positions(l, bound, mode)
+            ends, middles = positions[l][0], positions[l - 2][0]
+            for r in range(1, 301):
+                for cap in range(1, bound):
+                    table = build(r, bound, middles, cap)
+                    assert len(table) == bound + 1
+                    for c in ends:
+                        s = r // math.gcd(r, c)
+                        naive = [a for a in middles if s <= bound or s // math.gcd(s, a) <= bound]
+                        if abs(c) > cap:
+                            naive = [a for a in naive if abs(a) <= cap]
+                        assert list(table[abs(c)]) == naive, (r, bound, mode, c, cap)
+
+
+def test_no_cut_table_is_cached_where_no_cut_applies(monkeypatch):
+    # the cache holds uncapped tables only for l >= 4 and r > bound, and
+    # capped ones only at l = 4 with 2q//|p| below the bound: length 3 walks
     # its ends and middles directly even at q = 96 > 50, and so does length
-    # 4 once q <= bound
+    # 4 at 1/24 with bound 40 (q <= bound, 2q//|p| = 48 >= bound); the other
+    # length-4 queries have q <= bound and 2q//|p| below it, so each of
+    # their tables is capped and keyed by r = 1
     tables = search_module._cut_table
+    keys = []
+
+    def spy(*args):
+        keys.append(args)
+        return tables(*args)
+
+    monkeypatch.setattr(search_module, "_cut_table", spy)
     tables.cache_clear()
     for mode in SignMode:
         search_half_relations(SearchQuery(Fraction(1, 96), 3, 50, mode, None))
+    assert tables.cache_info().currsize == 0
+    for mode in SignMode:
+        search_half_relations(SearchQuery(Fraction(1, 24), 4, 40, mode, None))
+    assert tables.cache_info().currsize == 0 and keys == []
+    for mode in SignMode:
         for tau, bound in ((Fraction(1, 2), 40), (Fraction(7, 12), 12), (Fraction(-5, 8), 8)):
             search_half_relations(SearchQuery(tau, 4, bound, mode, None))
-    assert tables.cache_info().currsize == 0
+    assert keys and all(len(key) == 4 and key[0] == 1 and key[3] < key[1] for key in keys)
+    capped = tables.cache_info().currsize
     search_half_relations(SearchQuery(Fraction(1, 12), 4, 8))  # 12 > 8: cut
-    assert tables.cache_info().currsize > 0
+    assert (12, 8, search_module._positions(4, 8, SignMode.NONZERO_ANY)[2][0]) in keys
+    assert tables.cache_info().currsize > capped
 
 
-def test_the_cut_cache_stays_bounded_over_a_sweep():
-    # a table is keyed by (r, bound, middles) alone, not by p, a_1 or the
-    # end values: a sweep of every tau with these q at (4, 8), in all three
-    # modes, keeps at most one table per divisor r > 8 of a q and per
-    # middle list (the +- one, or the positive one), and the cache never
-    # holds more than CUT_CACHE_SIZE
+def test_the_cut_cache_stays_bounded_over_a_sweep(monkeypatch):
+    # a table is keyed by (r, bound, middles), and at l = 4 also by the
+    # cap, not by p, a_1 or the end values: a sweep of every tau with these
+    # q at (4, 8), in all three modes, keeps at most one uncapped table per
+    # divisor r > 8 of a q and per middle list (the +- one, or the positive
+    # one), at most one capped table per such r or r = 1, per middle list
+    # and per cap 1..7, and the cache never holds more than CUT_CACHE_SIZE
     tables = search_module._cut_table
+    keys = set()
+
+    def spy(*args):
+        keys.add(args)
+        return tables(*args)
+
+    monkeypatch.setattr(search_module, "_cut_table", spy)
     tables.cache_clear()
-    qs = (12, 16, 24, 36, 48, 72, 96)
+    qs, bound = (12, 16, 24, 36, 48, 72, 96), 8
     for q in qs:
         for p in range(-4 * q + 1, 4 * q):
             if p and math.gcd(p, q) == 1:
                 for mode in SignMode:
-                    search_half_relations(SearchQuery(Fraction(p, q), 4, 8, mode, None))
-    divisors = {r for q in qs for r in range(9, q + 1) if q % r == 0}
+                    search_half_relations(SearchQuery(Fraction(p, q), 4, bound, mode, None))
+    divisors = {r for q in qs for r in range(bound + 1, q + 1) if q % r == 0}
+    uncapped = [key for key in keys if len(key) == 3]
+    capped = [key for key in keys if len(key) == 4]
+    assert 0 < len(uncapped) <= 2 * len(divisors)
+    assert {r for r, *_ in uncapped} <= divisors
+    assert 0 < len(capped) <= 2 * (len(divisors) + 1) * (bound - 1)
+    assert {r for r, *_ in capped} <= divisors | {1}
+    assert {cap for *_, cap in capped} <= set(range(1, bound))
     info = tables.cache_info()
-    assert 0 < info.currsize <= 2 * len(divisors)
+    assert info.currsize == len(keys)
     assert info.maxsize == search_module.CUT_CACHE_SIZE
 
 
 def test_the_length_four_cap_reaches_the_solve_loop(monkeypatch):
     # the cap min(|a_2|, |a_4|) <= 2q/|p| prunes only pairs with no hit, so
-    # no oracle sees it: at 3/2 (cap 1) the leaf reads a capped table whose
+    # no oracle sees it: at 3/2 (cap 1) the leaf reads capped tables whose
     # lists past |c| > 1 hold only +-1, and at 1/12 (2q/|p| = 24 >= 8) none
     tables = []
-    real_table = search_module._capped_table
+    real_table = search_module._cut_table
 
-    def spy(r, bound, middles, cap):
+    def spy(r, bound, middles, cap=None):
+        if cap is None:
+            return real_table(r, bound, middles)
         table = real_table(r, bound, middles, cap)
         tables.append((cap, table))
         return table
 
-    monkeypatch.setattr(search_module, "_capped_table", spy)
+    monkeypatch.setattr(search_module, "_cut_table", spy)
     search_half_relations(SearchQuery(Fraction(3, 2), 4, 8, SignMode.NONZERO_ANY, None))
     assert tables and {cap for cap, _ in tables} == {1}
     past_cap = [a for _, table in tables for a_values in table[2:] for a in a_values]
@@ -843,6 +899,13 @@ def test_len4_positive_validation():
         search_len4_positive(1, 10, 10)
     with pytest.raises(ValueError):
         search_len4_positive(2, 10, 0)
+
+
+def test_a_bad_len4_hit_is_raised(monkeypatch):
+    # every census hit is re-checked, and one that fails is an error
+    monkeypatch.setattr(search_module, "is_half_relation", lambda seq, tau: False)
+    with pytest.raises(AssertionError, match="solver produced a bad hit"):
+        search_len4_positive(2, 10, None)
 
 
 def test_len4_positive_complete_census_beyond_criterion_8():
