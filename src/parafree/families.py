@@ -35,6 +35,7 @@ time.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
@@ -57,7 +58,9 @@ SigmaPair = tuple[int, int]
 
 
 def validate_sigma(sigma: Sequence[int]) -> SigmaPair:
-    s = tuple(int(v) for v in sigma)
+    """sigma as a pair of distinct values in {1, 2, 3}: TypeError if a
+    value is not an int (`operator.index`), ValueError otherwise."""
+    s = tuple(map(operator.index, sigma))
     if len(s) != 2 or s[0] not in (1, 2, 3) or s[1] not in (1, 2, 3) or s[0] == s[1]:
         raise ValueError(f"sigma must be a pair of distinct values in {{1,2,3}}, got {sigma}")
     return s  # type: ignore[return-value]

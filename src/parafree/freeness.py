@@ -6,14 +6,14 @@ verified witnesses at tau for the sides they leave open.
 One rule reads the stream: the first witness settles the group, and the
 first one whose kind is not GROUP_NONTRIVIAL (positive words, which are a
 group relation too) also settles the semigroup.  The stream, in order:
-the family members at tau or at -tau, whichever is positive, since every
-family tau is (`families.family_lookup`), those at -tau mirrored to a
-group relation at tau and, when alternating, turned into positive words
-at tau; the search at tau (NONZERO_ANY while the group is open,
-ALL_POSITIVE otherwise); for tau < 0, the odd-length ALTERNATING search
-at -tau.  The group is never searched at -tau.  The stream takes only
-tau and the effort: it holds the group open until its first witness,
-and its reader closes it once the semigroup is settled.
+the family members at |tau|, since every family tau is positive
+(`families.family_lookup`), those at -tau mirrored to a group relation
+at tau and, when alternating, turned into positive words at tau; the
+search at tau (NONZERO_ANY while the group is open, ALL_POSITIVE
+otherwise); for tau < 0, the odd-length ALTERNATING search at -tau.
+The group is never searched at -tau.  The stream takes only tau and the
+effort: it holds the group open until its first witness, and its reader
+closes it once the semigroup is settled.
 
 A search walks the lengths `search.lengths_to_walk` leaves it (the
 ALTERNATING one its odd ones) by `search.hits_by_length`, if any, in
@@ -22,11 +22,10 @@ shortlex order, and stops, its pool shut down, once no side is open.
 Before the stream is built, `classify_tau` decides from the integers p
 and q whether any phase can yield, with short circuit: a family
 candidate at |tau| (`families._family_candidates`), then the lengths at
-tau.  The odd lengths at -tau need no test of their own: the gates read
-the sign of p only at l = 3, where they admit tau = 3 and not -3, and 3
-is a family tau.  When neither test passes, it returns the thresholds'
-classification at once: no lookup, no stream and no Fraction
-comparison.
+tau.  The lengths at -tau need no test of their own: the gates read |p|
+only, so they are those at tau, and the stream reads them once.  When
+neither test passes, it returns the thresholds' classification at once:
+no lookup, no stream and no Fraction comparison.
 
 "Unknown" is a first-class outcome: failure to find a relation within the
 effort bounds is never reported as freeness."""
@@ -129,24 +128,22 @@ def _witnesses(tau: Fraction, effort: SearchEffort) -> Iterator[RelationWitness]
     for a reader that stops once the semigroup is settled.  The group is
     open until the first witness, which settles it, so after it only
     witnesses that can settle the semigroup are built: positive words.
+    The family lookup, at |tau|, and the lengths, the same at tau and
+    -tau, are each read once; the sign of tau picks only how a member is
+    turned into a witness at tau and whether the alternating search runs.
 
     The alternating search at -tau runs only for tau < 0: for tau > 0 an
     odd-length hit would give a nonempty positive word in g and h_tau
     equal to the identity, and every such product of these nonnegative
     unipotent matrices has a positive off-diagonal entry."""
-    group, minus = True, -tau
-    if tau > 0:  # every family tau is positive (`family_lookup`)
-        for inst in family_lookup(tau):
-            if group or inst.kind is RelationKind.SEMIGROUP_AT_TAU:
-                group = False
-                yield instance_witness(inst)
-    else:
-        for inst in family_lookup(minus):
-            if group:
-                group = False
-                yield _mirrored_witness(inst)
-            if inst.kind is RelationKind.SEMIGROUP_AT_MINUS_TAU:
-                yield build_semigroup_witness(inst.candidate, minus)
+    group, at = True, abs(tau)
+    positive = RelationKind.SEMIGROUP_AT_TAU if tau > 0 else RelationKind.SEMIGROUP_AT_MINUS_TAU
+    for inst in family_lookup(at):  # every family tau is positive (`family_lookup`)
+        if group:
+            group = False
+            yield instance_witness(inst) if tau > 0 else _mirrored_witness(inst)
+        if inst.kind is positive:
+            yield build_semigroup_witness(inst.candidate, at)
     p, q, bound, workers = tau.numerator, tau.denominator, effort.bound, effort.workers
     if lengths := lengths_to_walk(p, q, effort.max_len, bound):
         # while the group is open, NONZERO_ANY: its all-positive hits are
@@ -158,14 +155,12 @@ def _witnesses(tau: Fraction, effort: SearchEffort) -> Iterator[RelationWitness]
                     if group or min(hit) > 0:
                         group = False
                         yield build_relation(hit, tau)
-    if tau > 0:
-        return
     # Odd lengths only: conjugating by diag(1,-1) turns an even-length
     # alternating half-relation at -tau, entry by entry in |a_i|, into an
     # all-positive one at tau, and the search at tau has just found none at
-    # these even lengths (the gate reads the sign of p at l = 3 only).
-    if odd := [l for l in lengths_to_walk(-p, q, effort.max_len, bound) if l % 2]:
-        with closing(hits_by_length(minus, odd, bound, SignMode.ALTERNATING, workers)) as blocks:
+    # these even lengths.  The lengths at -tau are those at tau.
+    if tau < 0 and (odd := [l for l in lengths if l % 2]):
+        with closing(hits_by_length(at, odd, bound, SignMode.ALTERNATING, workers)) as blocks:
             hit = next((block[0] for block in blocks if block), None)
         if hit is not None:
-            yield build_semigroup_witness(hit, minus)
+            yield build_semigroup_witness(hit, at)

@@ -65,9 +65,11 @@ max(|a_1|, |a_3|) max(|a_2|, |a_4|), so every hit has |tau| min(|a_1|,
 the a_2 with |a_2| <= 2/|tau| are walked (the capped table, below).  At
 l = 3, with x, y, z the |a_i|, x + y + z <= 2xyz unless x = y = z = 1
 (for z = max >= 2 it is at most 3z <= 4z <= 2xyz when xy >= 2, and 2 +
-z <= 2z when xy = 1), so |tau| <= 2, or tau = 3, which comes only from
-+-(1, -1, 1).  A length
-3 or 4 outside its bound is not walked.
+z <= 2z when xy = 1), so |tau| <= 2, or |tau| = 3.  Only +-(1, -1, 1)
+reaches 3, and only at tau = 3: a root at -3 needs a_1 - a_2 + a_3 =
+3*a_1*a_2*a_3, so every |a_i| = 1, and then a_1 = -a_2 = a_3 = s with 3s
+= -3s.  The gates read |p| only, so -3 keeps length 3, walked without a
+hit.  A length 3 or 4 outside its bound is not walked.
 
 Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
 gcd(q, product of the prefix), and the b it solves at l - 1 is then a
@@ -93,6 +95,7 @@ skips an end value with no a before computing its coefficients, and
 from __future__ import annotations
 
 import enum
+import operator
 from bisect import bisect_left, bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
@@ -121,14 +124,22 @@ CUT_CACHE_SIZE = 1024
 
 
 def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
-    """The one statement of the effort limits: ValueError if max_len is
+    """The one statement of the effort limits: TypeError if max_len, bound
+    or workers is not an int (`operator.index`), ValueError if max_len is
     outside [1, MAX_LEN_LIMIT], bound < 1 or workers < 1."""
+    max_len, bound, workers = map(operator.index, (max_len, bound, workers))
     if not 1 <= max_len <= MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+
+
+def _check_tau(tau: Fraction) -> None:
+    """ValueError at tau = 0, where every tuple is a half-relation."""
+    if tau == 0:
+        raise ValueError("tau must be nonzero (every tuple is a half-relation at 0)")
 
 
 @dataclass(frozen=True)
@@ -140,10 +151,9 @@ class SearchQuery:
     result_limit: int = DEFAULT_RESULT_LIMIT
 
     def __post_init__(self) -> None:
-        if self.tau == 0:
-            raise ValueError("tau must be nonzero (every tuple is a half-relation at 0)")
+        _check_tau(self.tau)
         check_effort(self.max_len, self.bound)
-        if self.result_limit is not None and self.result_limit < 1:
+        if self.result_limit is not None and operator.index(self.result_limit) < 1:
             raise ValueError("result_limit must be >= 1")
 
 
@@ -297,7 +307,8 @@ def _search_branch(args: tuple) -> list[Candidate]:
 def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
     terms) within the bound, in any sign mode: none when |tau| >= 4 or q
-    has a prime factor above the bound.  The one statement of the gates."""
+    has a prime factor above the bound.  The one statement of the gates,
+    which read |p| only: tau and -tau get the same lengths."""
     # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
     if not _is_smooth(q, bound):
         return []
@@ -305,11 +316,11 @@ def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     # never zero at tau != 0, so every hit has length >= 3; a hit is a
     # nontrivial relation of <g, h_tau>, free at |tau| >= 4; at l = 3 and 4
     # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2,
-    # and |tau| <= 2, or tau = 3 at l = 3
+    # and |tau| <= 2, or |tau| = 3 at l = 3
     near = abs(p) <= 2 * q
     return [l for l in range(3, max_len + 1)
             if l >= 5 and abs(p) < 4 * q
-            or l == 3 and abs(p) <= 3 * bound and (near or (p, q) == (3, 1))
+            or l == 3 and abs(p) <= 3 * bound and (near or (abs(p), q) == (3, 1))
             or l == 4 and abs(p) <= 2 * bound * bound and near]
 
 
@@ -330,9 +341,11 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
     nothing itself.  Deterministic and worker-count independent: each
     length is split on the value of a_1.  One pool of at most one worker
     per branch lives as long as the generator, whose closing shuts it down.
-    ValueError on the first step if the lengths do not ascend strictly from
-    3 or above, or if workers, bound or max(lengths) fail `check_effort`."""
+    On the first step, TypeError or ValueError if workers, bound or
+    max(lengths) fail `check_effort`, and ValueError at tau = 0 or if the
+    lengths do not ascend strictly from 3 or above."""
     check_effort(max(lengths, default=MAX_LEN_LIMIT), bound, workers)
+    _check_tau(tau)
     if any(b <= a for a, b in zip([2, *lengths], lengths)):
         raise ValueError("lengths must be strictly ascending, each >= 3")
     if not lengths:

@@ -141,6 +141,19 @@ def test_validate_sigma():
             validate_sigma(bad)
 
 
+def test_sigma_takes_integral_values_only():
+    # int() truncated (1.9, 2.2) to (1, 2) and read "1" as 1, so a float
+    # sigma named another member without a word
+    for bad in ((1.9, 2.2), (1.5, 2.9), (Fraction(3, 2), 2), ("1", "3"), (1, Fraction(2))):
+        with pytest.raises(TypeError):
+            validate_sigma(bad)
+    with pytest.raises(TypeError):
+        family_instance("B", 3, sigma=(1.5, 2.9))
+    with pytest.raises(TypeError):
+        u_seq((Fraction(3, 2), 2), 4)
+    assert u_seq((1, 2), 4) == 17
+
+
 def test_fib_doubly_infinite():
     assert [fib(k) for k in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     for n in range(1, 15):

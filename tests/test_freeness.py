@@ -630,21 +630,39 @@ def test_the_stream_builds_only_witnesses_that_can_settle_a_side(monkeypatch):
 
 
 def test_odd_lengths_at_minus_tau_lie_among_the_lengths_at_tau():
-    # classify_tau tests no phase past the lengths at tau: for tau < 0 the
-    # odd lengths of the alternating search at -tau are among them, but at
-    # tau = -3, whose |tau| has a family candidate
-    outside = set()
+    # the gates read |p| only, so classify_tau tests no phase past the
+    # lengths at tau: the alternating search at -tau walks their odd ones
     for q in range(1, 31):
-        for p in range(-4 * q - 1, 0):
-            if gcd(p, q) != 1:
-                continue
+        for p in range(1, 4 * q + 2):
             for max_len in range(3, 9):
                 for bound in range(1, 11):
-                    odd = {l for l in lengths_to_walk(-p, q, max_len, bound) if l % 2}
-                    if not odd <= set(lengths_to_walk(p, q, max_len, bound)):
-                        outside.add((p, q))
-    assert outside == {(-3, 1)}
-    assert families._family_candidates(3, 1)
+                    assert lengths_to_walk(p, q, max_len, bound) == \
+                        lengths_to_walk(-p, q, max_len, bound), (p, q, max_len, bound)
+
+
+def test_the_stream_reads_the_lengths_once(monkeypatch):
+    # the walk at tau and the alternating walk at -tau share one
+    # `lengths_to_walk` call, whose odd lengths the latter walks
+    calls, alternating = [], []
+
+    def lengths_spy(*args):
+        calls.append(args)
+        return lengths_to_walk(*args)
+
+    def walk_spy(tau, lengths, bound, mode, workers=1):
+        if mode is SignMode.ALTERNATING:
+            alternating.append(tuple(lengths))
+        return hits_by_length(tau, lengths, bound, mode, workers)
+
+    monkeypatch.setattr(freeness, "lengths_to_walk", lengths_spy)
+    monkeypatch.setattr(freeness, "hits_by_length", walk_spy)
+    for tau, effort, odd in ((Fraction(-3, 25), SearchEffort(4, 8), (3,)),
+                             (Fraction(-9, 5), SearchEffort(5, 6), (3, 5))):
+        calls.clear()
+        alternating.clear()
+        list(freeness._witnesses(tau, effort))  # read to the end
+        assert calls == [(tau.numerator, tau.denominator, effort.max_len, effort.bound)]
+        assert alternating == [odd], tau
 
 
 def witness_key(w):

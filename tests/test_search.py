@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import parafree.search as search_module
 from parafree.families import enumerate_n_values, family_instance, family_n
+from parafree.freeness import SearchEffort
 from parafree.halfrel import defect, is_half_relation, negate, poly_hr
 from parafree.search import (
     SearchQuery,
@@ -75,6 +76,39 @@ def test_search_rejects_fewer_than_one_worker():
     hits = search_half_relations(query, workers=1).hits
     assert len(hits) == 736
     assert [h for block in hits_by_length(tau, [3, 4], 8, mode, 1) for h in block] == list(hits)
+
+
+def test_the_walk_rejects_tau_zero():
+    # every tuple is a half-relation at 0: the walk yielded all 4,096 of
+    # length 3 and then divided by p = 0 at length 4
+    for lengths in ([3, 4], []):
+        with pytest.raises(ValueError, match="tau must be nonzero"):
+            next(hits_by_length(Fraction(0), lengths, 8, SignMode.NONZERO_ANY))
+    with pytest.raises(ValueError, match="tau must be nonzero"):
+        SearchQuery(Fraction(0), 4, 8)
+
+
+def test_effort_values_are_integers():
+    # 8.0 == 8 used to hit the cached walk tables of bound 8, so a float
+    # effort passed or failed with the cache; one search at bound 8 first
+    # fills them, so the result holds in any test order
+    tau, mode = Fraction(1, 4), SignMode.NONZERO_ANY
+    assert len(search_half_relations(SearchQuery(tau, 4, 8)).hits) == 736
+    for max_len, bound in ((4, 8.0), (4.0, 8), (4.5, 8), (4, Fraction(8))):
+        with pytest.raises(TypeError):
+            SearchQuery(tau, max_len, bound)
+        with pytest.raises(TypeError):
+            SearchEffort(max_len, bound)
+    for workers in (1.0, 2.5):
+        with pytest.raises(TypeError):
+            next(hits_by_length(tau, [3, 4], 8, mode, workers))
+        with pytest.raises(TypeError):
+            SearchEffort(4, 8, workers)
+    with pytest.raises(TypeError):
+        next(hits_by_length(tau, [3, 4], 8.0, mode))
+    with pytest.raises(TypeError):
+        SearchQuery(tau, 4, 8, mode, result_limit=2.5)
+    assert SearchQuery(tau, 4, 8, mode, result_limit=None).result_limit is None
 
 
 def test_the_walk_rejects_lengths_it_cannot_walk():
