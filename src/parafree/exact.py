@@ -164,6 +164,15 @@ class ExpWord:
         return all(a > 0 for a in self.exponents)
 
 
+def check_tau(tau, symbolic: bool = False) -> None:
+    """TypeError unless tau is an int or a Fraction, or, if symbolic,
+    UniPoly.var(): the one type test of tau, as `operator.index` is of the
+    effort values.  Any other value, a float say, would be read as a ring
+    element and evaluated inexactly."""
+    if not (isinstance(tau, (int, Fraction)) or symbolic and tau == UniPoly.var()):
+        raise TypeError(f"tau must be an int or a Fraction, not {type(tau).__name__}")
+
+
 def scaled_product(word: ExpWord, tau) -> tuple:
     """(n11, n12, n21, n22, den): the word's left-to-right product of
     generator powers over the ring of tau is N / den, with N and den
@@ -176,10 +185,14 @@ def scaled_product(word: ExpWord, tau) -> tuple:
     M = N / q^j after j h-letters, so each h-letter scales the running
     product by q before adding (a*p)*col2 to col1, and den = q^(number of
     h-letters).  For an int tau or tau = UniPoly.var() the denominator is
-    1 and the entries stay in that ring.
+    1 and the entries stay in that ring; any other tau is a TypeError
+    (`check_tau`).
     """
-    rational = isinstance(tau, Fraction)
-    p, q = (tau.numerator, tau.denominator) if rational else (tau, 1)
+    if isinstance(tau, Fraction):
+        p, q = tau.numerator, tau.denominator
+    else:
+        check_tau(tau, symbolic=True)
+        p, q = tau, 1
     zero = p * 0
     e11, e12, e21, e22 = zero + 1, zero, zero, zero + 1
     on_g = word.start == G

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from .exact import check_tau
 from .families import (
     FamilyInstance,
     _family_candidates,
@@ -92,7 +93,9 @@ def _mirrored_witness(inst: FamilyInstance) -> RelationWitness:
 
 def classify_tau(tau: Fraction, effort: SearchEffort = SearchEffort()) -> TauClassification:
     """Classify the group and semigroup at tau: the Schottky thresholds,
-    then the first witnesses of `_witnesses` that settle each open side."""
+    then the first witnesses of `_witnesses` that settle each open side.
+    TypeError unless tau is an int or a Fraction (`exact.check_tau`)."""
+    check_tau(tau)
     p, q = tau.numerator, tau.denominator
     group_free = abs(p) >= 4 * q
     semi_free = p >= q or p <= -4 * q

@@ -46,30 +46,38 @@ has a larger prime factor has no hit in any sign mode, and
 exhausted report without walking or starting a pool.  The test is trial
 division by d <= min(bound, sqrt(q)).
 
-The numerator half of the theorem settles lengths 3 and 4.  There P_l
-= a_1*...*a_l * tau + c_0 is linear, so its one nonzero root is
--c_0/(a_1*...*a_l), which needs c_0 != 0, and p | c_0.  At l = 3,
-c_0 = a_1 - a_2 + a_3, so |c_0| <= 3*bound; at l = 4, c_0 = a_1 (a_2 +
-a_4) + a_3 (a_4 - a_2), so |c_0| <= bound (|a_2 + a_4| + |a_4 - a_2|)
-<= 2*bound^2.  Both bounds are attained, and they hold in every sign
-mode, so a length whose bound is below |p| has no hit and is not walked.
+The whole root settles lengths 3 and 4.  There P_l = a_1*...*a_l * tau
++ c_0 is linear, so its one nonzero root is -c_0/(a_1*...*a_l), with
+c_0 = a_1 - a_2 + a_3 at l = 3 and a_1 (a_2 + a_4) + a_3 (a_4 - a_2) at
+l = 4.  A hit at p/q in lowest terms then has q*m = |a_1*...*a_l| and
+|p|*m = |c_0| for an integer m >= 1, so |p| <= q S(x)/P(x), where x is
+the tuple of the |a_i|, P(x) their product and S(x) the largest |c_0|
+over all signs: x_1 + x_2 + x_3 at l = 3, and max(x_1, x_3)(x_2 + x_4)
++ min(x_1, x_3)|x_2 - x_4| at l = 4.  Only the exact factorisations of
+q count.  S/P does not grow when any one x_i grows, so while a prime
+divides P(x) more often than q, dividing one x_i by it keeps q | P(x),
+keeps every x_i <= bound and does not lower q S/P; at P(x) = q the
+ratio is S(x).  So length l in {3, 4} is walked only when |p| <= cap_l,
+the largest S(x) over the ordered factorisations q = x_1*...*x_l with
+every x_i <= bound, or 0 when there is none; `_root_caps` computes both
+caps once per (q, bound).  The gate holds in every sign mode, and it
+implies the clauses it replaces: q is bound-smooth; |p| <= 3*bound at
+l = 3 and 2*bound^2 at l = 4, since S(x) is at most that; and |tau| <=
+2 at both lengths, or (|p|, q) = (3, 1) at l = 3, since x_1 + x_2 + x_3
+<= 2 x_1 x_2 x_3 unless every x_i = 1 and S(x) <= 2 max(x_1, x_3)
+max(x_2, x_4) <= 2q at l = 4.  The gates read |p| only, so -3 keeps
+length 3, walked without a hit: only +-(1, -1, 1) reaches 3, and its
+root is 3.
+
 Below |tau| = 4 no length l >= 5 is dropped: P_l then has degree >= 2
 and c_0 may vanish, as for (1, 2, 1, 1, 1), whose c_0 is 0 and which has
 the root tau = -2; p then divides only the lowest nonzero coefficient,
 which is cubic or more in the bound and bounds nothing in the search.
 
-The same root -c_0/(a_1*...*a_l) bounds |tau| at lengths 3 and 4, at any
-bound.  At l = 4, |c_0| <= |a_1| |a_2 + a_4| + |a_3| |a_4 - a_2| <= 2
-max(|a_1|, |a_3|) max(|a_2|, |a_4|), so every hit has |tau| min(|a_1|,
-|a_3|) min(|a_2|, |a_4|) <= 2: |tau| <= 2, and once |a_4| > 2/|tau| only
-the a_2 with |a_2| <= 2/|tau| are walked (the capped table, below).  At
-l = 3, with x, y, z the |a_i|, x + y + z <= 2xyz unless x = y = z = 1
-(for z = max >= 2 it is at most 3z <= 4z <= 2xyz when xy >= 2, and 2 +
-z <= 2z when xy = 1), so |tau| <= 2, or |tau| = 3.  Only +-(1, -1, 1)
-reaches 3, and only at tau = 3: a root at -3 needs a_1 - a_2 + a_3 =
-3*a_1*a_2*a_3, so every |a_i| = 1, and then a_1 = -a_2 = a_3 = s with 3s
-= -3s.  The gates read |p| only, so -3 keeps length 3, walked without a
-hit.  A length 3 or 4 outside its bound is not walked.
+Inside the length-4 walk the same root bounds the middle values: |c_0|
+<= 2 max(|a_1|, |a_3|) max(|a_2|, |a_4|), so every hit has |tau|
+min(|a_1|, |a_3|) min(|a_2|, |a_4|) <= 2, and once |a_4| > 2/|tau| only
+the a_2 with |a_2| <= 2/|tau| are walked (the capped table, below).
 
 Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
 gcd(q, product of the prefix), and the b it solves at l - 1 is then a
@@ -105,6 +113,7 @@ from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
+from .exact import check_tau
 from .halfrel import Candidate, is_half_relation, negate
 
 if TYPE_CHECKING:
@@ -137,7 +146,9 @@ def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
 
 
 def _check_tau(tau: Fraction) -> None:
-    """ValueError at tau = 0, where every tuple is a half-relation."""
+    """TypeError unless tau is an int or a Fraction (`exact.check_tau`),
+    and ValueError at tau = 0, where every tuple is a half-relation."""
+    check_tau(tau)
     if tau == 0:
         raise ValueError("tau must be nonzero (every tuple is a half-relation at 0)")
 
@@ -304,24 +315,62 @@ def _search_branch(args: tuple) -> list[Candidate]:
     return out
 
 
+@lru_cache(maxsize=CUT_CACHE_SIZE)
+def _root_caps(q: int, bound: int) -> tuple[int, int]:
+    """(cap_3, cap_4) for a bound-smooth q: the largest S(x) over the
+    ordered factorisations q = x_1*...*x_l with every x_i <= bound, or 0
+    where there is none (module docstring).  q is factored by trial
+    division, not by `_factorize`, whose first call sieves the census's
+    prime table; the factorisations are walked cofactor by cofactor over
+    the divisors of q up to the bound."""
+    factors: dict[int, int] = {}
+    m, d = q, 2
+    while d * d <= m:
+        while m % d == 0:
+            m //= d
+            factors[d] = factors.get(d, 0) + 1
+        d += 1
+    if m > 1:  # a prime above every d tried
+        factors[m] = 1
+    divs = sorted(_divisors(factors, bound))
+
+    def splits(r: int, l: int) -> Iterator[tuple[int, ...]]:
+        # the ordered l-tuples of divisors <= bound with product r
+        if l == 1:
+            if r <= bound:
+                yield r,
+        elif r <= bound ** l:
+            for x in divs[:bisect_right(divs, r)]:
+                if r % x == 0:
+                    yield from ((x, *rest) for rest in splits(r // x, l - 1))
+
+    cap3 = max(map(sum, splits(q, 3)), default=0)
+    cap4 = max((max(x1, x3) * (x2 + x4) + min(x1, x3) * abs(x2 - x4)
+                for x1, x2, x3, x4 in splits(q, 4)), default=0)
+    return cap3, cap4
+
+
 def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
     terms) within the bound, in any sign mode: none when |tau| >= 4 or q
     has a prime factor above the bound.  The one statement of the gates,
-    which read |p| only: tau and -tau get the same lengths."""
+    which read |p| only: tau and -tau get the same lengths.
+
+    Length 3 or 4 needs |p| <= cap_l (`_root_caps`): a hit has |p| <= q
+    S(x)/P(x), and S/P does not grow with any one x_i, so only the exact
+    factorisations q = P(x) with every x_i <= bound count (module
+    docstring).  That one clause replaces the smoothness of q, |p| <=
+    3*bound and |tau| <= 2 or (|p|, q) = (3, 1) at l = 3, and |p| <=
+    2*bound^2 and |tau| <= 2 at l = 4; no cap exceeds 3q."""
     # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
     if not _is_smooth(q, bound):
         return []
     # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
     # never zero at tau != 0, so every hit has length >= 3; a hit is a
-    # nontrivial relation of <g, h_tau>, free at |tau| >= 4; at l = 3 and 4
-    # a root p/q of P_l has p | c_0, with |c_0| <= 3*bound and 2*bound^2,
-    # and |tau| <= 2, or |tau| = 3 at l = 3
-    near = abs(p) <= 2 * q
-    return [l for l in range(3, max_len + 1)
-            if l >= 5 and abs(p) < 4 * q
-            or l == 3 and abs(p) <= 3 * bound and (near or (abs(p), q) == (3, 1))
-            or l == 4 and abs(p) <= 2 * bound * bound and near]
+    # nontrivial relation of <g, h_tau>, free at |tau| >= 4
+    p = abs(p)
+    caps = _root_caps(q, bound) if p <= 3 * q else (0, 0)
+    return [l for l in range(3, max_len + 1) if (caps[l - 3] >= p if l < 5 else p < 4 * q)]
 
 
 def _process_pool(workers: int) -> ProcessPoolExecutor:

@@ -657,7 +657,8 @@ def test_the_stream_reads_the_lengths_once(monkeypatch):
     monkeypatch.setattr(freeness, "lengths_to_walk", lengths_spy)
     monkeypatch.setattr(freeness, "hits_by_length", walk_spy)
     for tau, effort, odd in ((Fraction(-3, 25), SearchEffort(4, 8), (3,)),
-                             (Fraction(-9, 5), SearchEffort(5, 6), (3, 5))):
+                             (Fraction(-9, 5), SearchEffort(5, 6), (5,)),
+                             (Fraction(-7, 18), SearchEffort(5, 4), (3, 5))):
         calls.clear()
         alternating.clear()
         list(freeness._witnesses(tau, effort))  # read to the end
@@ -739,9 +740,10 @@ def test_the_pool_matches_the_root_atlas():
 
 
 def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):
-    # -9/5 at (5, 6): the search at -9/5 leaves the semigroup open, and the
-    # gate leaves 3, 4 and 5 at 9/5, of which the alternating search walks
-    # the odd ones
+    # the search at tau leaves the semigroup open, and the alternating
+    # search at -tau walks the odd lengths the gate leaves: 5 of 4 and 5 at
+    # -9/5, (5, 6), whose 5 splits into three factors <= 6 only as 5*1*1,
+    # so cap_3 = 7 < 9; 3 and 5 of 3, 4 and 5 at -7/18, (5, 4)
     walked = []
     real_branch = search_module._search_branch
 
@@ -751,9 +753,17 @@ def test_the_alternating_search_walks_odd_lengths_only(monkeypatch):
         return real_branch(args)
 
     monkeypatch.setattr(search_module, "_search_branch", spy)
-    classify_tau(Fraction(-9, 5), SearchEffort(5, 6))
-    assert lengths_to_walk(9, 5, 5, 6) == [3, 4, 5]
-    assert list(dict.fromkeys(l for tau, l in walked if tau > 0)) == [3, 5]
+    for tau, effort, lengths, odd in ((Fraction(-9, 5), SearchEffort(5, 6), [4, 5], [5]),
+                                      (Fraction(-7, 18), SearchEffort(5, 4), [3, 4, 5], [3, 5])):
+        walked.clear()
+        cls = classify_tau(tau, effort)
+        assert cls.group_status == NON_FREE and cls.semigroup_status == UNKNOWN
+        assert lengths_to_walk(-tau.numerator, tau.denominator, effort.max_len, effort.bound) == lengths
+        assert list(dict.fromkeys(l for at, l in walked if at > 0)) == odd
+    # the length the gate drops at +-9/5 holds no hit in any mode, by brute force
+    values = [a for a in range(-6, 7) if a]
+    assert not any(halfrel.is_half_relation(a, tau) for a in product(values, repeat=3)
+                   for tau in (Fraction(9, 5), Fraction(-9, 5)))
 
 
 def test_semigroup_witness_settles_the_group():

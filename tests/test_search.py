@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import parafree.search as search_module
 from parafree.families import enumerate_n_values, family_instance, family_n
-from parafree.freeness import SearchEffort
-from parafree.halfrel import defect, is_half_relation, negate, poly_hr
+from parafree.exact import UniPoly, eval_word_symbolic, scaled_product, word_from_exponents
+from parafree.freeness import SearchEffort, classify_tau
+from parafree.halfrel import build_relation, defect, is_half_relation, negate, poly_hr
 from parafree.search import (
     SearchQuery,
     SignMode,
@@ -109,6 +110,32 @@ def test_effort_values_are_integers():
     with pytest.raises(TypeError):
         SearchQuery(tau, 4, 8, mode, result_limit=2.5)
     assert SearchQuery(tau, 4, 8, mode, result_limit=None).result_limit is None
+
+
+def test_a_tau_that_is_not_an_int_or_a_fraction_is_rejected():
+    # a float would be read as a ring element and evaluated inexactly, so
+    # every entry that takes a tau rejects it before any arithmetic
+    word = word_from_exponents((-6, -2, 1))
+    for tau in (0.25, 2.0, "1/4"):
+        with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+            SearchQuery(tau, 4, 8)
+        with pytest.raises(TypeError):
+            next(hits_by_length(tau, [3, 4], 8, SignMode.NONZERO_ANY))
+        with pytest.raises(TypeError):
+            classify_tau(tau, SearchEffort(4, 8))
+        with pytest.raises(TypeError):
+            defect((-6, -2, 1), tau)
+        with pytest.raises(TypeError):
+            build_relation((-6, -2, 1), tau)
+        with pytest.raises(TypeError):
+            scaled_product(word, tau)
+    with pytest.raises(TypeError):
+        SearchQuery(UniPoly.var(), 4, 8)
+    # an int and a Fraction are accepted, and the symbolic product keeps
+    # its indeterminate
+    assert build_relation((-6, -2, 1), Fraction(1, 4)).check()
+    assert search_half_relations(SearchQuery(3, 3, 1)).hits == ((-1, 1, -1), (1, -1, 1))
+    assert eval_word_symbolic(word).e21 == scaled_product(word, UniPoly.var())[2]
 
 
 def test_the_walk_rejects_lengths_it_cannot_walk():
@@ -569,13 +596,77 @@ def test_gated_query_walks_nothing_and_starts_no_pool(monkeypatch):
     monkeypatch.setattr(search_module, "_process_pool", _SerialPool)
     monkeypatch.setattr(search_module, "_search_branch", walked.append)
     _SerialPool.sizes = []
-    # 32 is 8-smooth, so only the numerator settles it: 129 > 2*8^2;
-    # 5/2 passes both numerator bounds, but |tau| > 2 at lengths 3 and 4
-    for tau in (Fraction(129, 32), Fraction(5, 2)):
+    # 32 is 8-smooth, so only the numerator settles it: 129 > 3*32, past
+    # both caps; 5/2: 2 splits into factors <= 8 only as 2*1*1 (*1), so
+    # both caps are 4 < 5; 25/27: 27 splits into four factors <= 8 only as
+    # 1*3*3*3 and its orderings, so cap_4 = 18 < 25 (and cap_3 = 9); 1/2^40:
+    # no product of three or four numbers <= 8 reaches 2^40
+    for tau in (Fraction(129, 32), Fraction(5, 2), Fraction(25, 27), Fraction(1, 2**40)):
         query = SearchQuery(tau, 4, 8)
         report = search_half_relations(query, workers=2)
         assert report == search_module.SearchReport(query, (), True)
     assert walked == [] and _SerialPool.sizes == []
+
+
+def root_cases(top):
+    """Every (root, bound, length) with bound <= top and length 3 or 4 for
+    which some tuple with 0 < |a_i| <= bound has that nonzero root
+    -c_0/(a_1*...*a_l), from c_0 in closed form: each root's least bound,
+    and every bound above it up to top."""
+    least = {}
+    values = [a for a in range(-top, top + 1) if a]
+    for l in (3, 4):
+        for a in itertools.product(values, repeat=l):
+            if l == 3:
+                c0 = a[0] - a[1] + a[2]
+            else:
+                c0 = a[0] * (a[1] + a[3]) + a[2] * (a[3] - a[1])
+            if c0:
+                key = Fraction(-c0, math.prod(a)), l
+                least[key] = min(least.get(key, top), max(map(abs, a)))
+    return {(root, bound, l) for (root, l), low in least.items() for bound in range(low, top + 1)}
+
+
+def test_the_root_caps_keep_every_root_at_lengths_three_and_four():
+    # every nonzero root of a tuple of length 3 or 4 within the bound keeps
+    # its length at that bound: a cap one too small drops the root that
+    # attains it
+    cases = root_cases(9)
+    assert len(cases) == 7216
+    for root, bound, l in cases:
+        assert l in lengths_to_walk(root.numerator, root.denominator, 4, bound), (root, bound, l)
+
+
+def test_the_root_caps_are_the_largest_root_numerators():
+    # the caps are the largest |p| = floor(q*S(x)/P(x)) over every magnitude
+    # tuple x with q | P(x), where S(x) is the largest |c_0| over the signs:
+    # the exact factorisations of q reach it
+    def s_of(x):
+        if len(x) == 3:
+            return sum(x)
+        x1, x2, x3, x4 = x
+        return max(x1, x3) * (x2 + x4) + min(x1, x3) * abs(x2 - x4)
+
+    for bound in range(1, 9):
+        top = {}  # per length and product P(x), the largest S(x)
+        for l in (3, 4):
+            for x in itertools.product(range(1, bound + 1), repeat=l):
+                key = l, math.prod(x)
+                top[key] = max(top.get(key, 0), s_of(x))
+        for q in range(1, 201):
+            brute = tuple(max((q * s // prod for (l, prod), s in top.items()
+                               if l == length and prod % q == 0), default=0)
+                          for length in (3, 4))
+            assert search_module._root_caps(q, bound) == brute, (q, bound)
+
+
+def test_the_root_caps_leave_the_pinned_lengths_on_the_classify_batch_pool():
+    # at (4, 8), over every tau with q <= 128 and 0 < |tau| < 4: the walks
+    # of length 3 and 4 that the caps leave, 214 and 852 of them with a hit
+    taus = {Fraction(p, q) for q in range(1, 129) for p in range(-4 * q + 1, 4 * q) if p}
+    lengths = [l for tau in taus for l in lengths_to_walk(tau.numerator, tau.denominator, 4, 8)]
+    assert len(taus) == 40174
+    assert (lengths.count(3), lengths.count(4)) == (582, 1872)
 
 
 # --- |tau| bounds at lengths 3 and 4, and the divisibility cut -----------
