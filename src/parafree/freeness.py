@@ -16,8 +16,11 @@ effort: it holds the group open until its first witness, and its reader
 closes it once the semigroup is settled.
 
 A search walks the lengths `search.lengths_to_walk` leaves it (the
-ALTERNATING one its odd ones) by `search.hits_by_length`, if any, in
-shortlex order, and stops, its pool shut down, once no side is open.
+ALTERNATING one its odd ones), if any, in ascending order, and reads
+each length's least hit and least all-positive hit off
+`search.least_hits_by_length`: the first hit and the first all-positive
+hit that the sorted hits of the length would give, with no set and no
+sort.  It stops, its pool shut down, once no side is open.
 
 Before the stream is built, `classify_tau` decides from the integers p
 and q whether any phase can yield, with short circuit: a family
@@ -52,7 +55,7 @@ from .halfrel import (
     build_semigroup_witness,
     minus_tau_transform,
 )
-from .search import SignMode, check_effort, hits_by_length, lengths_to_walk
+from .search import SignMode, check_effort, least_hits_by_length, lengths_to_walk
 
 FREE_SCHOTTKY = "free_schottky"
 NON_FREE = "non_free"
@@ -152,18 +155,21 @@ def _witnesses(tau: Fraction, effort: SearchEffort) -> Iterator[RelationWitness]
         # while the group is open, NONZERO_ANY: its all-positive hits are
         # those of ALL_POSITIVE
         mode = SignMode.NONZERO_ANY if group else SignMode.ALL_POSITIVE
-        with closing(hits_by_length(tau, lengths, bound, mode, workers)) as blocks:
-            for block in blocks:
-                for hit in block:
-                    if group or min(hit) > 0:
-                        group = False
-                        yield build_relation(hit, tau)
+        # an open group takes a length's least hit and the semigroup its
+        # least all-positive hit: the first of each in its sorted hits
+        with closing(least_hits_by_length(tau, lengths, bound, mode, workers)) as pairs:
+            for least, least_positive in pairs:
+                if group and least is not None:
+                    group = False
+                    yield build_relation(least, tau)
+                if least_positive is not None:
+                    yield build_relation(least_positive, tau)
     # Odd lengths only: conjugating by diag(1,-1) turns an even-length
     # alternating half-relation at -tau, entry by entry in |a_i|, into an
     # all-positive one at tau, and the search at tau has just found none at
     # these even lengths.  The lengths at -tau are those at tau.
     if tau < 0 and (odd := [l for l in lengths if l % 2]):
-        with closing(hits_by_length(at, odd, bound, SignMode.ALTERNATING, workers)) as blocks:
-            hit = next((block[0] for block in blocks if block), None)
+        with closing(least_hits_by_length(at, odd, bound, SignMode.ALTERNATING, workers)) as pairs:
+            hit = next((least for least, _ in pairs if least is not None), None)
         if hit is not None:
             yield build_semigroup_witness(hit, at)

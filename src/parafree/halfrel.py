@@ -19,7 +19,6 @@ import enum
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from .exact import (
@@ -88,13 +87,18 @@ class RelationWitness:
         ):
             return False
         # free reduction with a stack: merge adjacent letters of the same
-        # generator, drop a letter whose exponent is (or reaches) zero
-        reduced: list[tuple[str, int]] = []
-        for tag, a in chain(self.lhs.letters(), self.rhs.inverse().letters()):
-            if reduced and reduced[-1][0] == tag:
-                a += reduced.pop()[1]
-            if a != 0:
-                reduced.append((tag, a))
+        # generator, drop a letter whose exponent is (or reaches) zero; the
+        # letters of lhs, then those of rhs^-1, which is rhs read backwards
+        # with each exponent negated, from rhs's end generator
+        reduced: list[tuple[bool, int]] = []
+        for on_g, exps in ((self.lhs.start == G, self.lhs.exponents),
+                           (self.rhs.end == G, map(operator.neg, reversed(self.rhs.exponents)))):
+            for a in exps:
+                if reduced and reduced[-1][0] is on_g:
+                    a += reduced.pop()[1]
+                if a:
+                    reduced.append((on_g, a))
+                on_g = not on_g
         if not reduced:
             return False
         *lhs, lhs_den = scaled_product(self.lhs, self.word_tau)

@@ -1,7 +1,7 @@
 """Bounded exhaustive discovery of half-relations with exact pruning.
 
-The walk, `hits_by_length`, runs the lengths it is given one at a time,
-and `lengths_to_walk` is the one statement of which lengths those are.
+The walk, `_walk`, runs the lengths it is given one at a time, and
+`lengths_to_walk` is the one statement of which lengths those are.
 A nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2, so
 those lengths have no solutions and are never listed.  For each length
 l the walk fixes both ends, a_1 and a_l, walks the middle positions
@@ -19,16 +19,21 @@ has matrix S M^T S^-1 with S = diag(1, tau), an anti-automorphism that
 swaps g^a and h^a and keeps c11 and c22; for odd l it has J M^T J with
 J = (0 1; 1 0), which fixes g^a and h^a, swaps c11 and c22 and keeps
 c12 and c21.  Each length therefore walks only the end pairs with
-|a_1| <= |a_l|, and a_1 > 0 for NONZERO_ANY, and adds each hit's images:
-the reversal (the negated reversal for even-length ALTERNATING, whose
-reversal starts positive), and for NONZERO_ANY the negation and negated
-reversal too.
+|a_1| <= |a_l|, and a_1 > 0 for NONZERO_ANY, and its readers add each
+hit's images (`_orbit`): the reversal (the negated reversal for
+even-length ALTERNATING, whose reversal starts positive), and for
+NONZERO_ANY the negation and negated reversal too.  The parallel unit is
+a chunk of the a_1 values, one per worker, so at workers = 1 each length
+is one `_search_branch` call; the leaf applies |a_1| <= |a_l|.
 
-`hits_by_length` yields each given length's hits, sorted, one length at
-a time, so hits are ordered by (length, tuple): once the hits of lengths
-<= l exceed the result limit, the reported ones are all known and
-`search_half_relations` stops.  `freeness.classify_tau` reads its
-witnesses off the same generator and stops it once they are known.
+One walk has two readers, each of which yields per length and can stop
+the walk after any length.  `hits_by_length` yields each given length's
+hits, the orbit closure sorted, so hits are ordered by (length, tuple):
+once the hits of lengths <= l exceed the result limit, the reported ones
+are all known and `search_half_relations` stops.
+`least_hits_by_length` yields each length's least hit and least
+all-positive hit, the minimum over the orbit images with no set and no
+sort; `freeness.classify_tau` reads its witnesses off it.
 
 No hit exists at |tau| >= 4: a hit has nonzero entries, so it is a
 nontrivial relation of <g, h_tau>, which is free there (the Schottky
@@ -86,15 +91,15 @@ is <= bound.  The a left for each |c| are read from `_cut_table(r,
 bound, values at l - 2[, cap])`, which depends on neither p, a_1 nor the
 end values, and is built once per key, in one cache of at most
 `CUT_CACHE_SIZE` tables.  A pair with coeff = const = 0 is never cut:
-there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut:
-there the a is a_1 alone, and the test would cost more than the one
-solve it saves.  At r <= bound nothing is cut.  Neither builds an
-uncapped table.
+there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut by
+divisibility: there the a is a_1, whose list the leaf cuts at |c| for
+|a_1| <= |c|, so one leaf serves every a_1 of the chunk.  At r <= bound
+nothing is cut.  Neither builds an uncapped table.
 
 At l = 4 with cap = 2q // |p| below the bound, the leaf reads its a off
 the capped table, `_cut_table(r, bound, middles, cap)` with every r <=
 bound keyed as r = 1: the cut lists (the middles at r <= bound), cut to
-|a| <= cap past |c| > cap.  A branch whose own end values, |c| >= |a_1|,
+|a| <= cap past |c| > cap.  A leaf whose own end values, |c| >= |a_1|,
 have no a left in it ends before computing its coefficients.  Every leaf
 skips an end value with no a before computing its coefficients, and
 `_positions` is cached per (max_len, bound, mode).
@@ -104,7 +109,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -200,7 +205,8 @@ def _orbit(hit: Candidate, mode: SignMode) -> tuple[Candidate, ...]:
     """The hit and its images under the mode's symmetry group."""
     rev = hit[::-1]
     if mode is SignMode.NONZERO_ANY:
-        return hit, rev, negate(hit), negate(rev)
+        neg = negate(hit)
+        return hit, rev, neg, neg[::-1]
     if mode is SignMode.ALTERNATING and len(hit) % 2 == 0:
         return hit, negate(rev)  # reversal alone swaps the sign pattern
     return hit, rev
@@ -213,11 +219,14 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     length l = len(positions) - 1: walk the middle positions up to l - 3,
     then for each a at l - 2 and c at l solve the b at l - 1 exactly.
 
-    r is q over its gcd with the product of exps, so a hit's remaining
-    exponents have a product divisible by r; from l = 4 on, the a this
-    leaves for each c are read from `_cut_table`, at l = 4 with a cap
-    2q/|p| below the bound from its capped table, and a branch whose end
-    values have no a left ends before its coefficients are computed."""
+    positions[1] holds the a_1 to walk, and the leaf keeps |a_1| <= |c|:
+    at l = 3, where its a is a_1, by cutting each c's list of a at |c|,
+    so one leaf serves every a_1; from l = 4 on, by slicing the ends at
+    |exps[0]|.  r is q over its gcd with the product of exps, so a hit's
+    remaining exponents have a product divisible by r; from l = 4 on, the
+    a this leaves for each c are read from `_cut_table`, at l = 4 with a
+    cap 2q/|p| below the bound from its capped table, and a leaf whose
+    end values have no a left ends before its coefficients are computed."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
@@ -232,18 +241,24 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
         return
     last_values, lo, hi = positions[l - 1]
     middles, ends = positions[pos][0], positions[l][0]
-    if l == 4 and (cap := 2 * q // abs(p)) < bound:
-        # min(|a_2|, |a_4|) <= 2/|tau| cuts the a past |c| > cap; every r
-        # <= bound cuts as little as r = 1; the ends ascend in |c|
-        kept = _cut_table(r if r > bound else 1, bound, middles, cap)
-        if not any(kept[abs(ends[0]):]):  # no a left at this branch's ends
-            return
-    elif l >= 4 and r > bound:
-        kept = _cut_table(r, bound, middles)
+    if l == 3:
+        # the a is a_1, so |a_1| <= |c| cuts its list at |c|, and the
+        # divisibility cut would save nothing; the a_1 ascend in |a_1|
+        kept = [middles[:bisect_right(middles, m, key=abs)] for m in range(bound + 1)]
     else:
-        # at l = 3 the a is a_1 alone, and a cut would save nothing; at r
-        # <= bound nothing is cut
-        kept = None
+        # |a_1| <= |c|: the ends hold each |c| in 1..bound once, or twice
+        # (+-c) in NONZERO_ANY, ascending in |c|
+        ends = ends[(abs(exps[0]) - 1) * len(ends) // bound:]
+        if l == 4 and (cap := 2 * q // abs(p)) < bound:
+            # min(|a_2|, |a_4|) <= 2/|tau| cuts the a past |c| > cap; every
+            # r <= bound cuts as little as r = 1
+            kept = _cut_table(r if r > bound else 1, bound, middles, cap)
+            if not any(kept[abs(ends[0]):]):  # no a left at this leaf's ends
+                return
+        elif r > bound:
+            kept = _cut_table(r, bound, middles)
+        else:  # at r <= bound nothing is cut
+            kept = None
     # the scaled defect of exps + (a, b, c) is coeff*b + const with coeff
     # = (x1*c + x2)*a + x3*c + x4 and const = y1*(a + c) + y2
     u, v, qn21, qn22 = p * n11, p * n12, q * n21, q * n22
@@ -303,15 +318,13 @@ def _is_smooth(q: int, bound: int) -> bool:
 
 
 def _search_branch(args: tuple) -> list[Candidate]:
-    """The hits of one length with a fixed a_1 and |a_1| <= |a_l|; the
+    """The hits of one length whose a_1 is one of firsts, a chunk of the
+    a_1 values ascending in |a_1|, with |a_1| <= |a_l|; the
     parallelization unit."""
-    p, q, a1, positions, bound = args
-    ends, lo, hi = positions[-1]
-    branch = [*positions]
-    branch[1] = [a1], a1, a1
-    branch[-1] = ends[bisect_left(ends, abs(a1), key=abs):], lo, hi
+    p, q, firsts, positions, bound = args
     out: list[Candidate] = []
-    _dfs(p, q, q, (), 1, 0, 0, 1, branch, bound, out)
+    _dfs(p, q, q, (), 1, 0, 0, 1, (positions[0], (firsts, *positions[1][1:]), *positions[2:]),
+         bound, out)
     return out
 
 
@@ -382,17 +395,18 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
-                   workers: int = 1) -> Iterator[list[Candidate]]:
-    """The hits at tau of each of the lengths, each list sorted, so their
-    concatenation is in shortlex order; no result limit applies.  lengths
-    are those `lengths_to_walk` lists, or some of them: the walk gates
-    nothing itself.  Deterministic and worker-count independent: each
-    length is split on the value of a_1.  One pool of at most one worker
-    per branch lives as long as the generator, whose closing shuts it down.
-    On the first step, TypeError or ValueError if workers, bound or
-    max(lengths) fail `check_effort`, and ValueError at tau = 0 or if the
-    lengths do not ascend strictly from 3 or above."""
+def _walk(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
+          workers: int) -> Iterator[list[Candidate]]:
+    """The canonical hits at tau of each of the lengths: a_1 > 0 for
+    NONZERO_ANY and |a_1| <= |a_l|, in no order and possibly repeated;
+    `_orbit` gives the rest.  lengths are those `lengths_to_walk` lists,
+    or some of them: the walk gates nothing itself.  Each length is one
+    `_search_branch` call per worker, on an interleaved chunk of the a_1
+    values.  One pool of at most one worker per a_1 lives as long as the
+    generator, whose closing shuts it down.  On the first step, TypeError
+    or ValueError if workers, bound or max(lengths) fail `check_effort`,
+    and ValueError at tau = 0 or if the lengths do not ascend strictly
+    from 3 or above."""
     check_effort(max(lengths, default=MAX_LEN_LIMIT), bound, workers)
     _check_tau(tau)
     if any(b <= a for a, b in zip([2, *lengths], lengths)):
@@ -401,18 +415,47 @@ def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode
         return
     p, q = tau.numerator, tau.denominator
     positions = _positions(lengths[-1], bound, mode)
-    firsts = [a1 for a1 in positions[1][0]
-              if a1 > 0 or mode is not SignMode.NONZERO_ANY]
+    firsts = tuple(a1 for a1 in positions[1][0]
+                   if a1 > 0 or mode is not SignMode.NONZERO_ANY)
     workers = min(workers, len(firsts))
+    chunks = [firsts[i::workers] for i in range(workers)]
     with _process_pool(workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool is not None else map
         for length in lengths:
             prefix = positions[:length + 1]
-            found: set[Candidate] = set()
-            for branch_hits in run(_search_branch, [(p, q, a1, prefix, bound) for a1 in firsts]):
-                for hit in branch_hits:
-                    found.update(_orbit(hit, mode))
-            yield sorted(found)
+            yield [hit for branch_hits in run(_search_branch, [(p, q, chunk, prefix, bound)
+                                                                for chunk in chunks])
+                   for hit in branch_hits]
+
+
+def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
+                   workers: int = 1) -> Iterator[list[Candidate]]:
+    """The hits at tau of each of the lengths, each list sorted, so their
+    concatenation is in shortlex order; no result limit applies.
+    Deterministic and worker-count independent: each length's canonical
+    hits from `_walk`, with their `_orbit` images, as a sorted set.  The
+    lengths, the pool and the errors are those of `_walk`, which closing
+    this generator closes."""
+    with closing(_walk(tau, lengths, bound, mode, workers)) as walk:
+        for hits in walk:
+            yield sorted({image for hit in hits for image in _orbit(hit, mode)})
+
+
+def least_hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
+                         workers: int = 1) -> Iterator[tuple[Candidate | None, Candidate | None]]:
+    """For each of the lengths, the first hit and the first all-positive
+    hit of its `hits_by_length` block, or None for either, read off the
+    canonical hits of `_walk` with no set and no sort: the least of all
+    their `_orbit` images is the first element of the sorted orbit
+    closure.  In NONZERO_ANY the first hit is never all-positive, since
+    the closure holds its negation.  The lengths, the pool and the errors
+    are those of `_walk`, which closing this generator closes."""
+    with closing(_walk(tau, lengths, bound, mode, workers)) as walk:
+        for hits in walk:
+            images = [image for hit in hits for image in _orbit(hit, mode)]
+            yield (min(images, default=None),
+                   min((image for image in images if image[0] > 0 and min(image) > 0),
+                       default=None))
 
 
 def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:

@@ -38,6 +38,7 @@ from parafree.search import (
     SearchQuery,
     SignMode,
     hits_by_length,
+    least_hits_by_length,
     lengths_to_walk,
     search_half_relations,
 )
@@ -288,14 +289,14 @@ def test_classify_tau_zero_is_unknown():
 
 def spy_searches(monkeypatch):
     """Record the sign mode of every search classify runs: each is one
-    walk of `hits_by_length`."""
+    walk of `least_hits_by_length`."""
     modes = []
 
     def spy(tau, lengths, bound, mode, workers=1):
         modes.append(mode)
-        return hits_by_length(tau, lengths, bound, mode, workers)
+        return least_hits_by_length(tau, lengths, bound, mode, workers)
 
-    monkeypatch.setattr(freeness, "hits_by_length", spy)
+    monkeypatch.setattr(freeness, "least_hits_by_length", spy)
     return modes
 
 
@@ -360,7 +361,7 @@ def test_alternating_search_at_odd_lengths_gives_the_same_classification(monkeyp
     def odd_only(tau, lengths, bound, mode, workers=1):
         if mode is SignMode.ALTERNATING:
             alternating_lengths.append(tuple(lengths))
-        return hits_by_length(tau, lengths, bound, mode, workers)
+        return least_hits_by_length(tau, lengths, bound, mode, workers)
 
     def gate_lengths(tau):
         return lengths_to_walk(tau.numerator, tau.denominator, effort.max_len, effort.bound)
@@ -370,15 +371,15 @@ def test_alternating_search_at_odd_lengths_gives_the_same_classification(monkeyp
     def full_length(tau, lengths, bound, mode, workers=1):
         if mode is SignMode.ALTERNATING:
             lengths = gate_lengths(tau)
-        return hits_by_length(tau, lengths, bound, mode, workers)
+        return least_hits_by_length(tau, lengths, bound, mode, workers)
 
     taus = {Fraction(p, q) for q in range(1, 41) for p in range(-4 * q + 1, 4 * q) if p}
     compared = even_only = 0
     for tau in sorted(taus):
         ran = len(alternating_lengths)
-        monkeypatch.setattr(freeness, "hits_by_length", odd_only)
+        monkeypatch.setattr(freeness, "least_hits_by_length", odd_only)
         got = classify_tau(tau, effort)
-        monkeypatch.setattr(freeness, "hits_by_length", full_length)
+        monkeypatch.setattr(freeness, "least_hits_by_length", full_length)
         assert classify_tau(tau, effort) == got, tau
         monkeypatch.undo()
         compared += len(alternating_lengths) > ran
@@ -498,7 +499,7 @@ def test_classify_reads_both_sides_from_the_first_family_lookups(monkeypatch):
 
     monkeypatch.setattr(freeness, "family_lookup", counted)
     monkeypatch.setattr(freeness, "lengths_to_walk", no_search)
-    monkeypatch.setattr(freeness, "hits_by_length", no_search)
+    monkeypatch.setattr(freeness, "least_hits_by_length", no_search)
     cls = classify_tau(Fraction(5, 2))
     assert lookups == [Fraction(5, 2)]
     assert cls.group_status == NON_FREE
@@ -539,7 +540,7 @@ def test_a_gated_tau_builds_no_query(monkeypatch):
     modes = spy_searches(monkeypatch)
     # no family candidate at |tau| and no length: the three gated tau are
     # settled before any family lookup or walk (`modes` records each
-    # hits_by_length call); the walked ones look up families first
+    # least_hits_by_length call); the walked ones look up families first
     looked_up = []
 
     def lookup_spy(tau):
@@ -603,7 +604,7 @@ def test_the_stream_builds_only_witnesses_that_can_settle_a_side(monkeypatch):
 
     monkeypatch.setattr(freeness, "build_relation", spy("build", build_relation))
     monkeypatch.setattr(freeness, "_mirrored_witness", spy("mirror", freeness._mirrored_witness))
-    monkeypatch.setattr(freeness, "hits_by_length", spy("walk", hits_by_length))
+    monkeypatch.setattr(freeness, "least_hits_by_length", spy("walk", least_hits_by_length))
     effort, nonzero = SearchEffort(4, 8), SignMode.NONZERO_ANY
     # 2/15: one build of the walk's 300 hits, none of them positive
     tau = Fraction(2, 15)
@@ -652,10 +653,10 @@ def test_the_stream_reads_the_lengths_once(monkeypatch):
     def walk_spy(tau, lengths, bound, mode, workers=1):
         if mode is SignMode.ALTERNATING:
             alternating.append(tuple(lengths))
-        return hits_by_length(tau, lengths, bound, mode, workers)
+        return least_hits_by_length(tau, lengths, bound, mode, workers)
 
     monkeypatch.setattr(freeness, "lengths_to_walk", lengths_spy)
-    monkeypatch.setattr(freeness, "hits_by_length", walk_spy)
+    monkeypatch.setattr(freeness, "least_hits_by_length", walk_spy)
     for tau, effort, odd in ((Fraction(-3, 25), SearchEffort(4, 8), (3,)),
                              (Fraction(-9, 5), SearchEffort(5, 6), (5,)),
                              (Fraction(-7, 18), SearchEffort(5, 4), (3, 5))):

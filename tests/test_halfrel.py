@@ -2,7 +2,9 @@
 symmetric relations and the semigroup transformations."""
 
 import dataclasses
+import itertools
 import random
+import unittest.mock
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -544,6 +546,37 @@ def test_check_agrees_with_the_fraction_matrices(tau, data):
         assert w.check()
     for w in witnesses + forged:
         assert w.check() == reference_check(w), w
+
+
+def stack_nonempty(lhs: ExpWord, rhs: ExpWord) -> bool:
+    """The free reduction of lhs * rhs^-1 with a stack over the letters of
+    lhs and of the `ExpWord` rhs.inverse(): merge a letter into an equal
+    generator on top, drop it once its exponent is zero."""
+    reduced = []
+    for tag, a in itertools.chain(lhs.letters(), rhs.inverse().letters()):
+        if reduced and reduced[-1][0] == tag:
+            a += reduced.pop()[1]
+        if a != 0:
+            reduced.append((tag, a))
+    return bool(reduced)
+
+
+EXP_WORDS = st.builds(ExpWord, st.sampled_from([G, H]),
+                      st.lists(st.integers(-3, 3), min_size=1, max_size=8).map(tuple))
+
+
+@settings(max_examples=400, deadline=None)
+@given(lhs=EXP_WORDS, rhs=EXP_WORDS, equal=st.booleans())
+def test_check_reduces_on_the_exponent_tuples(lhs, rhs, equal):
+    # with both words' products stubbed equal, check() is the nontriviality
+    # decision alone; random pairs with zero exponents, both starts and
+    # equal words, against the stack over letters() and inverse()
+    if equal:
+        rhs = lhs
+    one = (1, 0, 0, 1, 1)
+    with unittest.mock.patch.object(halfrel, "scaled_product", lambda word, tau: one):
+        got = RelationWitness(Fraction(1), lhs, rhs, RelationKind.GROUP_NONTRIVIAL).check()
+    assert got == stack_nonempty(lhs, rhs) == freely_nonempty(lhs, rhs)
 
 
 # half-relations at a few small tau, for the positive side of the zero test

@@ -21,6 +21,7 @@ from parafree.search import (
     SearchQuery,
     SignMode,
     hits_by_length,
+    least_hits_by_length,
     lengths_to_walk,
     search_half_relations,
     search_len4_positive,
@@ -235,7 +236,8 @@ def test_worker_counts_agree():
     for query in queries:
         base = search_half_relations(query, workers=1)
         assert base.hits
-        for workers in (1, 2, 8):
+        # at bound 5, three workers split the 5 a_1 values 2/2/1
+        for workers in (1, 2, 3, 8):
             assert search_half_relations(query, workers=workers) == base
 
 
@@ -401,6 +403,67 @@ def test_blocks_join_to_the_unlimited_hits(tau, mode, max_len, bound):
     odd = [l for l in lengths if l % 2]
     assert (list(hits_by_length(tau, odd, bound, mode))
             == [b for l, b in zip(lengths, blocks) if l % 2])
+
+
+def least_of_block(block):
+    """The block's first hit and its first all-positive hit, or None."""
+    return (block[0] if block else None,
+            next((hit for hit in block if min(hit) > 0), None))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau=small_tau, mode=st.sampled_from(SignMode),
+       max_len=st.integers(1, 6), bound=st.integers(1, 5))
+@example(tau=Fraction(1, 2), mode=SignMode.NONZERO_ANY, max_len=6, bound=5)
+@example(tau=Fraction(-2), mode=SignMode.ALL_POSITIVE, max_len=6, bound=5)
+def test_least_hits_are_the_first_of_each_block(tau, mode, max_len, bound):
+    # read off the canonical hits with no set and no sort, the least orbit
+    # image is the sorted block's first hit
+    lengths = lengths_to_walk(tau.numerator, tau.denominator, max_len, bound)
+    blocks = hits_by_length(tau, lengths, bound, mode)
+    assert (list(least_hits_by_length(tau, lengths, bound, mode))
+            == [least_of_block(block) for block in blocks])
+
+
+def test_least_hits_at_two_workers_on_the_slowest_classify_taus():
+    # three of the classify-batch pool's slowest tau at (4, 8): length 4,
+    # where the cap does not apply, after length 3 at 5/32 and 1/28
+    expected = {
+        Fraction(5, 32): [((-8, 3, -4), None), ((-8, -5, 3, -4), (1, 4, 8, 2))],
+        Fraction(1, 28): [(None, None), ((-8, -8, 7, -8), (1, 7, 2, 2))],
+        Fraction(-9, 28): [(None, None), ((-7, -1, -6, -2), (2, 6, 1, 7))],
+    }
+    for tau, pairs in expected.items():
+        lengths = lengths_to_walk(tau.numerator, tau.denominator, 4, 8)
+        assert lengths == [3, 4], tau
+        blocks = hits_by_length(tau, lengths, 8, SignMode.NONZERO_ANY)
+        assert [least_of_block(block) for block in blocks] == pairs, tau
+        for workers in (1, 2):
+            assert list(least_hits_by_length(tau, lengths, 8, SignMode.NONZERO_ANY,
+                                             workers)) == pairs, (tau, workers)
+
+
+def test_one_branch_call_per_length_and_worker(monkeypatch):
+    # each length is one `_search_branch` call per worker, on the
+    # interleaved chunk firsts[i::workers] of the a_1 values
+    calls = []
+    real_branch = search_module._search_branch
+
+    def spy(args):
+        _, _, firsts, positions, _ = args
+        calls.append((len(positions) - 1, firsts))
+        return real_branch(args)
+
+    tau = Fraction(5, 32)
+    query = SearchQuery(tau, 4, 8, result_limit=None)
+    hits = search_half_relations(query).hits
+    monkeypatch.setattr(search_module, "_search_branch", spy)
+    monkeypatch.setattr(search_module, "_process_pool", _SerialPool)
+    for workers, chunks in ((1, [(1, 2, 3, 4, 5, 6, 7, 8)]),
+                            (3, [(1, 4, 7), (2, 5, 8), (3, 6)])):
+        calls.clear()
+        assert search_half_relations(query, workers).hits == hits
+        assert calls == [(l, chunk) for l in (3, 4) for chunk in chunks], workers
 
 
 @settings(max_examples=100, deadline=None)
