@@ -35,44 +35,41 @@ are all known and `search_half_relations` stops.
 all-positive hit, the minimum over the orbit images with no set and no
 sort; `freeness.classify_tau` reads its witnesses off it.
 
+The gate is one cached table per (q, bound), `_root_caps`: (cap_3,
+cap_4, cap_5), the largest |p| at which length 3, 4 and >= 5 may hold a
+hit at tau = p/q in lowest terms.  `lengths_to_walk` lists the lengths
+whose cap is >= |p|, in every sign mode; a tau it leaves no length gets
+the empty, exhausted report without a walk or a pool.
+
 No hit exists at |tau| >= 4: a hit has nonzero entries, so it is a
 nontrivial relation of <g, h_tau>, which is free there (the Schottky
-threshold of `freeness.FREE_SCHOTTKY`), and such a tau gets no length.
+threshold of `freeness.FREE_SCHOTTKY`), so cap_5 = 4q - 1.
 
-A rational-root test settles many tau before any walk.  The defect of a
-nonzero tuple is tau * P_l(tau), where P_l has integer coefficients,
-degree floor((l-1)/2) and leading coefficient a_1 * a_2 * ... * a_l
-(the one path through the word's product that takes an off-diagonal
-entry at every letter).  By the rational-root theorem, a half-relation
-at tau = p/q in lowest terms therefore has q | a_1 * ... * a_l, and with
-|a_i| <= bound every prime factor of q is <= bound.  So a query whose q
-has a larger prime factor has no hit in any sign mode, and
-`lengths_to_walk` leaves it no length: the search returns the empty,
-exhausted report without walking or starting a pool.  The test is trial
-division by d <= min(bound, sqrt(q)).
+The rational-root theorem bounds the rest.  The defect of a nonzero
+tuple is tau * P_l(tau), where P_l has integer coefficients, degree
+floor((l-1)/2) and leading coefficient a_1 * a_2 * ... * a_l (the one
+path through the word's product that takes an off-diagonal entry at
+every letter).  A half-relation at p/q therefore has q | a_1 * ... *
+a_l, and with |a_i| <= bound every prime factor of q is <= bound: a q
+with a larger prime factor has all three caps 0.
 
 The whole root settles lengths 3 and 4.  There P_l = a_1*...*a_l * tau
 + c_0 is linear, so its one nonzero root is -c_0/(a_1*...*a_l), with
 c_0 = a_1 - a_2 + a_3 at l = 3 and a_1 (a_2 + a_4) + a_3 (a_4 - a_2) at
-l = 4.  A hit at p/q in lowest terms then has q*m = |a_1*...*a_l| and
-|p|*m = |c_0| for an integer m >= 1, so |p| <= q S(x)/P(x), where x is
-the tuple of the |a_i|, P(x) their product and S(x) the largest |c_0|
-over all signs: x_1 + x_2 + x_3 at l = 3, and max(x_1, x_3)(x_2 + x_4)
-+ min(x_1, x_3)|x_2 - x_4| at l = 4.  Only the exact factorisations of
-q count.  S/P does not grow when any one x_i grows, so while a prime
-divides P(x) more often than q, dividing one x_i by it keeps q | P(x),
-keeps every x_i <= bound and does not lower q S/P; at P(x) = q the
-ratio is S(x).  So length l in {3, 4} is walked only when |p| <= cap_l,
-the largest S(x) over the ordered factorisations q = x_1*...*x_l with
-every x_i <= bound, or 0 when there is none; `_root_caps` computes both
-caps once per (q, bound).  The gate holds in every sign mode, and it
-implies the clauses it replaces: q is bound-smooth; |p| <= 3*bound at
-l = 3 and 2*bound^2 at l = 4, since S(x) is at most that; and |tau| <=
-2 at both lengths, or (|p|, q) = (3, 1) at l = 3, since x_1 + x_2 + x_3
-<= 2 x_1 x_2 x_3 unless every x_i = 1 and S(x) <= 2 max(x_1, x_3)
-max(x_2, x_4) <= 2q at l = 4.  The gates read |p| only, so -3 keeps
-length 3, walked without a hit: only +-(1, -1, 1) reaches 3, and its
-root is 3.
+l = 4.  A hit at p/q then has q*m = |a_1*...*a_l| and |p|*m = |c_0| for
+an integer m >= 1, so |p| <= q S(x)/P(x), where x is the tuple of the
+|a_i|, P(x) their product and S(x) the largest |c_0| over all signs:
+x_1 + x_2 + x_3 at l = 3, and max(x_1, x_3)(x_2 + x_4) + min(x_1,
+x_3)|x_2 - x_4| at l = 4.  Only the exact factorisations of q count.
+S/P does not grow when any one x_i grows, so while a prime divides P(x)
+more often than q, dividing one x_i by it keeps q | P(x), keeps every
+x_i <= bound and does not lower q S/P; at P(x) = q the ratio is S(x).
+So cap_l, l in {3, 4}, is the largest S(x) over the ordered
+factorisations q = x_1*...*x_l with every x_i <= bound, or 0 when there
+is none.  No cap exceeds 3q (S(x) <= 3 x_1 x_2 x_3 at l = 3 and 2
+max(x_1, x_3) max(x_2, x_4) at l = 4), so cap_5 is the largest.  The
+gate reads |p| only, so -3 keeps length 3, walked without a hit: only
++-(1, -1, 1) reaches 3, and its root is 3.
 
 Below |tau| = 4 no length l >= 5 is dropped: P_l then has degree >= 2
 and c_0 may vanish, as for (1, 2, 1, 1, 1), whose c_0 is 0 and which has
@@ -158,6 +155,14 @@ def _check_tau(tau: Fraction) -> None:
         raise ValueError("tau must be nonzero (every tuple is a half-relation at 0)")
 
 
+def _check_mode(mode: SignMode) -> None:
+    """TypeError unless mode is a SignMode member, as `exact.check_tau` is
+    the type test of tau: a string such as "all_positive" would otherwise
+    be walked as NONZERO_ANY."""
+    if not isinstance(mode, SignMode):
+        raise TypeError(f"sign_mode must be a SignMode, not {type(mode).__name__}")
+
+
 @dataclass(frozen=True)
 class SearchQuery:
     tau: Fraction
@@ -168,6 +173,7 @@ class SearchQuery:
 
     def __post_init__(self) -> None:
         _check_tau(self.tau)
+        _check_mode(self.sign_mode)
         check_effort(self.max_len, self.bound)
         if self.result_limit is not None and operator.index(self.result_limit) < 1:
             raise ValueError("result_limit must be >= 1")
@@ -305,18 +311,6 @@ def _cut_table(r: int, bound: int, middles: Sequence[int],
     return tuple(table)
 
 
-def _is_smooth(q: int, bound: int) -> bool:
-    """True iff every prime factor of q >= 1 is <= bound, by trial division
-    by d <= min(bound, sqrt(q)): whatever is left of q then is 1, a prime,
-    or (once d passes the bound) a product of primes above the bound."""
-    d = 2
-    while d <= bound and d * d <= q:
-        while q % d == 0:
-            q //= d
-        d += 1 if d == 2 else 2
-    return q <= bound
-
-
 def _search_branch(args: tuple) -> list[Candidate]:
     """The hits of one length whose a_1 is one of firsts, a chunk of the
     a_1 values ascending in |a_1|, with |a_1| <= |a_l|; the
@@ -329,61 +323,57 @@ def _search_branch(args: tuple) -> list[Candidate]:
 
 
 @lru_cache(maxsize=CUT_CACHE_SIZE)
-def _root_caps(q: int, bound: int) -> tuple[int, int]:
-    """(cap_3, cap_4) for a bound-smooth q: the largest S(x) over the
-    ordered factorisations q = x_1*...*x_l with every x_i <= bound, or 0
-    where there is none (module docstring).  q is factored by trial
-    division, not by `_factorize`, whose first call sieves the census's
-    prime table; the factorisations are walked cofactor by cofactor over
-    the divisors of q up to the bound."""
+def _root_caps(q: int, bound: int) -> tuple[int, int, int]:
+    """(cap_3, cap_4, cap_5), the gate's table (module docstring): all 0
+    when q has a prime factor above the bound, else cap_5 = 4q - 1 and
+    cap_l the largest S(x) over the ordered factorisations q =
+    x_1*...*x_l with every x_i <= bound, or 0 where there is none.
+
+    q is factored once by trial division by d <= min(bound, sqrt(q)), not
+    by `_factorize`, whose first call sieves the census's prime table:
+    what is left is then 1, a prime, or, once d passes the bound, a
+    product of primes above it.  No factorisation is enumerated.  Of the
+    splits r = x*y with x >= y, both <= bound, the one with the largest x
+    has the largest x + y (x + r/x grows for x >= sqrt(r)) and the
+    smallest y, and S grows with each sum and falls with each min: x_1 +
+    (x_2 + x_3) at l = 3, (x_1 + x_3)(x_2 + x_4) - 2 min(x_1, x_3)
+    min(x_2, x_4) at l = 4.  So cap_3 is a max over the divisors x_1, and
+    cap_4 over the divisors u = x_1*x_3, with q/x_1, and u and q/u, split
+    that way."""
     factors: dict[int, int] = {}
     m, d = q, 2
-    while d * d <= m:
+    while d <= bound and d * d <= m:
         while m % d == 0:
             m //= d
             factors[d] = factors.get(d, 0) + 1
-        d += 1
+        d += 1 if d == 2 else 2
+    if m > bound:
+        return 0, 0, 0
     if m > 1:  # a prime above every d tried
         factors[m] = 1
     divs = sorted(_divisors(factors, bound))
 
-    def splits(r: int, l: int) -> Iterator[tuple[int, ...]]:
-        # the ordered l-tuples of divisors <= bound with product r
-        if l == 1:
-            if r <= bound:
-                yield r,
-        elif r <= bound ** l:
-            for x in divs[:bisect_right(divs, r)]:
-                if r % x == 0:
-                    yield from ((x, *rest) for rest in splits(r // x, l - 1))
+    def split(r: int) -> tuple[int, int] | None:
+        # (x + y, y) for the split r = x*y with the largest x <= bound, if y <= bound
+        x = next(x for x in reversed(divs[:bisect_right(divs, r)]) if r % x == 0)
+        return (x + r // x, r // x) if r // x <= bound else None
 
-    cap3 = max(map(sum, splits(q, 3)), default=0)
-    cap4 = max((max(x1, x3) * (x2 + x4) + min(x1, x3) * abs(x2 - x4)
-                for x1, x2, x3, x4 in splits(q, 4)), default=0)
-    return cap3, cap4
+    cap3 = max((x + s[0] for x in divs if (s := split(q // x))), default=0)
+    cap4 = max((su[0] * sv[0] - 2 * su[1] * sv[1] for u in _divisors(factors, bound * bound)
+                if (su := split(u)) and (sv := split(q // u))), default=0)
+    return cap3, cap4, 4 * q - 1
 
 
 def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
-    terms) within the bound, in any sign mode: none when |tau| >= 4 or q
-    has a prime factor above the bound.  The one statement of the gates,
-    which read |p| only: tau and -tau get the same lengths.
-
-    Length 3 or 4 needs |p| <= cap_l (`_root_caps`): a hit has |p| <= q
-    S(x)/P(x), and S/P does not grow with any one x_i, so only the exact
-    factorisations q = P(x) with every x_i <= bound count (module
-    docstring).  That one clause replaces the smoothness of q, |p| <=
-    3*bound and |tau| <= 2 or (|p|, q) = (3, 1) at l = 3, and |p| <=
-    2*bound^2 and |tau| <= 2 at l = 4; no cap exceeds 3q."""
-    # a root p/q of P_l has q | a_1*...*a_l, whose primes are <= bound
-    if not _is_smooth(q, bound):
+    terms) within the bound, in any sign mode: those whose cap in
+    `_root_caps(q, bound)` is >= |p|, the one statement of the gate, so
+    tau and -tau get the same lengths.  None when |tau| >= 4 or q has a
+    prime factor above the bound."""
+    p, caps = abs(p), _root_caps(q, bound)
+    if p > caps[2]:
         return []
-    # a nonzero tuple of length 1 or 2 has defect tau*a_1 or tau*a_1*a_2,
-    # never zero at tau != 0, so every hit has length >= 3; a hit is a
-    # nontrivial relation of <g, h_tau>, free at |tau| >= 4
-    p = abs(p)
-    caps = _root_caps(q, bound) if p <= 3 * q else (0, 0)
-    return [l for l in range(3, max_len + 1) if (caps[l - 3] >= p if l < 5 else p < 4 * q)]
+    return [l for l in range(3, max_len + 1) if p <= caps[min(l, 5) - 3]]
 
 
 def _process_pool(workers: int) -> ProcessPoolExecutor:
@@ -405,10 +395,11 @@ def _walk(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
     values.  One pool of at most one worker per a_1 lives as long as the
     generator, whose closing shuts it down.  On the first step, TypeError
     or ValueError if workers, bound or max(lengths) fail `check_effort`,
-    and ValueError at tau = 0 or if the lengths do not ascend strictly
-    from 3 or above."""
+    TypeError if mode is not a SignMode, and ValueError at tau = 0 or if
+    the lengths do not ascend strictly from 3 or above."""
     check_effort(max(lengths, default=MAX_LEN_LIMIT), bound, workers)
     _check_tau(tau)
+    _check_mode(mode)
     if any(b <= a for a, b in zip([2, *lengths], lengths)):
         raise ValueError("lengths must be strictly ascending, each >= 3")
     if not lengths:
@@ -595,7 +586,12 @@ def search_len4_positive(n_from: int, n_to: int,
 
     `bound` caps a_2 only (a_3 is accepted at any size); `bound=None`
     gives every solution.  Returns only n with a nonempty hit list.
+    TypeError if n_from, n_to or a bound other than None is not an int
+    (`operator.index`, as in `check_effort`).
     """
+    n_from, n_to = operator.index(n_from), operator.index(n_to)
+    if bound is not None:
+        bound = operator.index(bound)
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
     if bound is not None and bound < 1:

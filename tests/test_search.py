@@ -139,6 +139,22 @@ def test_a_tau_that_is_not_an_int_or_a_fraction_is_rejected():
     assert eval_word_symbolic(word).e21 == scaled_product(word, UniPoly.var())[2]
 
 
+def test_a_sign_mode_that_is_not_a_member_is_rejected():
+    # the string "all_positive" was walked as NONZERO_ANY: at 1/4, (4, 4),
+    # the query returned those 136 hits, the first (-4, -4, 2, -4), under
+    # the label "all_positive", where ALL_POSITIVE has none; the walk read
+    # "alternating" the same way
+    tau = Fraction(1, 4)
+    assert search_half_relations(SearchQuery(tau, 4, 4, SignMode.ALL_POSITIVE, None)).hits == ()
+    for mode in ("all_positive", "alternating", "nonzero_any", None):
+        with pytest.raises(TypeError, match="sign_mode must be a SignMode"):
+            SearchQuery(tau, 4, 4, mode, None)
+        for lengths in ([3, 4], []):
+            for reader in (hits_by_length, least_hits_by_length):
+                with pytest.raises(TypeError, match="sign_mode must be a SignMode"):
+                    next(reader(tau, lengths, 4, mode))
+
+
 def test_the_walk_rejects_lengths_it_cannot_walk():
     # at 1/4, bound 4, the walk read [2, 3] as a first block of 8 length-3
     # tuples (+-1, +-1, +-1) to (+-4, +-4, +-4), none a half-relation;
@@ -550,17 +566,25 @@ def test_pruned_query_walks_nothing_and_starts_no_pool(monkeypatch):
 
 
 def test_smoothness_test_stops_at_the_bound_and_at_the_square_root():
+    # the gate table is all 0 exactly when q has a prime factor above the
+    # bound, and has cap_5 = 4q - 1 otherwise
     for q in range(1, 200):
         for bound in range(1, 15):
             factors = {}
             search_module._factorize(q, factors)
-            assert search_module._is_smooth(q, bound) == all(p <= bound for p in factors)
+            caps = search_module._root_caps(q, bound)
+            if all(p <= bound for p in factors):
+                assert caps[2] == 4 * q - 1, (q, bound)
+            else:
+                assert caps == (0, 0, 0), (q, bound)
     # both stops are needed: without the bound the Mersenne prime would be
     # divided up to its square root, and without the square root the
     # smooth numbers would be divided up to the bound
-    assert not search_module._is_smooth(2**127 - 1, 10)
-    assert search_module._is_smooth(2**100 * 3**50, 10**40)
-    assert search_module._is_smooth(1009 * 1013, 10**40)
+    assert search_module._root_caps(2**127 - 1, 10) == (0, 0, 0)
+    q = 2**100 * 3**50
+    assert search_module._root_caps(q, 10**40)[2] == 4 * q - 1
+    q = 1009 * 1013  # q*1*1 and q*1*1*1 are the lopsided factorisations
+    assert search_module._root_caps(q, 10**40) == (q + 2, 2 * q, 4 * q - 1)
     report = search_half_relations(SearchQuery(Fraction(1, 2**127 - 1), 12, 10))
     assert report.hits == () and report.exhausted
 
@@ -710,7 +734,7 @@ def test_the_root_caps_are_the_largest_root_numerators():
         x1, x2, x3, x4 = x
         return max(x1, x3) * (x2 + x4) + min(x1, x3) * abs(x2 - x4)
 
-    for bound in range(1, 9):
+    for bound in range(1, 13):
         top = {}  # per length and product P(x), the largest S(x)
         for l in (3, 4):
             for x in itertools.product(range(1, bound + 1), repeat=l):
@@ -720,7 +744,36 @@ def test_the_root_caps_are_the_largest_root_numerators():
             brute = tuple(max((q * s // prod for (l, prod), s in top.items()
                                if l == length and prod % q == 0), default=0)
                           for length in (3, 4))
-            assert search_module._root_caps(q, bound) == brute, (q, bound)
+            assert search_module._root_caps(q, bound)[:2] == brute, (q, bound)
+
+    # past the bounds a tuple brute force reaches: q = 2^a 3^b, its ordered
+    # factorisations from the exponent tuples, at bounds with bound^2 >= q
+    def compositions(n, l):
+        # the ordered l-tuples of nonnegative integers with sum n
+        for cuts in itertools.combinations(range(n + l - 1), l - 1):
+            yield tuple(b - a - 1 for a, b in zip((-1, *cuts), (*cuts, n + l - 1)))
+
+    for a, b in itertools.product(range(9), range(6)):
+        q = 2**a * 3**b
+        # per length, (max(x), S(x)) over the ordered factorisations q = P(x)
+        tops = [[(max(x), s_of(x))
+                 for twos, threes in itertools.product(compositions(a, l), compositions(b, l))
+                 for x in [tuple(2**i * 3**j for i, j in zip(twos, threes))]]
+                for l in (3, 4)]
+        low = math.isqrt(q - 1) + 1
+        for bound in {low, low + 1, 2 * low, q}:
+            brute = tuple(max((s for top, s in top_l if top <= bound), default=0) for top_l in tops)
+            assert search_module._root_caps(q, bound)[:2] == brute, (q, bound)
+
+
+def test_the_gate_table_is_read_without_enumerating_factorisations():
+    # q = 2^30 3^15 at bound 10^9: every ordered factorisation of q into
+    # four factors <= 10^9 was enumerated, 9.6 s to return []; p = 2q + 5
+    # and 2q - 7 are past cap_4 and under cap_5
+    q = 2**30 * 3**15
+    for p in (2 * q + 5, 2 * q - 7):
+        assert lengths_to_walk(p, q, 4, 10**9) == []
+        assert lengths_to_walk(p, q, 5, 10**9) == [5]
 
 
 def test_the_root_caps_leave_the_pinned_lengths_on_the_classify_batch_pool():
@@ -1087,6 +1140,16 @@ def test_len4_positive_validation():
         search_len4_positive(1, 10, 10)
     with pytest.raises(ValueError):
         search_len4_positive(2, 10, 0)
+
+
+def test_len4_positive_takes_integers():
+    # a bound of 10.5 ran as 10, its limits floats; every value goes
+    # through operator.index, as the effort values do
+    for args in ((2, 300, 10.5), (2, 300, 10.0), (2, 300, Fraction(10)), (2.0, 300, 10),
+                 (2, 300.0, 10)):
+        with pytest.raises(TypeError):
+            search_len4_positive(*args)
+    assert len(search_len4_positive(2, 300, 10)) == 5
 
 
 def test_a_bad_len4_hit_is_raised(monkeypatch):
