@@ -134,11 +134,20 @@ DEFAULT_RESULT_LIMIT = 1000
 CUT_CACHE_SIZE = 1024
 
 
+def _index(value: int) -> int:
+    """value as an int through `operator.index`, which raises TypeError on
+    a float or a Fraction; TypeError on a bool too, which it would take as
+    0 or 1."""
+    if isinstance(value, bool):
+        raise TypeError("expected an int, not a bool")
+    return operator.index(value)
+
+
 def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
     """The one statement of the effort limits: TypeError if max_len, bound
-    or workers is not an int (`operator.index`), ValueError if max_len is
-    outside [1, MAX_LEN_LIMIT], bound < 1 or workers < 1."""
-    max_len, bound, workers = map(operator.index, (max_len, bound, workers))
+    or workers is not an int or is a bool (`_index`), ValueError if
+    max_len is outside [1, MAX_LEN_LIMIT], bound < 1 or workers < 1."""
+    max_len, bound, workers = map(_index, (max_len, bound, workers))
     if not 1 <= max_len <= MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
     if bound < 1:
@@ -175,7 +184,7 @@ class SearchQuery:
         _check_tau(self.tau)
         _check_mode(self.sign_mode)
         check_effort(self.max_len, self.bound)
-        if self.result_limit is not None and operator.index(self.result_limit) < 1:
+        if self.result_limit is not None and _index(self.result_limit) < 1:
             raise ValueError("result_limit must be >= 1")
 
 
@@ -465,8 +474,11 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     return SearchReport(query, tuple(hits), True)
 
 
-# the census trial-divides by the primes below this, then by odd numbers
+# the census sieves by the primes below this, and trial-divides a cofactor
+# left at or past its square by the numbers past them
 PRIME_TABLE_CEILING = 1 << 16
+# the census sieves this many n at a time, so its memory is bounded over any range
+CENSUS_SEGMENT = 1 << 12
 
 
 @cache
@@ -484,14 +496,39 @@ def _prime_tables() -> tuple[list[int], list[int]]:
     return primes, [p for p in primes if p % 8 in (1, 7)]
 
 
-def _factorize(m: int, into: dict[int, int], pm1: bool = False) -> None:
+# (p, r) with r*r = 2 (mod p) for the table primes p = +-1 (mod 8), in
+# order, as far as `_sqrt2_roots` has been asked for them
+_SQRT2_ROOTS: list[tuple[int, int]] = []
+
+
+def _sqrt2_roots(limit: int) -> list[tuple[int, int]]:
+    """(p, r) with r^2 = 2 (mod p) for the table primes p = +-1 (mod 8) up
+    to limit, in order, from `_SQRT2_ROOTS`, which is extended only as
+    far as limit needs.  At p = 7 (mod 8), r = 2^((p+1)/4), since
+    2^((p-1)/2) = 1.  At p = 1 (mod 8), r = z + 1/z, where z = g^((p-1)/8)
+    for a non-residue g has order 8, so z^2 = i with i^2 = -1, and r^2 = 2
+    + i + 1/i = 2.  AssertionError if a root fails r^2 = 2 (mod p): a
+    wrong root would drop census hits that no re-check can restore."""
+    pm1 = _prime_tables()[1]
+    end = bisect_right(pm1, limit)
+    for p in pm1[len(_SQRT2_ROOTS):end]:
+        if p % 8 == 7:
+            r = pow(2, (p + 1) // 4, p)
+        else:
+            g = next(g for g in count(3) if pow(g, (p - 1) // 2, p) == p - 1)
+            z = pow(g, (p - 1) // 8, p)
+            r = (z + pow(z, -1, p)) % p
+        if r * r % p != 2:
+            raise AssertionError(f"bad square root {r} of 2 modulo {p}")
+        _SQRT2_ROOTS.append((p, r))
+    return _SQRT2_ROOTS[:end]
+
+
+def _trial_divide(m: int, into: dict[int, int], divisors: Iterator[int]) -> None:
     """Add the prime factorisation of m >= 1 to `into`, by trial division
-    by d with d^2 <= m: the table primes (only those = +-1 (mod 8) if
-    pm1), then, past the last of them, every odd d.  The pm1 list is
-    exact only for the m that no left-out table prime (2, and those = +-3
-    (mod 8)) divides."""
-    primes = _prime_tables()[pm1]
-    for d in chain(primes, count(primes[-1] + 2, 2)):
+    by the ascending divisors d with d^2 <= m, which must hold every prime
+    factor of m below the last d tried."""
+    for d in divisors:
         if d * d > m:
             break
         if m % d == 0:
@@ -502,6 +539,70 @@ def _factorize(m: int, into: dict[int, int], pm1: bool = False) -> None:
             into[d] = into.get(d, 0) + e
     if m > 1:
         into[m] = into.get(m, 0) + 1
+
+
+def _past_table() -> Iterator[int]:
+    """The odd numbers past the prime table's last prime."""
+    return count(_prime_tables()[0][-1] + 2, 2)
+
+
+def _pm1_past_table() -> Iterator[int]:
+    """The numbers = +-1 (mod 8) past the prime table's last prime: 8k - 1
+    and 8k + 1 for each k > last // 8."""
+    k = _prime_tables()[0][-1] // 8 + 1
+    return chain.from_iterable(zip(count(8 * k - 1, 8), count(8 * k + 1, 8)))
+
+
+def _factorize(m: int, into: dict[int, int]) -> None:
+    """Add the prime factorisation of m >= 1 to `into`, by trial division
+    by the table primes, then, past the last of them, every odd d."""
+    _trial_divide(m, into, chain(_prime_tables()[0], _past_table()))
+
+
+def _census_factors(n_from: int,
+                    n_to: int) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
+    """(n, the factorisation of n, that of f = (n+1)^2 - 2) for each n in
+    n_from..n_to, in order, sieved CENSUS_SEGMENT values of n at a time.
+
+    n is sieved by the table primes p <= sqrt(n).  For odd n, (n+1)^2 = 0
+    (mod 4), so f = 2 (mod 4) holds 2 exactly once; for even n, f is odd.
+    An odd p divides f exactly when (n+1)^2 = 2 (mod p): then 2 is a
+    square mod p, so p = +-1 (mod 8), and n + 1 = +-r (mod p) for the r of
+    `_sqrt2_roots`.  So f is sieved at those n by the table primes = +-1
+    (mod 8) up to the segment's last n, which is >= sqrt(f).  Each hit
+    divides out the full power of p.  What is left of n or f is then 1 or
+    a prime, as every prime up to its square root or in the table has
+    been divided out, unless it is at least PRIME_TABLE_CEILING^2: that is
+    trial-divided past the table alone, by the odd d for n and by the d =
+    +-1 (mod 8) for f."""
+    primes = _prime_tables()[0]
+    for lo in range(n_from, n_to + 1, CENSUS_SEGMENT):
+        ns = range(lo, min(lo + CENSUS_SEGMENT, n_to + 1))
+        size, u = len(ns), lo + 1
+        n_rest, f_rest = list(ns), [((n + 1) ** 2 - 2) >> (n & 1) for n in ns]
+        n_facs, f_facs = [{} for _ in ns], [{2: 1} if n & 1 else {} for n in ns]
+        # (p, i): p divides the n, or the f, at index i of the segment and
+        # at every p-th index after it, and nowhere else
+        n_starts = [(p, i) for p in primes[:bisect_right(primes, isqrt(ns[-1]))]
+                    if (i := -lo % p) < size]
+        f_starts = [(p, i) for p, r in _sqrt2_roots(ns[-1])
+                    for i in ((r - u) % p, (-r - u) % p) if i < size]
+        for starts, rest, facs in ((n_starts, n_rest, n_facs), (f_starts, f_rest, f_facs)):
+            for p, first in starts:
+                for i in range(first, size, p):
+                    m, e = rest[i] // p, 1
+                    while m % p == 0:
+                        m //= p
+                        e += 1
+                    rest[i] = m
+                    facs[i][p] = e
+        for rest, facs, tail in ((n_rest, n_facs, _past_table), (f_rest, f_facs, _pm1_past_table)):
+            for m, factors in zip(rest, facs):
+                if m >= PRIME_TABLE_CEILING * PRIME_TABLE_CEILING:
+                    _trial_divide(m, factors, tail())
+                elif m > 1:
+                    factors[m] = 1
+        yield from zip(ns, n_facs, f_facs)
 
 
 def _divisors(factors: dict[int, int], limit: int | None) -> list[int]:
@@ -574,34 +675,29 @@ def search_len4_positive(n_from: int, n_to: int,
     only for the matched X, and every hit is re-checked by
     `is_half_relation`.
 
-    n and the a_i are factored by trial division over a cached table of
-    the primes below PRIME_TABLE_CEILING, sieved once, and over the
-    odd numbers past its last prime.  At a_1*a_4 = 1, f = (n+1)^2 - 2 is
-    divided by fewer primes.  An odd prime p | f has (n+1)^2 = 2 (mod p),
-    so 2 is a square mod p and p = +-1 (mod 8).  For odd n, (n+1)^2 = 0
-    (mod 4), so f = 2 (mod 4) holds 2 exactly once; for even n, f is odd.
-    So f loses its one 2 for odd n and is then trial-divided by the table
-    primes = +-1 (mod 8) alone, and past the table by every odd d.  The
-    pairs with a_1*a_4 > 1, all at n <= 3, use the full table.
+    n and f are sieved for the whole window (`_census_factors`), in
+    segments of CENSUS_SEGMENT values of n: n by the table primes up to
+    sqrt(n), and f, past its one 2 for odd n, by the table primes p = +-1
+    (mod 8) at the n with n + 1 = +-r (mod p), r^2 = 2 (mod p), the only
+    n whose f they divide.  The pairs with a_1*a_4 > 1, all at n <= 3,
+    trial-divide a_1, a_4 and f by the table (`_factorize`).
 
     `bound` caps a_2 only (a_3 is accepted at any size); `bound=None`
     gives every solution.  Returns only n with a nonempty hit list.
-    TypeError if n_from, n_to or a bound other than None is not an int
-    (`operator.index`, as in `check_effort`).
+    TypeError if n_from, n_to or a bound other than None is not an int or
+    is a bool (`_index`, as in `check_effort`).
     """
-    n_from, n_to = operator.index(n_from), operator.index(n_to)
+    n_from, n_to = _index(n_from), _index(n_to)
     if bound is not None:
-        bound = operator.index(bound)
+        bound = _index(bound)
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
     if bound is not None and bound < 1:
         raise ValueError("bound must be >= 1")
     found: dict[int, list[Candidate]] = {}
-    for n in range(n_from, n_to + 1):
+    for n, n_factors, f_factors in _census_factors(n_from, n_to):
         n2 = n * n
         m2 = (n - 1) * (n - 1)
-        n_factors: dict[int, int] = {}
-        _factorize(n, n_factors)
         hits: list[Candidate] = []
         a1 = 1
         while a1 * m2 < n2:
@@ -609,12 +705,11 @@ def search_len4_positive(n_from: int, n_to: int,
             while (c := n2 - a1 * a4 * m2) > 0:
                 limit = None if bound is None else bound * c - a4 * n2
                 if limit is None or limit >= 1:
-                    f, rest = n2 + c, {}
+                    f = n2 + c
                     if a1 * a4 == 1:  # f = (n+1)^2 - 2
-                        if n & 1:
-                            rest[2] = 1
-                        _factorize(f >> (n & 1), rest, pm1=True)
+                        rest = f_factors
                     else:
+                        rest = {}
                         for m in (a1, a4, f):
                             _factorize(m, rest)
                     xy, x_add, y_add = a1 * a4 * n2 * f, a4 * n2, a1 * n2

@@ -96,20 +96,23 @@ def test_effort_values_are_integers():
     # fills them, so the result holds in any test order
     tau, mode = Fraction(1, 4), SignMode.NONZERO_ANY
     assert len(search_half_relations(SearchQuery(tau, 4, 8)).hits) == 736
-    for max_len, bound in ((4, 8.0), (4.0, 8), (4.5, 8), (4, Fraction(8))):
+    # a bool is an int to operator.index, so True ran as a bound or a
+    # max_len of 1
+    for max_len, bound in ((4, 8.0), (4.0, 8), (4.5, 8), (4, Fraction(8)), (4, True), (True, 8)):
         with pytest.raises(TypeError):
             SearchQuery(tau, max_len, bound)
         with pytest.raises(TypeError):
             SearchEffort(max_len, bound)
-    for workers in (1.0, 2.5):
+    for workers in (1.0, 2.5, True):
         with pytest.raises(TypeError):
             next(hits_by_length(tau, [3, 4], 8, mode, workers))
         with pytest.raises(TypeError):
             SearchEffort(4, 8, workers)
     with pytest.raises(TypeError):
         next(hits_by_length(tau, [3, 4], 8.0, mode))
-    with pytest.raises(TypeError):
-        SearchQuery(tau, 4, 8, mode, result_limit=2.5)
+    for limit in (2.5, True):
+        with pytest.raises(TypeError):
+            SearchQuery(tau, 4, 8, mode, result_limit=limit)
     assert SearchQuery(tau, 4, 8, mode, result_limit=None).result_limit is None
 
 
@@ -1143,10 +1146,10 @@ def test_len4_positive_validation():
 
 
 def test_len4_positive_takes_integers():
-    # a bound of 10.5 ran as 10, its limits floats; every value goes
-    # through operator.index, as the effort values do
+    # a bound of 10.5 ran as 10, its limits floats, and a bound of True as
+    # 1; every value goes through search._index, as the effort values do
     for args in ((2, 300, 10.5), (2, 300, 10.0), (2, 300, Fraction(10)), (2.0, 300, 10),
-                 (2, 300.0, 10)):
+                 (2, 300.0, 10), (2, 300, True), (True, 300, 10), (2, True, 10)):
         with pytest.raises(TypeError):
             search_len4_positive(*args)
     assert len(search_len4_positive(2, 300, 10)) == 5
@@ -1191,9 +1194,9 @@ def naive_factorization(m):
     return factors
 
 
-def factorize(m, pm1=False):
+def factorize(m):
     factors = {}
-    search_module._factorize(m, factors, pm1)
+    search_module._factorize(m, factors)
     return factors
 
 
@@ -1237,7 +1240,7 @@ def test_first_factoring_sieves_every_prime_below_the_ceiling():
     assert len(primes) == 6542  # pi(2^16)
     assert pm1 == [p for p in primes if p % 8 in (1, 7)]
     factorize(65537**2)  # root above the ceiling: sieved once all the same
-    factorize(7 * 17, pm1=True)
+    census_factors(2, 100)
     assert search_module._prime_tables.cache_info().misses == 1
 
 
@@ -1271,16 +1274,19 @@ def test_divisors_match_brute_force(m, limit):
     assert set(got) == brute
 
 
-# --- the census's factor of f = (n+1)^2 - 2 and its divisor pairs ----------
+# --- the census's sieve of n and f = (n+1)^2 - 2, and its divisor pairs --
+
+def census_factors(n_from, n_to):
+    """{n: (factors of n, factors of f)} from the census's sieve."""
+    return {n: (n_fac, f_fac) for n, n_fac, f_fac in search_module._census_factors(n_from, n_to)}
+
 
 def factorize_f(n):
-    """f = (n+1)^2 - 2 factored as the census does at a1*a4 = 1: its one 2
-    for odd n, then the table primes = +-1 (mod 8) and the odd tail."""
-    f, factors = (n + 1) ** 2 - 2, {}
-    if n % 2:
-        factors[2] = 1
-    search_module._factorize(f >> (n % 2), factors, pm1=True)
-    return factors
+    """f = (n+1)^2 - 2 factored as the census does at a1*a4 = 1: sieved by
+    its one 2 for odd n and the table primes = +-1 (mod 8) at the n with n
+    + 1 = +-r (mod p), and a cofactor past the table's square trial-divided
+    by the d = +-1 (mod 8) past it."""
+    return census_factors(n, n)[n][1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -1289,7 +1295,7 @@ def factorize_f(n):
 @example(3)
 @example(9)  # f = 98 = 2 * 7^2
 @example(65535)  # n + 1 = 2^16: sqrt(f) is just below the table's ceiling
-@example(65536)  # sqrt(f) passes the ceiling, and the odd tail runs
+@example(65536)  # sqrt(f) passes the ceiling, and the tail runs
 @example(65537)
 def test_factorize_f_with_the_primes_pm1_mod_8(n):
     f = (n + 1) ** 2 - 2
@@ -1305,17 +1311,51 @@ def test_factorize_f_edge_cases():
     assert factorize_f(3) == {2: 1, 7: 1}
     ceiling = search_module.PRIME_TABLE_CEILING
     assert factorize_f(65535) == {2: 1, 2**31 - 1: 1}  # (2^16)^2 - 2
-    # both primes above the table: the smaller is found in the odd tail
+    # both primes above the table: the smaller is found in the tail
     assert 66103 * 68041 == 67065**2 - 2 and ceiling < 66103
     assert factorize_f(67064) == {66103: 1, 68041: 1}
 
 
+def test_the_sieve_matches_naive_factorization():
+    # (2, segment + 100) holds every n in (2, 2000) and crosses the segment
+    # boundary at 2 + segment; (65500, 65600) crosses the table's ceiling,
+    # where f passes 2^32 and a cofactor is finished in the tail
+    segment = search_module.CENSUS_SEGMENT
+    for n_from, n_to in ((2, segment + 100), (65500, 65600)):
+        got = census_factors(n_from, n_to)
+        assert list(got) == list(range(n_from, n_to + 1))
+        for n, (n_fac, f_fac) in got.items():
+            assert n_fac == naive_factorization(n), n
+            assert f_fac == naive_factorization((n + 1) ** 2 - 2), n
+
+
+def test_every_root_of_2_is_a_square_root():
+    primes, pm1 = search_module._prime_tables()
+    roots = search_module._sqrt2_roots(search_module.PRIME_TABLE_CEILING)
+    assert [p for p, r in roots] == pm1 == [p for p in primes if p % 8 in (1, 7)]
+    assert all(0 < r < p and r * r % p == 2 for p, r in roots)
+    assert search_module._sqrt2_roots(100) == roots[:sum(p <= 100 for p in pm1)]
+
+
+def test_a_wrong_root_of_2_is_raised(monkeypatch):
+    # 5 is not = +-1 (mod 8), so 2 has no square root mod 5
+    monkeypatch.setattr(search_module, "_SQRT2_ROOTS", [])
+    monkeypatch.setattr(search_module, "_prime_tables", lambda: ([2, 3, 5], [5]))
+    with pytest.raises(AssertionError, match="bad square root"):
+        search_module._sqrt2_roots(10)
+
+
 def test_prime_table_pm1_is_empty_after_import_and_follows_the_table():
-    # a first factoring with pm1=True sieves the one table its list is read off
-    run_fresh("assert s._prime_tables.cache_info().currsize == 0; "
-              "s._factorize(7, {}, pm1=True); primes, pm1 = s._prime_tables(); "
+    # the census warmup's f at n <= 3 is 7 or 14, so it sieves the prime
+    # table but needs no root of 2; a wider window extends the root table
+    # only to its last n
+    run_fresh("import parafree; assert s._prime_tables.cache_info().currsize == 0; "
+              "assert s._SQRT2_ROOTS == []; s.search_len4_positive(2, 3, 10); "
+              "assert s._SQRT2_ROOTS == []; primes, pm1 = s._prime_tables(); "
               "assert s._prime_tables.cache_info().misses == 1; "
-              "assert pm1 == [p for p in primes if p % 8 in (1, 7)]")
+              "assert pm1 == [p for p in primes if p % 8 in (1, 7)]; "
+              "s.search_len4_positive(2, 100, 10); "
+              "assert [p for p, r in s._SQRT2_ROOTS] == [p for p in pm1 if p <= 100]")
 
 
 def census_pairs(n):
