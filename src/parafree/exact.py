@@ -36,6 +36,29 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def as_int(value: int) -> int:
+    """value as an int through `operator.index`, which raises TypeError on
+    a float or a Fraction; TypeError on a bool too, which it would take as
+    0 or 1.  The one integer test, as `check_tau` is the type test of tau."""
+    if isinstance(value, bool):
+        raise TypeError("expected an int, not a bool")
+    return operator.index(value)
+
+
+def as_ints(values: Sequence[int]) -> tuple[int, ...]:
+    """The values as a tuple of ints by the test of `as_int`, with one type
+    test over the values rather than a call per value, since every
+    witness's words go through it: a tuple of plain ints is returned as
+    it is."""
+    values = tuple(values)
+    types = set(map(type, values))
+    if types == {int}:
+        return values
+    if bool in types:
+        raise TypeError("expected an int, not a bool")
+    return tuple(map(operator.index, values))
+
+
 def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
@@ -119,9 +142,9 @@ class ExpWord:
     """Alternating word: a starting generator tag plus the exponent list.
 
     Letter i (0-based) uses `start` if i is even, the other generator if odd;
-    the strict alternation is implied by the representation.  Each exponent
-    goes through `operator.index`, so one that is not an int (a float, a
-    Fraction) raises TypeError.
+    the strict alternation is implied by the representation.  The
+    exponents go through `as_ints`, so one that is not an int (a float, a
+    Fraction) or is a bool raises TypeError.
     """
 
     start: str
@@ -132,7 +155,7 @@ class ExpWord:
             raise ValueError(f"bad start tag {self.start!r}")
         if len(self.exponents) < 1:
             raise ValueError("word must have at least one letter")
-        object.__setattr__(self, "exponents", tuple(map(operator.index, self.exponents)))
+        object.__setattr__(self, "exponents", as_ints(self.exponents))
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -166,10 +189,12 @@ class ExpWord:
 
 def check_tau(tau, symbolic: bool = False) -> None:
     """TypeError unless tau is an int or a Fraction, or, if symbolic,
-    UniPoly.var(): the one type test of tau, as `operator.index` is of the
-    effort values.  Any other value, a float say, would be read as a ring
-    element and evaluated inexactly."""
-    if not (isinstance(tau, (int, Fraction)) or symbolic and tau == UniPoly.var()):
+    UniPoly.var(): the one type test of tau, as `as_int` is of the effort
+    values.  Any other value, a float say, would be read as a ring element
+    and evaluated inexactly, and a bool would be kept as the tau of a
+    classification whose witness holds 0 or 1."""
+    if isinstance(tau, bool) or not (isinstance(tau, (int, Fraction))
+                                     or symbolic and tau == UniPoly.var()):
         raise TypeError(f"tau must be an int or a Fraction, not {type(tau).__name__}")
 
 
@@ -229,14 +254,15 @@ class UniPoly:
     lowest degree first, trailing zeros trimmed.  An int operand of +, -
     or * is read as a constant polynomial.
 
-    The one constructor takes each coefficient through `operator.index`
-    (TypeError on one that is not an int, such as a float or a Fraction)
-    and trims them; every ring operation builds its result through it."""
+    The one constructor takes the coefficients through `as_ints`
+    (TypeError on one that is not an int, such as a float or a Fraction,
+    or is a bool) and trims them; every ring operation builds its result
+    through it."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(map(operator.index, self.coeffs))
+        c = as_ints(self.coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

@@ -35,13 +35,12 @@ time.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExpWord, G, Mat2
+from .exact import ExpWord, G, Mat2, as_int, as_ints
 from .halfrel import (
     Candidate,
     RelationKind,
@@ -59,8 +58,9 @@ SigmaPair = tuple[int, int]
 
 def validate_sigma(sigma: Sequence[int]) -> SigmaPair:
     """sigma as a pair of distinct values in {1, 2, 3}: TypeError if a
-    value is not an int (`operator.index`), ValueError otherwise."""
-    s = tuple(map(operator.index, sigma))
+    value is not an int or is a bool (`exact.as_ints`), ValueError
+    otherwise."""
+    s = as_ints(sigma)
     if len(s) != 2 or s[0] not in (1, 2, 3) or s[1] not in (1, 2, 3) or s[0] == s[1]:
         raise ValueError(f"sigma must be a pair of distinct values in {{1,2,3}}, got {sigma}")
     return s  # type: ignore[return-value]
@@ -195,9 +195,11 @@ def _member(
     """The member (family, k), not yet verified: the one statement of each
     family's tau, candidate, default x and preconditions, walking its
     sequence once.  Raises ValueError when k fails the preconditions or the
-    options do not fit the family (`validate_options`)."""
+    options do not fit the family (`validate_options`), and TypeError when
+    k is not an int or is a bool (`exact.as_int`)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    k = as_int(k)
     sig = validate_options(family, sigma, x)
     if k == 0 and family != "B":
         raise ValueError(f"family {family} requires k != 0")

@@ -39,7 +39,9 @@ The gate is one cached table per (q, bound), `_root_caps`: (cap_3,
 cap_4, cap_5), the largest |p| at which length 3, 4 and >= 5 may hold a
 hit at tau = p/q in lowest terms.  `lengths_to_walk` lists the lengths
 whose cap is >= |p|, in every sign mode; a tau it leaves no length gets
-the empty, exhausted report without a walk or a pool.
+the empty, exhausted report without a walk or a pool.  The table factors
+q by `_trial_divide`, the module's one trial division, which the census
+calls with its own divisors.
 
 No hit exists at |tau| >= 4: a hit has nonzero entries, so it is a
 nontrivial relation of <g, h_tau>, which is free there (the Schottky
@@ -105,7 +107,6 @@ skips an end value with no a before computing its coefficients, and
 from __future__ import annotations
 
 import enum
-import operator
 from bisect import bisect_right
 from contextlib import closing, nullcontext
 from dataclasses import dataclass
@@ -115,7 +116,7 @@ from itertools import chain, compress, count
 from math import gcd, isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .exact import check_tau
+from .exact import as_int, check_tau
 from .halfrel import Candidate, is_half_relation, negate
 
 if TYPE_CHECKING:
@@ -134,20 +135,11 @@ DEFAULT_RESULT_LIMIT = 1000
 CUT_CACHE_SIZE = 1024
 
 
-def _index(value: int) -> int:
-    """value as an int through `operator.index`, which raises TypeError on
-    a float or a Fraction; TypeError on a bool too, which it would take as
-    0 or 1."""
-    if isinstance(value, bool):
-        raise TypeError("expected an int, not a bool")
-    return operator.index(value)
-
-
 def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
     """The one statement of the effort limits: TypeError if max_len, bound
-    or workers is not an int or is a bool (`_index`), ValueError if
+    or workers is not an int or is a bool (`exact.as_int`), ValueError if
     max_len is outside [1, MAX_LEN_LIMIT], bound < 1 or workers < 1."""
-    max_len, bound, workers = map(_index, (max_len, bound, workers))
+    max_len, bound, workers = map(as_int, (max_len, bound, workers))
     if not 1 <= max_len <= MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
     if bound < 1:
@@ -184,7 +176,7 @@ class SearchQuery:
         _check_tau(self.tau)
         _check_mode(self.sign_mode)
         check_effort(self.max_len, self.bound)
-        if self.result_limit is not None and _index(self.result_limit) < 1:
+        if self.result_limit is not None and as_int(self.result_limit) < 1:
             raise ValueError("result_limit must be >= 1")
 
 
@@ -338,28 +330,21 @@ def _root_caps(q: int, bound: int) -> tuple[int, int, int]:
     cap_l the largest S(x) over the ordered factorisations q =
     x_1*...*x_l with every x_i <= bound, or 0 where there is none.
 
-    q is factored once by trial division by d <= min(bound, sqrt(q)), not
-    by `_factorize`, whose first call sieves the census's prime table:
-    what is left is then 1, a prime, or, once d passes the bound, a
-    product of primes above it.  No factorisation is enumerated.  Of the
-    splits r = x*y with x >= y, both <= bound, the one with the largest x
-    has the largest x + y (x + r/x grows for x >= sqrt(r)) and the
-    smallest y, and S grows with each sum and falls with each min: x_1 +
-    (x_2 + x_3) at l = 3, (x_1 + x_3)(x_2 + x_4) - 2 min(x_1, x_3)
-    min(x_2, x_4) at l = 4.  So cap_3 is a max over the divisors x_1, and
-    cap_4 over the divisors u = x_1*x_3, with q/x_1, and u and q/u, split
-    that way."""
+    q is factored once by `_trial_divide` over 2 and the odd d <= bound,
+    never the census's prime table, so the division stops at min(bound,
+    sqrt(q)): what is left is then 1, a prime, or, once d passes the
+    bound, a product of primes above it, added as one factor above the
+    bound.  No factorisation is enumerated.  Of the splits r = x*y with x
+    >= y, both <= bound, the one with the largest x has the largest x + y
+    (x + r/x grows for x >= sqrt(r)) and the smallest y, and S grows with
+    each sum and falls with each min: x_1 + (x_2 + x_3) at l = 3, (x_1 +
+    x_3)(x_2 + x_4) - 2 min(x_1, x_3) min(x_2, x_4) at l = 4.  So cap_3
+    is a max over the divisors x_1, and cap_4 over the divisors u =
+    x_1*x_3, with q/x_1, and u and q/u, split that way."""
     factors: dict[int, int] = {}
-    m, d = q, 2
-    while d <= bound and d * d <= m:
-        while m % d == 0:
-            m //= d
-            factors[d] = factors.get(d, 0) + 1
-        d += 1 if d == 2 else 2
-    if m > bound:
+    _trial_divide(q, factors, chain((2,), range(3, bound + 1, 2)))
+    if max(factors, default=1) > bound:
         return 0, 0, 0
-    if m > 1:  # a prime above every d tried
-        factors[m] = 1
     divs = sorted(_divisors(factors, bound))
 
     def split(r: int) -> tuple[int, int] | None:
@@ -377,7 +362,7 @@ def lengths_to_walk(p: int, q: int, max_len: int, bound: int) -> list[int]:
     """The lengths 3..max_len that may hold a hit at tau = p/q (lowest
     terms) within the bound, in any sign mode: those whose cap in
     `_root_caps(q, bound)` is >= |p|, the one statement of the gate, so
-    tau and -tau get the same lengths.  None when |tau| >= 4 or q has a
+    tau and -tau get the same lengths.  [] when |tau| >= 4 or q has a
     prime factor above the bound."""
     p, caps = abs(p), _root_caps(q, bound)
     if p > caps[2]:
@@ -462,7 +447,8 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     """Enumerate all half-relations for the query, in shortlex order, from
     `hits_by_length` over the lengths of `lengths_to_walk`.  The search
     stops after the first length at which the hits exceed the result
-    limit.  ValueError if workers < 1 (`hits_by_length`)."""
+    limit.  TypeError if workers is not an int or is a bool, and
+    ValueError if workers < 1 (`check_effort`, through `hits_by_length`)."""
     tau, bound, limit, hits = query.tau, query.bound, query.result_limit, []
     lengths = lengths_to_walk(tau.numerator, tau.denominator, query.max_len, bound)
     with closing(hits_by_length(tau, lengths, bound, query.sign_mode, workers)) as blocks:
@@ -525,9 +511,12 @@ def _sqrt2_roots(limit: int) -> list[tuple[int, int]]:
 
 
 def _trial_divide(m: int, into: dict[int, int], divisors: Iterator[int]) -> None:
-    """Add the prime factorisation of m >= 1 to `into`, by trial division
-    by the ascending divisors d with d^2 <= m, which must hold every prime
-    factor of m below the last d tried."""
+    """Add the factorisation of m >= 1 to `into`, by trial division by
+    the ascending divisors d up to the first with d^2 > m: the module's
+    one trial division, each caller passing its own divisors.  The
+    factors are prime when the divisors hold every prime factor of m
+    below the last d tried; if they run out first, as the gate's do at
+    the bound, what is left is added as one factor."""
     for d in divisors:
         if d * d > m:
             break
@@ -551,12 +540,6 @@ def _pm1_past_table() -> Iterator[int]:
     and 8k + 1 for each k > last // 8."""
     k = _prime_tables()[0][-1] // 8 + 1
     return chain.from_iterable(zip(count(8 * k - 1, 8), count(8 * k + 1, 8)))
-
-
-def _factorize(m: int, into: dict[int, int]) -> None:
-    """Add the prime factorisation of m >= 1 to `into`, by trial division
-    by the table primes, then, past the last of them, every odd d."""
-    _trial_divide(m, into, chain(_prime_tables()[0], _past_table()))
 
 
 def _census_factors(n_from: int,
@@ -680,16 +663,16 @@ def search_len4_positive(n_from: int, n_to: int,
     sqrt(n), and f, past its one 2 for odd n, by the table primes p = +-1
     (mod 8) at the n with n + 1 = +-r (mod p), r^2 = 2 (mod p), the only
     n whose f they divide.  The pairs with a_1*a_4 > 1, all at n <= 3,
-    trial-divide a_1, a_4 and f by the table (`_factorize`).
+    factor a_1*a_4*f, at most 20, by `_trial_divide` over every d >= 2.
 
     `bound` caps a_2 only (a_3 is accepted at any size); `bound=None`
     gives every solution.  Returns only n with a nonempty hit list.
     TypeError if n_from, n_to or a bound other than None is not an int or
-    is a bool (`_index`, as in `check_effort`).
+    is a bool (`exact.as_int`, as in `check_effort`).
     """
-    n_from, n_to = _index(n_from), _index(n_to)
+    n_from, n_to = as_int(n_from), as_int(n_to)
     if bound is not None:
-        bound = _index(bound)
+        bound = as_int(bound)
     if not 2 <= n_from <= n_to:
         raise ValueError("need 2 <= n_from <= n_to")
     if bound is not None and bound < 1:
@@ -710,8 +693,7 @@ def search_len4_positive(n_from: int, n_to: int,
                         rest = f_factors
                     else:
                         rest = {}
-                        for m in (a1, a4, f):
-                            _factorize(m, rest)
+                        _trial_divide(a1 * a4 * f, rest, count(2))
                     xy, x_add, y_add = a1 * a4 * n2 * f, a4 * n2, a1 * n2
                     for x in _congruent_divisors(n2, n_factors, rest, c, a4, limit):
                         y3 = xy // x + y_add

@@ -15,6 +15,7 @@ from parafree.exact import (
     H,
     Mat2,
     UniPoly,
+    check_tau,
     eval_word,
     eval_word_symbolic,
     format_rational,
@@ -162,8 +163,14 @@ def test_expword_takes_integral_exponents_only():
     for exps in ((1.5, 2.9), (Fraction(1, 2),), (1, Fraction(3)), ("1",)):
         with pytest.raises(TypeError):
             ExpWord(G, exps)
-    assert ExpWord(G, (True, 2)).exponents == (1, 2)
-    assert all(type(a) is int for a in ExpWord(H, (True, 2)).exponents)
+    assert ExpWord(G, (1, 2)).exponents == (1, 2)
+
+
+def test_expword_rejects_a_bool():
+    # operator.index takes True as 1, so (True, 2) was the word g h^2
+    for exps in ((True, 2), (1, False), (2, 3, True)):
+        with pytest.raises(TypeError):
+            ExpWord(G, exps)
 
 
 def test_expword_letters_alternate():
@@ -273,8 +280,24 @@ def test_unipoly_takes_integral_coefficients_only():
     for coeffs in ((Fraction(1, 2), 3), (2.9,), (Fraction(4), 1), ("7",)):
         with pytest.raises(TypeError):
             UniPoly(coeffs)
-    assert UniPoly((True, 0)).coeffs == (1,)
-    assert type(UniPoly((True,)).coeffs[0]) is int
+    assert UniPoly((1, 0)).coeffs == (1,)
+
+
+def test_unipoly_rejects_a_bool():
+    # operator.index takes True as 1, so (True, 2) was 1 + 2 tau
+    for coeffs in ((True, 2), (1, False), (True,)):
+        with pytest.raises(TypeError):
+            UniPoly(coeffs)
+
+
+def test_check_tau_rejects_a_bool():
+    # a bool tau was kept as the classification's tau while its witness
+    # held Fraction(1)
+    for symbolic in (False, True):
+        for tau in (True, False):
+            with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+                check_tau(tau, symbolic)
+        check_tau(1, symbolic)
 
 
 def test_unipoly_trims_and_degree():

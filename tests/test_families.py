@@ -154,6 +154,31 @@ def test_sigma_takes_integral_values_only():
     assert u_seq((1, 2), 4) == 17
 
 
+def test_validate_sigma_rejects_a_bool():
+    # operator.index read (True, 2) as (1, 2)
+    for bad in ((True, 2), (3, True), (False, 1)):
+        with pytest.raises(TypeError):
+            validate_sigma(bad)
+
+
+def test_family_instance_rejects_a_bool_k():
+    # True ran as the k = 1 member, with k=True on the instance
+    for family, sigma in (("B", (1, 2)), ("A", None), ("D", None), ("E", None)):
+        with pytest.raises(TypeError):
+            family_instance(family, True, sigma)
+    with pytest.raises(TypeError):
+        family_instance("B", False, (1, 2))
+    assert family_instance("B", 1, (1, 2)).k == 1
+
+
+def test_family_tau_rejects_a_bool_k():
+    # family_tau('D', True) was 2, the tau of k = 1
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            family_tau("D", k)
+    assert family_tau("D", 1) == 2
+
+
 def test_fib_doubly_infinite():
     assert [fib(k) for k in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     for n in range(1, 15):

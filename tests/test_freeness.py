@@ -860,3 +860,12 @@ def test_monotonic_effort():
             assert large.group_status == NON_FREE
         if small.semigroup_status == NON_SEMIGROUP_FREE:
             assert large.semigroup_status == NON_SEMIGROUP_FREE
+
+
+def test_classify_tau_rejects_a_bool():
+    # classify_tau(True) returned a classification whose tau was True while
+    # its witness's tau was Fraction(1)
+    for tau in (True, False):
+        with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+            classify_tau(tau, SearchEffort(4, 8))
+    assert classify_tau(1, SearchEffort(4, 8)).tau == 1

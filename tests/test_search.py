@@ -116,6 +116,14 @@ def test_effort_values_are_integers():
     assert SearchQuery(tau, 4, 8, mode, result_limit=None).result_limit is None
 
 
+def test_search_query_rejects_a_bool_tau():
+    # exact.check_tau took True as the int 1
+    for tau in (True, False):
+        with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+            SearchQuery(tau, 4, 8)
+    assert SearchQuery(1, 4, 8).tau == 1
+
+
 def test_a_tau_that_is_not_an_int_or_a_fraction_is_rejected():
     # a float would be read as a ring element and evaluated inexactly, so
     # every entry that takes a tau rejects it before any arithmetic
@@ -574,7 +582,7 @@ def test_smoothness_test_stops_at_the_bound_and_at_the_square_root():
     for q in range(1, 200):
         for bound in range(1, 15):
             factors = {}
-            search_module._factorize(q, factors)
+            search_module._trial_divide(q, factors, itertools.count(2))
             caps = search_module._root_caps(q, bound)
             if all(p <= bound for p in factors):
                 assert caps[2] == 4 * q - 1, (q, bound)
@@ -1194,9 +1202,15 @@ def naive_factorization(m):
     return factors
 
 
+def trial_divide_past_table(m, factors):
+    """The census's n path: the table primes, then the odd d past them."""
+    search_module._trial_divide(m, factors, itertools.chain(search_module._prime_tables()[0],
+                                                            search_module._past_table()))
+
+
 def factorize(m):
     factors = {}
-    search_module._factorize(m, factors)
+    trial_divide_past_table(m, factors)
     return factors
 
 
@@ -1227,7 +1241,7 @@ def test_factorize_edge_cases():
     assert factorize(above * after) == {above: 1, after: 1}  # found in the odd tail
     assert factorize(big) == {big: 1}
     factors = {2: 1, 7: 2}  # the census adds to n's doubled factorisation
-    search_module._factorize(2**3 * 5 * 7, factors)
+    trial_divide_past_table(2**3 * 5 * 7, factors)
     assert factors == {2: 4, 5: 1, 7: 3}
 
 
@@ -1252,6 +1266,18 @@ def run_fresh(code):
 
 def test_prime_table_is_empty_after_import():
     run_fresh("assert s._prime_tables.cache_info().currsize == 0")
+
+
+def test_the_gate_never_sieves_the_census_prime_table():
+    # the gate trial-divides q by its own divisors, 2 and the odd d up to
+    # the bound, so classify and search never pay for the census's table
+    run_fresh("from fractions import Fraction; "
+              "from parafree.freeness import SearchEffort, classify_tau; "
+              "taus = {Fraction(p, q) for q in range(1, 9) for p in range(-4 * q + 1, 4 * q)}; "
+              "assert len(taus) == 175; "
+              "[classify_tau(tau, SearchEffort(4, 8)) for tau in taus]; "
+              "s.search_half_relations(s.SearchQuery(Fraction(1, 4), 4, 8)); "
+              "assert s._prime_tables.cache_info().currsize == 0")
 
 
 def test_import_leaves_the_pool_stack_unimported():
