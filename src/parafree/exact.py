@@ -1,11 +1,11 @@
 """Exact arithmetic substrate: rationals, 2x2 matrices over a ring of tau,
 dense integer polynomials in tau, and evaluation of alternating words in the
 two parabolic generators g = (1 1; 0 1) and h = (1 0; tau 1).  The one
-word kernel, `scaled_product`, evaluates a word over integers with one
-common denominator and reduces nothing: proofs compare its unreduced
-integers, and `eval_word` reduces each rational entry once.  `Mat2` is a
-NamedTuple whose `*` is the one 2x2 product and whose `**` powers it, as
-the family sequences do.
+word kernel, `scaled_product`, evaluates a word at a rational tau over
+integers with one common denominator and reduces nothing: proofs compare
+its unreduced integers, and `eval_word` reduces each entry once.  `Mat2`
+is a NamedTuple whose `*` is the one 2x2 product generic over the entry
+ring, which `**` powers and `eval_word_symbolic` runs over polynomials.
 
 Everything here is immutable and pure; safe for concurrent use.
 """
@@ -16,6 +16,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Any, Iterator, NamedTuple, Sequence
 
 G = "G"
@@ -71,7 +72,7 @@ def other_tag(tag: str) -> str:
 
 class Mat2(NamedTuple):
     """2x2 matrix with exact entries in the ring of tau: int, Fraction for
-    a rational tau, UniPoly for the symbolic product at tau = UniPoly.var().
+    a rational tau, UniPoly in `eval_word_symbolic` at tau = UniPoly.var().
     A tuple (e11, e12, e21, e22), so it unpacks like one; `+` and
     `int * Mat2` are the tuple's, not matrix operations.  `inverse` needs
     a field."""
@@ -187,39 +188,37 @@ class ExpWord:
         return all(a > 0 for a in self.exponents)
 
 
-def check_tau(tau, symbolic: bool = False) -> None:
-    """TypeError unless tau is an int or a Fraction, or, if symbolic,
-    UniPoly.var(): the one type test of tau, as `as_int` is of the effort
-    values.  Any other value, a float say, would be read as a ring element
-    and evaluated inexactly, and a bool would be kept as the tau of a
+def check_tau(tau) -> None:
+    """TypeError unless tau is an int or a Fraction: the one type test of
+    tau, as `as_int` is of the effort values.  Any other value, a float or
+    UniPoly.var() say, would be read as a ring element (and a float
+    evaluated inexactly), and a bool would be kept as the tau of a
     classification whose witness holds 0 or 1."""
-    if isinstance(tau, bool) or not (isinstance(tau, (int, Fraction))
-                                     or symbolic and tau == UniPoly.var()):
+    if isinstance(tau, bool) or not isinstance(tau, (int, Fraction)):
         raise TypeError(f"tau must be an int or a Fraction, not {type(tau).__name__}")
 
 
-def scaled_product(word: ExpWord, tau) -> tuple:
+def scaled_product(word: ExpWord, tau: Fraction | int) -> tuple[int, int, int, int, int]:
     """(n11, n12, n21, n22, den): the word's left-to-right product of
-    generator powers over the ring of tau is N / den, with N and den
-    neither reduced nor normalised.  The one word kernel.
+    generator powers at the rational tau is N / den, with N and den
+    integers, neither reduced nor normalised.  The one word kernel.
 
     Each letter is applied to the running product as a column operation:
     right-multiplying by g^a adds a*col1 to col2, and by h^a adds
-    (a*tau)*col2 to col1.  A rational tau = p/q is applied as p over a
-    common integer denominator: the loop keeps integer entries N with
-    M = N / q^j after j h-letters, so each h-letter scales the running
-    product by q before adding (a*p)*col2 to col1, and den = q^(number of
-    h-letters).  For an int tau or tau = UniPoly.var() the denominator is
-    1 and the entries stay in that ring; any other tau is a TypeError
-    (`check_tau`).
+    (a*tau)*col2 to col1.  tau = p/q is applied as p over a common
+    integer denominator: the loop keeps integer entries N with M = N /
+    q^j after j h-letters, so each h-letter scales the running product by
+    q before adding (a*p)*col2 to col1, and den = q^(number of
+    h-letters); an int tau is p/1, and any other tau is a TypeError
+    (`check_tau`).  It shares no code with `Mat2.__mul__`, its reference
+    in the tests and the product of `eval_word_symbolic`.
     """
     if isinstance(tau, Fraction):
         p, q = tau.numerator, tau.denominator
     else:
-        check_tau(tau, symbolic=True)
+        check_tau(tau)
         p, q = tau, 1
-    zero = p * 0
-    e11, e12, e21, e22 = zero + 1, zero, zero, zero + 1
+    e11, e12, e21, e22 = 1, 0, 0, 1
     on_g = word.start == G
     for a in word.exponents:
         if on_g:
@@ -233,19 +232,13 @@ def scaled_product(word: ExpWord, tau) -> tuple:
     return e11, e12, e21, e22, q**h_letters
 
 
-def eval_word(word: ExpWord, tau) -> Mat2:
-    """Left-to-right product of generator powers over the ring of tau;
-    always has determinant 1.
-
-    Built on `scaled_product`: for a rational tau the four Fraction
-    entries are built, each reduced once, from its integer product, into
-    a `Mat2` NamedTuple.  This equals the product of `gen_power` letters
-    under `Mat2.__mul__`, which the tests keep as its reference.
-    """
+def eval_word(word: ExpWord, tau: Fraction | int) -> Mat2:
+    """Left-to-right product of generator powers at the rational tau, as
+    four Fraction entries, each reduced once from `scaled_product`'s
+    integers (so an int tau gives Fractions equal to its ints); always has
+    determinant 1."""
     e11, e12, e21, e22, den = scaled_product(word, tau)
-    if isinstance(tau, Fraction):
-        return Mat2(Fraction(e11, den), Fraction(e12, den), Fraction(e21, den), Fraction(e22, den))
-    return Mat2(e11, e12, e21, e22)
+    return Mat2(Fraction(e11, den), Fraction(e12, den), Fraction(e21, den), Fraction(e22, den))
 
 
 @dataclass(frozen=True)
@@ -353,10 +346,12 @@ class UniPoly:
 
 
 def eval_word_symbolic(word: ExpWord) -> Mat2:
-    """Word product with tau left as the polynomial indeterminate.  Public,
-    and the tests' reference for `halfrel.symbolic_defect`, which reads the
-    same defect off the integer kernel."""
-    return eval_word(word, UniPoly.var())
+    """Word product with tau left as the polynomial indeterminate: the
+    left-to-right `Mat2` product of `gen_power` letters at UniPoly.var().
+    Public, and, sharing no code with the integer kernel, the tests'
+    independent reference for `halfrel.symbolic_defect`, read off it."""
+    tau = UniPoly.var()
+    return reduce(Mat2.__mul__, (gen_power(tag, a, tau) for tag, a in word.letters()))
 
 
 def word_from_exponents(exponents: Sequence[int], start: str = G) -> ExpWord:

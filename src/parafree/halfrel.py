@@ -137,8 +137,8 @@ def symbolic_defect(candidate: Sequence[int]) -> UniPoly:
     1 + |a| for each factor, so every entry of the word's matrix has
     1-norm at most prod(1 + |a_i|) < 2^(K-2), and the defect, a difference
     of two entries (one times tau), has 1-norm < 2^(K-1) = t/2.
-    `eval_word_symbolic`, the product in the polynomial ring, is the
-    reference the tests compare this with."""
+    `eval_word_symbolic`, the `Mat2` product of `gen_power` letters in the
+    polynomial ring, which never runs the kernel, is the tests' reference."""
     shift = 2 + sum((abs(a) + 1).bit_length() for a in candidate)
     t = 1 << shift
     d, _ = _scaled_defect(candidate, t)  # den = 1 at an int tau

@@ -130,6 +130,8 @@ class SignMode(enum.Enum):
 
 
 MAX_LEN_LIMIT = 12
+# the most worker processes a walk starts: a pool starts all of them at once
+MAX_WORKERS = 64
 DEFAULT_RESULT_LIMIT = 1000
 # the most cut tables, capped or not, that `_cut_table` keeps at once
 CUT_CACHE_SIZE = 1024
@@ -138,7 +140,8 @@ CUT_CACHE_SIZE = 1024
 def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
     """The one statement of the effort limits: TypeError if max_len, bound
     or workers is not an int or is a bool (`exact.as_int`), ValueError if
-    max_len is outside [1, MAX_LEN_LIMIT], bound < 1 or workers < 1."""
+    max_len is outside [1, MAX_LEN_LIMIT], bound < 1 or workers is outside
+    [1, MAX_WORKERS]."""
     max_len, bound, workers = map(as_int, (max_len, bound, workers))
     if not 1 <= max_len <= MAX_LEN_LIMIT:
         raise ValueError(f"max_len must be in [1, {MAX_LEN_LIMIT}]")
@@ -146,6 +149,8 @@ def check_effort(max_len: int, bound: int, workers: int = 1) -> None:
         raise ValueError("bound must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
 
 
 def _check_tau(tau: Fraction) -> None:
@@ -227,13 +232,14 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     then for each a at l - 2 and c at l solve the b at l - 1 exactly.
 
     positions[1] holds the a_1 to walk, and the leaf keeps |a_1| <= |c|:
-    at l = 3, where its a is a_1, by cutting each c's list of a at |c|,
-    so one leaf serves every a_1; from l = 4 on, by slicing the ends at
-    |exps[0]|.  r is q over its gcd with the product of exps, so a hit's
-    remaining exponents have a product divisible by r; from l = 4 on, the
-    a this leaves for each c are read from `_cut_table`, at l = 4 with a
-    cap 2q/|p| below the bound from its capped table, and a leaf whose
-    end values have no a left ends before its coefficients are computed."""
+    at l = 3, where its a is a_1, by slicing the a at |c| for each c, so
+    one leaf serves every a_1 in O(bound) memory; from l = 4 on, by
+    slicing the ends at |exps[0]|.  r is q over its gcd with the product
+    of exps, so a hit's remaining exponents have a product divisible by
+    r; from l = 4 on, the a this leaves for each c are read from
+    `_cut_table`, at l = 4 with a cap 2q/|p| below the bound from its
+    capped table, and a leaf whose end values have no a left ends before
+    its coefficients are computed."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
@@ -249,9 +255,10 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     last_values, lo, hi = positions[l - 1]
     middles, ends = positions[pos][0], positions[l][0]
     if l == 3:
-        # the a is a_1, so |a_1| <= |c| cuts its list at |c|, and the
-        # divisibility cut would save nothing; the a_1 ascend in |a_1|
-        kept = [middles[:bisect_right(middles, m, key=abs)] for m in range(bound + 1)]
+        # the a is a_1, so |a_1| <= |c| keeps the first stops[|c|] of the
+        # a_1, which ascend in |a_1|: each c slices its own, so the leaf
+        # holds O(bound), and the divisibility cut would save nothing
+        stops, kept = [bisect_right(middles, m, key=abs) for m in range(bound + 1)], None
     else:
         # |a_1| <= |c|: the ends hold each |c| in 1..bound once, or twice
         # (+-c) in NONZERO_ANY, ascending in |c|
@@ -276,7 +283,8 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
         x1, x2, x3, x4 = p * v, -p * qn22, q * u, -q * qn21
         y1, y2 = q * v, q * (q * n11 - qn22)
     for c in ends:
-        a_values = middles if kept is None else kept[abs(c)]
+        a_values = (middles[:stops[abs(c)]] if l == 3
+                    else middles if kept is None else kept[abs(c)])
         if not a_values:  # nothing to solve at this c
             continue
         c1, c0, k0 = x1 * c + x2, x3 * c + x4, y1 * c + y2
@@ -386,11 +394,12 @@ def _walk(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
     `_orbit` gives the rest.  lengths are those `lengths_to_walk` lists,
     or some of them: the walk gates nothing itself.  Each length is one
     `_search_branch` call per worker, on an interleaved chunk of the a_1
-    values.  One pool of at most one worker per a_1 lives as long as the
-    generator, whose closing shuts it down.  On the first step, TypeError
-    or ValueError if workers, bound or max(lengths) fail `check_effort`,
-    TypeError if mode is not a SignMode, and ValueError at tau = 0 or if
-    the lengths do not ascend strictly from 3 or above."""
+    values.  One pool of at most one worker per a_1, and at most
+    MAX_WORKERS, lives as long as the generator, whose closing shuts it
+    down.  On the first step, TypeError or ValueError if workers, bound
+    or max(lengths) fail `check_effort`, TypeError if mode is not a
+    SignMode, and ValueError at tau = 0 or if the lengths do not ascend
+    strictly from 3 or above."""
     check_effort(max(lengths, default=MAX_LEN_LIMIT), bound, workers)
     _check_tau(tau)
     _check_mode(mode)
@@ -448,7 +457,8 @@ def search_half_relations(query: SearchQuery, workers: int = 1) -> SearchReport:
     `hits_by_length` over the lengths of `lengths_to_walk`.  The search
     stops after the first length at which the hits exceed the result
     limit.  TypeError if workers is not an int or is a bool, and
-    ValueError if workers < 1 (`check_effort`, through `hits_by_length`)."""
+    ValueError if workers is outside [1, MAX_WORKERS] (`check_effort`,
+    through `hits_by_length`)."""
     tau, bound, limit, hits = query.tau, query.bound, query.result_limit, []
     lengths = lengths_to_walk(tau.numerator, tau.denominator, query.max_len, bound)
     with closing(hits_by_length(tau, lengths, bound, query.sign_mode, workers)) as blocks:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parafree.exact as exact
 from parafree.exact import (
     ExpWord,
     G,
@@ -221,7 +222,6 @@ WORD_TAUS = st.one_of(
     st.fractions(min_value=-30, max_value=30, max_denominator=10**6),
     st.integers(-30, 30),
     st.sampled_from(LARGE_MEMBER_TAUS),
-    st.just(UniPoly.var()),
 )
 WORD_EXPONENTS = st.lists(st.integers(-9, 9), min_size=1, max_size=12)
 
@@ -231,13 +231,21 @@ WORD_EXPONENTS = st.lists(st.integers(-9, 9), min_size=1, max_size=12)
 def test_eval_word_matches_the_product_of_generator_powers(start, exps, tau):
     # the column-operation loop against the left-to-right Mat2 product;
     # zero exponents included.  A rational tau runs over one common integer
-    # denominator, so also require Fraction entries back
+    # denominator, and every tau, an int too, gives Fraction entries back
     w = ExpWord(start, tuple(exps))
     expected = reduce(Mat2.__mul__, (gen_power(tag, a, tau) for tag, a in w.letters()))
     got = eval_word(w, tau)
     assert got == expected
-    if isinstance(tau, Fraction):
-        assert all(type(e) is Fraction for e in got)
+    assert all(type(e) is Fraction for e in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.sampled_from([G, H]), exps=WORD_EXPONENTS, tau=WORD_TAUS)
+def test_the_symbolic_product_specialises_to_the_kernel(start, exps, tau):
+    # the Mat2 product of gen_power letters in the polynomial ring, which
+    # shares no code with the kernel, evaluated at tau
+    w = ExpWord(start, tuple(exps))
+    assert eval_word_symbolic(w).specialize(tau) == eval_word(w, tau)
 
 
 @settings(max_examples=400, deadline=None)
@@ -293,11 +301,10 @@ def test_unipoly_rejects_a_bool():
 def test_check_tau_rejects_a_bool():
     # a bool tau was kept as the classification's tau while its witness
     # held Fraction(1)
-    for symbolic in (False, True):
-        for tau in (True, False):
-            with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
-                check_tau(tau, symbolic)
-        check_tau(1, symbolic)
+    for tau in (True, False):
+        with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+            check_tau(tau)
+    check_tau(1)
 
 
 def test_unipoly_trims_and_degree():
@@ -385,6 +392,20 @@ def test_symbolic_det_is_one():
     for _ in range(30):
         w = rand_word()
         assert eval_word_symbolic(w).det() == UniPoly.const(1)
+
+
+def test_the_symbolic_product_does_not_run_the_kernel(monkeypatch):
+    # eval_word_symbolic is the Mat2 product of gen_power letters, so the
+    # tests' reference for the symbolic defect is independent of the kernel
+    def kernel(word, tau):
+        raise AssertionError("scaled_product was called")
+
+    monkeypatch.setattr(exact, "scaled_product", kernel)
+    for exps in ((-6, -2, 1), (1, 2, 0, 3), (5,)):
+        for start in (G, H):
+            w = ExpWord(start, exps)
+            assert eval_word_symbolic(w) == reduce(
+                Mat2.__mul__, (gen_power(tag, a, UniPoly.var()) for tag, a in w.letters()))
 
 
 def test_gen_power_symbolic_bad_tag():

@@ -43,6 +43,8 @@ from parafree.search import (
     search_half_relations,
 )
 
+from atlas import atlas
+
 SIGMA_PAIRS = [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]
 
 
@@ -700,40 +702,14 @@ def test_the_classify_batch_pool_is_pinned():
 
 
 def test_the_pool_matches_the_root_atlas():
-    # an oracle that shares no code with the walk: every tuple of length 3
-    # or 4 with entries in [-8, 8] \ {0}, one per orbit of reversal and
-    # negation (a1 > 0, a1 <= |a_l|), whose defect polynomial P is linear
-    # there, so its one root is read off `symbolic_defect`; with the
-    # family members at |tau|, these roots are what classify settles on
-    # the pool at (4, 8), each side at each sign
-    values = [a for a in range(-8, 9) if a]
-    roots, positive, odd_alternating = set(), set(), set()
-    for c in (t for l in (3, 4) for t in product(values, repeat=l)):
-        if not 0 < c[0] <= abs(c[-1]):
-            continue
-        zero, c1, c2 = halfrel.symbolic_defect(c).coeffs  # tau * (c1 + c2 tau)
-        assert zero == 0 and c2 != 0, c
-        root = Fraction(-c1, c2)
-        alternating = len(c) % 2 and all(a * b < 0 for a, b in zip(c, c[1:]))
-        # the alternating search runs at -tau for tau < 0 only (`_witnesses`)
-        assert not (alternating and root < 0), c
-        if not (0 < abs(root) < 4 and root.denominator <= 128):
-            continue
-        roots.add(root)
-        if min(c) > 0:
-            positive.add(root)
-        if alternating:
-            odd_alternating.add(-root)
+    # an oracle that shares no code with the walk (`atlas.atlas`): every
+    # tuple of length 3 or 4 with entries in [-8, 8] \ {0}, one per orbit
+    # of reversal and negation (a1 > 0, a1 <= |a_l|), whose defect
+    # polynomial P is linear there, so its one root is read off
+    # `symbolic_defect`; with the family members at |tau|, these roots are
+    # what classify settles on the pool at (4, 8), each side at each sign
     pool = classified_pool()
-    members = {cls.tau: family_lookup(abs(cls.tau)) for cls in pool}
-    non_free = {tau for tau, found in members.items()
-                if found or tau in roots or tau in odd_alternating}
-    semigroup_kind = {True: RelationKind.SEMIGROUP_AT_TAU,
-                      False: RelationKind.SEMIGROUP_AT_MINUS_TAU}
-    non_semigroup_free = {
-        tau for tau, found in members.items()
-        if -4 < tau < 1 and (tau in positive or tau in odd_alternating
-                             or any(inst.kind is semigroup_kind[tau > 0] for inst in found))}
+    non_free, non_semigroup_free = atlas([cls.tau for cls in pool], 4)
     assert {cls.tau for cls in pool if cls.group_status == NON_FREE} == non_free
     assert {cls.tau for cls in pool
             if cls.semigroup_status == NON_SEMIGROUP_FREE} == non_semigroup_free

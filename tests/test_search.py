@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,43 @@ def naive_search(tau, max_len, bound, mode):
             if defect(cand, tau) == 0:
                 hits.append(cand)
     return sorted(set(hits), key=lambda c: (len(c), c))
+
+
+def test_search_rejects_more_workers_than_the_ceiling(monkeypatch):
+    # a pool starts all its processes at once, and the walk capped the
+    # workers only at the number of a_1 values, the bound: at bound 8 a
+    # missing check would start 8 processes at most, and here none
+    def no_pool(workers):
+        raise AssertionError(f"a pool of {workers} processes was started")
+
+    monkeypatch.setattr(search_module, "_process_pool", no_pool)
+    ceiling = search_module.MAX_WORKERS
+    assert ceiling >= 8
+    tau, mode = Fraction(1, 4), SignMode.NONZERO_ANY
+    with pytest.raises(ValueError, match=f"workers must be <= {ceiling}"):
+        SearchEffort(4, 8, ceiling + 1)
+    with pytest.raises(ValueError, match=f"workers must be <= {ceiling}"):
+        search_half_relations(SearchQuery(tau, 4, 8, mode), workers=ceiling + 1)
+    with pytest.raises(ValueError, match=f"workers must be <= {ceiling}"):
+        next(hits_by_length(tau, [3, 4], 8, mode, ceiling + 1))
+    assert SearchEffort(4, 8, ceiling).workers == ceiling
+
+
+def test_the_length_3_leaf_holds_memory_linear_in_the_bound():
+    # the leaf kept a slice of the a_1 for every |c| <= bound, about
+    # bound^2 / 2 references, a traced peak of 0.38 MB at bound 300; each
+    # c now slices its own, and the leaf holds O(bound)
+    query = SearchQuery(Fraction(1, 4), 3, 300, SignMode.ALL_POSITIVE, None)
+    assert lengths_to_walk(1, 4, 3, 300) == [3]  # the gate's table, cached untraced
+    tracemalloc.start()
+    try:
+        hits = search_half_relations(query).hits
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a_1 a_2 a_3 = 4 (a_2 - a_1 - a_3) over the positive tuples
+    assert hits == ((1, 6, 2), (1, 16, 3), (2, 6, 1), (3, 16, 1))
+    assert peak < 100_000, peak
 
 
 def test_query_validation():
@@ -143,11 +181,14 @@ def test_a_tau_that_is_not_an_int_or_a_fraction_is_rejected():
             scaled_product(word, tau)
     with pytest.raises(TypeError):
         SearchQuery(UniPoly.var(), 4, 8)
-    # an int and a Fraction are accepted, and the symbolic product keeps
-    # its indeterminate
+    # the kernel takes a rational tau only, while the symbolic product,
+    # the Mat2 product of gen_power letters, keeps its indeterminate
+    with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+        scaled_product(word, UniPoly.var())
+    assert eval_word_symbolic(word).e21 == UniPoly((0, -2))
+    # an int and a Fraction are accepted
     assert build_relation((-6, -2, 1), Fraction(1, 4)).check()
     assert search_half_relations(SearchQuery(3, 3, 1)).hits == ((-1, 1, -1), (1, -1, 1))
-    assert eval_word_symbolic(word).e21 == scaled_product(word, UniPoly.var())[2]
 
 
 def test_a_sign_mode_that_is_not_a_member_is_rejected():
