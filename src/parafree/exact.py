@@ -96,8 +96,9 @@ class Mat2(NamedTuple):
 
     def __pow__(self, k: int) -> "Mat2":
         """self^k for k >= 0, by binary powering from the leading bit of k
-        down: O(log k) products, and each one-bit a product by self."""
-        if k < 0:
+        down: O(log k) products, and each one-bit a product by self.
+        TypeError if k is not an int or is a bool (`as_int`)."""
+        if (k := as_int(k)) < 0:
             raise ValueError(f"negative matrix power {k}")
         acc = self if k else Mat2.identity()
         for bit in bin(k)[3:]:  # the bits after the leading one

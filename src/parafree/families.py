@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import isqrt, prod
 from typing import Iterable, Optional, Sequence
 
-from .exact import ExpWord, G, Mat2, as_int, as_ints
+from .exact import ExpWord, G, Mat2, as_int, as_ints, check_tau
 from .halfrel import (
     Candidate,
     RelationKind,
@@ -108,8 +108,9 @@ def _row_sums(t: Mat2) -> tuple[int, int]:
 
 
 def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
-    """(n_k, u_k, u_{k+1}) for a validated sigma and any k; n_k = 6/(s0 s1) u_k u_{k+1}."""
-    if k < 0:
+    """(n_k, u_k, u_{k+1}) for a validated sigma and any k; n_k = 6/(s0 s1) u_k u_{k+1}.
+    TypeError if k is not an int or is a bool (`exact.as_int`)."""
+    if (k := as_int(k)) < 0:
         # the recurrence run backwards is the recurrence run forwards for
         # the swapped pair: u_k = u'_{1-k}, so (u_k, u_{k+1}) = (u'_{1-k}, u'_{-k})
         n, u_next, u = _b_terms((s[1], s[0]), -k)
@@ -125,8 +126,9 @@ def _b_terms(s: SigmaPair, k: int) -> tuple[int, int, int]:
 def _lucas(c: int, k: int) -> tuple[int, int]:
     """(X_{k-1}, X_k) for any k, for X_{m+1} = c X_m + X_{m-1} from X_0 = 0,
     X_1 = 1: Fibonacci for c = 1, Pell P for c = 2.  Q^k = (X_{k+1} X_k;
-    X_k X_{k-1}) with Q = (c 1; 1 0), and Q^-1 = (0 1; 1 -c) for k < 0."""
-    q = Mat2(c, 1, 1, 0) if k >= 0 else Mat2(0, 1, 1, -c)
+    X_k X_{k-1}) with Q = (c 1; 1 0), and Q^-1 = (0 1; 1 -c) for k < 0.
+    TypeError if k is not an int or is a bool (`exact.as_int`)."""
+    q = Mat2(c, 1, 1, 0) if (k := as_int(k)) >= 0 else Mat2(0, 1, 1, -c)
     _, x_k, _, x_prev = q ** abs(k)
     return x_prev, x_k
 
@@ -143,8 +145,10 @@ def pell(k: int) -> tuple[int, int]:
 
 
 def markov_poly(sigma: Sequence[int], x: int, y: int) -> Fraction:
-    """1 + s0*s1 + (6/s1) x^2 + (6/s0) y^2 - 12 x y, exactly."""
+    """1 + s0*s1 + (6/s1) x^2 + (6/s0) y^2 - 12 x y, exactly: TypeError if
+    x or y is not an int or is a bool (`exact.as_int`)."""
     s0, s1 = validate_sigma(sigma)
+    x, y = as_int(x), as_int(y)
     return (
         Fraction(1 + s0 * s1)
         + Fraction(6, s1) * x * x
@@ -385,7 +389,9 @@ def family_lookup(tau: Fraction) -> list[FamilyInstance]:
     term is positive.  For k = -m < 0, X_{-j} = (-1)^(j+1) X_j (X = F or
     P) gives F_k and P_k the sign (-1)^(m+1), and so F_{k+2} = F_{2-m}
     (at m = 1, F_1 = 1; m = 2, where F_0 = 0, is rejected) and H_{k+1} =
-    P_{1-m} + P_{-m} = (-1)^(m+1) (P_m - P_{m-1}), as P_m > P_{m-1}."""
+    P_{1-m} + P_{-m} = (-1)^(m+1) (P_m - P_{m-1}), as P_m > P_{m-1}.
+    TypeError unless tau is an int or a Fraction (`exact.check_tau`)."""
+    check_tau(tau)
     if tau <= 0:
         return []
     out: list[FamilyInstance] = []
@@ -417,7 +423,9 @@ def sqrt_fraction(n: int, digits: int) -> Fraction:
 
 
 def accumulation_target(family: str, direction: int, digits: int = 50) -> AccumulationTarget:
-    d = 1 if direction > 0 else -1
+    """The limit of tau_k on the sign branch of direction, to `digits`
+    decimals; TypeError if either is not an int or is a bool (`exact.as_int`)."""
+    d, digits = 1 if as_int(direction) > 0 else -1, as_int(digits)
     if family in ("A", "B"):
         return AccumulationTarget(family, d, "1", Fraction(1), digits)
     if family in ("C_general", "C_even", "C_quad"):

@@ -19,7 +19,7 @@ has matrix S M^T S^-1 with S = diag(1, tau), an anti-automorphism that
 swaps g^a and h^a and keeps c11 and c22; for odd l it has J M^T J with
 J = (0 1; 1 0), which fixes g^a and h^a, swaps c11 and c22 and keeps
 c12 and c21.  Each length therefore walks only the end pairs with
-|a_1| <= |a_l|, and a_1 > 0 for NONZERO_ANY, and its readers add each
+|a_1| <= |a_l|, and a_1 > 0 for NONZERO_ANY, and the walk adds each
 hit's images (`_orbit`): the reversal (the negated reversal for
 even-length ALTERNATING, whose reversal starts positive), and for
 NONZERO_ANY the negation and negated reversal too.  The parallel unit is
@@ -27,13 +27,14 @@ a chunk of the a_1 values, one per worker, so at workers = 1 each length
 is one `_search_branch` call; the leaf applies |a_1| <= |a_l|.
 
 One walk has two readers, each of which yields per length and can stop
-the walk after any length.  `hits_by_length` yields each given length's
-hits, the orbit closure sorted, so hits are ordered by (length, tuple):
-once the hits of lengths <= l exceed the result limit, the reported ones
-are all known and `search_half_relations` stops.
-`least_hits_by_length` yields each length's least hit and least
-all-positive hit, the minimum over the orbit images with no set and no
-sort; `freeness.classify_tau` reads its witnesses off it.
+the walk after any length; both read the walk's orbit images.
+`hits_by_length` yields each given length's hits, the images as a sorted
+set, so hits are ordered by (length, tuple): once the hits of lengths <=
+l exceed the result limit, the reported ones are all known and
+`search_half_relations` stops.  `least_hits_by_length` yields each
+length's least hit and least all-positive hit, two minima over the same
+images with no set and no sort; `freeness.classify_tau` reads its
+witnesses off it.
 
 The gate is one cached table per (q, bound), `_root_caps`: (cap_3,
 cap_4, cap_5), the largest |p| at which length 3, 4 and >= 5 may hold a
@@ -86,22 +87,21 @@ the a_2 with |a_2| <= 2/|tau| are walked (the capped table, below).
 Inside the walk, q | a_1*...*a_l cuts pairs.  The DFS carries r = q /
 gcd(q, product of the prefix), and the b it solves at l - 1 is then a
 multiple of r / gcd(r, a*c), so the pair (a, c) is walked only when that
-is <= bound.  The a left for each |c| are read from `_cut_table(r,
-bound, values at l - 2[, cap])`, which depends on neither p, a_1 nor the
-end values, and is built once per key, in one cache of at most
-`CUT_CACHE_SIZE` tables.  A pair with coeff = const = 0 is never cut:
-there b = +-1 is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut by
-divisibility: there the a is a_1, whose list the leaf cuts at |c| for
-|a_1| <= |c|, so one leaf serves every a_1 of the chunk.  At r <= bound
-nothing is cut.  Neither builds an uncapped table.
+is <= bound.  A pair with coeff = const = 0 is never cut: there b = +-1
+is a hit, so r / gcd(r, a*c) = 1.  Length 3 is not cut by divisibility:
+there the a is a_1, whose list the leaf cuts at |c| for |a_1| <= |c|, so
+one leaf serves every a_1 of the chunk in O(bound) memory.
 
-At l = 4 with cap = 2q // |p| below the bound, the leaf reads its a off
-the capped table, `_cut_table(r, bound, middles, cap)` with every r <=
-bound keyed as r = 1: the cut lists (the middles at r <= bound), cut to
-|a| <= cap past |c| > cap.  A leaf whose own end values, |c| >= |a_1|,
-have no a left in it ends before computing its coefficients.  Every leaf
-skips an end value with no a before computing its coefficients, and
-`_positions` is cached per (max_len, bound, mode).
+From l = 4 on every leaf reads its a, for each |c|, off one table,
+`_cut_table(r, bound, values at l - 2, cap)`, which depends on neither
+p, a_1 nor the end values and is built once per key, in one cache of at
+most `CUT_CACHE_SIZE` tables.  Every r <= bound cuts nothing and is
+keyed as r = 1; the cap is 2q // |p| at l = 4 when that is below the
+bound, past which |c| > cap leaves only the a with |a| <= cap, and None
+otherwise.  A leaf whose own end values, |c| >= |a_1|, have no a left in
+its table ends before computing its coefficients.  Every leaf skips an
+end value with no a before computing its coefficients, and `_positions`
+is cached per (max_len, bound, mode).
 """
 
 from __future__ import annotations
@@ -236,10 +236,10 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
     one leaf serves every a_1 in O(bound) memory; from l = 4 on, by
     slicing the ends at |exps[0]|.  r is q over its gcd with the product
     of exps, so a hit's remaining exponents have a product divisible by
-    r; from l = 4 on, the a this leaves for each c are read from
-    `_cut_table`, at l = 4 with a cap 2q/|p| below the bound from its
-    capped table, and a leaf whose end values have no a left ends before
-    its coefficients are computed."""
+    r; from l = 4 on, the a this leaves for each c are read from one
+    `_cut_table` call, with the cap 2q/|p| at l = 4 when it is below the
+    bound, and a leaf whose end values have no a left ends before its
+    coefficients are computed."""
     pos, l = len(exps) + 1, len(positions) - 1  # next position, length
     if pos < l - 2:
         for a in positions[pos][0]:
@@ -258,21 +258,15 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
         # the a is a_1, so |a_1| <= |c| keeps the first stops[|c|] of the
         # a_1, which ascend in |a_1|: each c slices its own, so the leaf
         # holds O(bound), and the divisibility cut would save nothing
-        stops, kept = [bisect_right(middles, m, key=abs) for m in range(bound + 1)], None
+        stops = [bisect_right(middles, m, key=abs) for m in range(bound + 1)]
     else:
-        # |a_1| <= |c|: the ends hold each |c| in 1..bound once, or twice
-        # (+-c) in NONZERO_ANY, ascending in |c|
+        # |a_1| <= |c|: the ends hold each |c| once, or twice (+-c) in
+        # NONZERO_ANY, ascending; every r <= bound cuts as little as r = 1
         ends = ends[(abs(exps[0]) - 1) * len(ends) // bound:]
-        if l == 4 and (cap := 2 * q // abs(p)) < bound:
-            # min(|a_2|, |a_4|) <= 2/|tau| cuts the a past |c| > cap; every
-            # r <= bound cuts as little as r = 1
-            kept = _cut_table(r if r > bound else 1, bound, middles, cap)
-            if not any(kept[abs(ends[0]):]):  # no a left at this leaf's ends
-                return
-        elif r > bound:
-            kept = _cut_table(r, bound, middles)
-        else:  # at r <= bound nothing is cut
-            kept = None
+        cap = 2 * q // abs(p) if l == 4 else bound  # min(|a_2|, |a_4|) <= 2/|tau|
+        kept = _cut_table(r if r > bound else 1, bound, middles, cap if cap < bound else None)
+        if not any(kept[abs(ends[0]):]):  # no a left at this leaf's ends
+            return
     # the scaled defect of exps + (a, b, c) is coeff*b + const with coeff
     # = (x1*c + x2)*a + x3*c + x4 and const = y1*(a + c) + y2
     u, v, qn21, qn22 = p * n11, p * n12, q * n21, q * n22
@@ -283,8 +277,7 @@ def _dfs(p: int, q: int, r: int, exps: tuple[int, ...],
         x1, x2, x3, x4 = p * v, -p * qn22, q * u, -q * qn21
         y1, y2 = q * v, q * (q * n11 - qn22)
     for c in ends:
-        a_values = (middles[:stops[abs(c)]] if l == 3
-                    else middles if kept is None else kept[abs(c)])
+        a_values = middles[:stops[abs(c)]] if l == 3 else kept[abs(c)]
         if not a_values:  # nothing to solve at this c
             continue
         c1, c0, k0 = x1 * c + x2, x3 * c + x4, y1 * c + y2
@@ -305,10 +298,11 @@ def _cut_table(r: int, bound: int, middles: Sequence[int],
                cap: int | None = None) -> tuple[Sequence[int], ...]:
     """At index |c| <= bound, the a of middles, in order, that the cut
     leaves: the b solved for (a, c) is a multiple of s / gcd(s, a), s = r /
-    gcd(r, c), so that must be <= bound.  With a cap (l = 4, cap = 2q/|p|
-    < bound), past |c| > cap only the a with |a| <= cap are left, since
-    every hit has min(|a_2|, |a_4|) <= cap.  The c with one s, and past
-    the cap or not, share a list."""
+    gcd(r, c), so that must be <= bound; at r = 1, which every r <= bound
+    is keyed as, each list is middles itself.  With a cap (l = 4, cap =
+    2q/|p| < bound), past |c| > cap only the a with |a| <= cap are left,
+    since every hit has min(|a_2|, |a_4|) <= cap.  The c with one s, and
+    past the cap or not, share a list."""
     by_s: dict[tuple[int, bool], Sequence[int]] = {}
     table = []
     for m in range(bound + 1):
@@ -389,9 +383,10 @@ def _process_pool(workers: int) -> ProcessPoolExecutor:
 
 def _walk(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
           workers: int) -> Iterator[list[Candidate]]:
-    """The canonical hits at tau of each of the lengths: a_1 > 0 for
-    NONZERO_ANY and |a_1| <= |a_l|, in no order and possibly repeated;
-    `_orbit` gives the rest.  lengths are those `lengths_to_walk` lists,
+    """The hits at tau of each of the lengths, as the `_orbit` images of
+    the canonical ones (a_1 > 0 for NONZERO_ANY and |a_1| <= |a_l|), in no
+    order and possibly repeated: the one place orbits are expanded, for
+    both readers.  lengths are those `lengths_to_walk` lists,
     or some of them: the walk gates nothing itself.  Each length is one
     `_search_branch` call per worker, on an interleaved chunk of the a_1
     values.  One pool of at most one worker per a_1, and at most
@@ -417,36 +412,34 @@ def _walk(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
         run = pool.map if pool is not None else map
         for length in lengths:
             prefix = positions[:length + 1]
-            yield [hit for branch_hits in run(_search_branch, [(p, q, chunk, prefix, bound)
-                                                                for chunk in chunks])
-                   for hit in branch_hits]
+            yield [image for branch_hits in run(_search_branch, [(p, q, chunk, prefix, bound)
+                                                                  for chunk in chunks])
+                   for hit in branch_hits for image in _orbit(hit, mode)]
 
 
 def hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
                    workers: int = 1) -> Iterator[list[Candidate]]:
     """The hits at tau of each of the lengths, each list sorted, so their
     concatenation is in shortlex order; no result limit applies.
-    Deterministic and worker-count independent: each length's canonical
-    hits from `_walk`, with their `_orbit` images, as a sorted set.  The
+    Deterministic and worker-count independent: each length's orbit
+    images from `_walk`, as a sorted set.  The
     lengths, the pool and the errors are those of `_walk`, which closing
     this generator closes."""
     with closing(_walk(tau, lengths, bound, mode, workers)) as walk:
-        for hits in walk:
-            yield sorted({image for hit in hits for image in _orbit(hit, mode)})
+        for images in walk:
+            yield sorted(set(images))
 
 
 def least_hits_by_length(tau: Fraction, lengths: list[int], bound: int, mode: SignMode,
                          workers: int = 1) -> Iterator[tuple[Candidate | None, Candidate | None]]:
     """For each of the lengths, the first hit and the first all-positive
-    hit of its `hits_by_length` block, or None for either, read off the
-    canonical hits of `_walk` with no set and no sort: the least of all
-    their `_orbit` images is the first element of the sorted orbit
-    closure.  In NONZERO_ANY the first hit is never all-positive, since
+    hit of its `hits_by_length` block, or None for either: two minima over
+    the orbit images of `_walk`, with no set and no sort, as the least
+    image is the first element of their sorted set.  In NONZERO_ANY the first hit is never all-positive, since
     the closure holds its negation.  The lengths, the pool and the errors
     are those of `_walk`, which closing this generator closes."""
     with closing(_walk(tau, lengths, bound, mode, workers)) as walk:
-        for hits in walk:
-            images = [image for hit in hits for image in _orbit(hit, mode)]
+        for images in walk:
             yield (min(images, default=None),
                    min((image for image in images if image[0] > 0 and min(image) > 0),
                        default=None))
@@ -545,13 +538,6 @@ def _past_table() -> Iterator[int]:
     return count(_prime_tables()[0][-1] + 2, 2)
 
 
-def _pm1_past_table() -> Iterator[int]:
-    """The numbers = +-1 (mod 8) past the prime table's last prime: 8k - 1
-    and 8k + 1 for each k > last // 8."""
-    k = _prime_tables()[0][-1] // 8 + 1
-    return chain.from_iterable(zip(count(8 * k - 1, 8), count(8 * k + 1, 8)))
-
-
 def _census_factors(n_from: int,
                     n_to: int) -> Iterator[tuple[int, dict[int, int], dict[int, int]]]:
     """(n, the factorisation of n, that of f = (n+1)^2 - 2) for each n in
@@ -566,8 +552,8 @@ def _census_factors(n_from: int,
     divides out the full power of p.  What is left of n or f is then 1 or
     a prime, as every prime up to its square root or in the table has
     been divided out, unless it is at least PRIME_TABLE_CEILING^2: that is
-    trial-divided past the table alone, by the odd d for n and by the d =
-    +-1 (mod 8) for f."""
+    trial-divided past the table alone, by the odd d (`_past_table`), for
+    n and for f alike."""
     primes = _prime_tables()[0]
     for lo in range(n_from, n_to + 1, CENSUS_SEGMENT):
         ns = range(lo, min(lo + CENSUS_SEGMENT, n_to + 1))
@@ -589,10 +575,10 @@ def _census_factors(n_from: int,
                         e += 1
                     rest[i] = m
                     facs[i][p] = e
-        for rest, facs, tail in ((n_rest, n_facs, _past_table), (f_rest, f_facs, _pm1_past_table)):
+        for rest, facs in ((n_rest, n_facs), (f_rest, f_facs)):
             for m, factors in zip(rest, facs):
                 if m >= PRIME_TABLE_CEILING * PRIME_TABLE_CEILING:
-                    _trial_divide(m, factors, tail())
+                    _trial_divide(m, factors, _past_table())
                 elif m > 1:
                     factors[m] = 1
         yield from zip(ns, n_facs, f_facs)

@@ -307,6 +307,14 @@ def test_check_tau_rejects_a_bool():
     check_tau(1)
 
 
+def test_mat2_power_rejects_a_bool():
+    # Mat2(1, 1, 0, 1) ** True returned the matrix, as its first power
+    for k in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            Mat2(1, 1, 0, 1) ** k
+    assert Mat2(1, 1, 0, 1) ** 3 == Mat2(1, 3, 0, 1)
+
+
 def test_unipoly_trims_and_degree():
     assert UniPoly((1, 2, 0, 0)).coeffs == (1, 2)
     assert UniPoly((0,)).is_zero

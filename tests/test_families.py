@@ -179,6 +179,76 @@ def test_family_tau_rejects_a_bool_k():
     assert family_tau("D", 1) == 2
 
 
+def test_fib_rejects_a_bool():
+    # fib(True) was 1, the F_1 of k = 1
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            fib(k)
+    assert fib(1) == 1
+
+
+def test_pell_rejects_a_bool():
+    # pell(True) was (1, 1), the (H_1, P_1) of k = 1
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            pell(k)
+    assert pell(1) == (1, 1)
+
+
+def test_u_seq_rejects_a_bool_k():
+    # u_seq((1, 2), True) was 1, the u_1 of k = 1
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            u_seq((1, 2), k)
+    assert u_seq((1, 2), 1) == 1
+
+
+def test_family_n_rejects_a_bool_k():
+    # family_n((1, 2), True) was 9, the n_1 of k = 1
+    for k in (True, False):
+        with pytest.raises(TypeError):
+            family_n((1, 2), k)
+    assert family_n((1, 2), 1) == 9
+
+
+def test_enumerate_n_values_rejects_a_bool_k():
+    # enumerate_n_values((1, 2), [True, 2]) was [9, 45]
+    with pytest.raises(TypeError):
+        enumerate_n_values((1, 2), [True, 2])
+    assert enumerate_n_values((1, 2), [1, 2]) == [9, 45]
+
+
+def test_markov_poly_rejects_a_bool_or_a_float():
+    # markov_poly((1, 2), True, 2.5) was the float 13.5, not an exact value
+    for x, y in ((True, 2), (1, False), (1, 2.5), (Fraction(1), 2)):
+        with pytest.raises(TypeError):
+            markov_poly((1, 2), x, y)
+    assert markov_poly((1, 2), 1, 2) == 6
+
+
+def test_accumulation_target_rejects_a_bool():
+    # accumulation_target("D", 1, True) built digits=True, 13/5 as phi^2
+    for direction, digits in ((1, True), (True, 10), (-1, False), (0.5, 10)):
+        with pytest.raises(TypeError):
+            accumulation_target("D", direction, digits)
+    assert accumulation_target("D", 1, 1).approx == Fraction(26, 10)
+
+
+def test_accumulation_report_rejects_a_bool_digits():
+    # the report's targets are built by accumulation_target
+    with pytest.raises(TypeError):
+        accumulation_report("D", range(1, 3), digits=True)
+
+
+def test_family_lookup_rejects_a_tau_that_is_not_an_int_or_a_fraction():
+    # family_lookup(True) returned four members at tau = 1, and 2.0 raised
+    # AttributeError from inside the candidate tests
+    for tau in (True, False, 2.0, "1/2"):
+        with pytest.raises(TypeError, match="tau must be an int or a Fraction"):
+            family_lookup(tau)
+    assert [inst.family for inst in family_lookup(3)] == ["C_general", "D", "E"]
+
+
 def test_fib_doubly_infinite():
     assert [fib(k) for k in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     for n in range(1, 15):

@@ -909,8 +909,8 @@ def test_divisibility_cut_reaches_the_solve_loop(monkeypatch):
             leaves.append(r)
         real_dfs(p, q, r, exps, n11, n12, n21, n22, positions, bound, out)
 
-    def table_spy(r, bound, middles):
-        table = real_table(r, bound, middles)
+    def table_spy(r, bound, middles, cap):
+        table = real_table(r, bound, middles, cap)
         tables.append((r, middles, table))
         return table
 
@@ -968,13 +968,14 @@ def test_the_capped_table_is_the_naive_filter():
                         assert list(table[abs(c)]) == naive, (r, bound, mode, c, cap)
 
 
-def test_no_cut_table_is_cached_where_no_cut_applies(monkeypatch):
-    # the cache holds uncapped tables only for l >= 4 and r > bound, and
-    # capped ones only at l = 4 with 2q//|p| below the bound: length 3 walks
-    # its ends and middles directly even at q = 96 > 50, and so does length
-    # 4 at 1/24 with bound 40 (q <= bound, 2q//|p| = 48 >= bound); the other
-    # length-4 queries have q <= bound and 2q//|p| below it, so each of
-    # their tables is capped and keyed by r = 1
+def test_the_cut_table_keys_of_each_leaf(monkeypatch):
+    # length 3 reads no cut table, even at q = 96 > 50; from l = 4 on every
+    # leaf reads one, keyed (r, bound, middles, cap) with every r <= bound
+    # keyed as r = 1 and the cap None unless l = 4 and 2q//|p| < bound: at
+    # 1/24 with bound 40 (q <= bound, 2q//|p| = 48 >= bound) only the r = 1
+    # uncapped tables of the two middle lists; the other length-4 queries
+    # have q <= bound and 2q//|p| below it, so each of their tables is
+    # capped and keyed by r = 1; at 1/12 with bound 8, r = 12 > 8 cuts
     tables = search_module._cut_table
     keys = []
 
@@ -986,27 +987,60 @@ def test_no_cut_table_is_cached_where_no_cut_applies(monkeypatch):
     tables.cache_clear()
     for mode in SignMode:
         search_half_relations(SearchQuery(Fraction(1, 96), 3, 50, mode, None))
-    assert tables.cache_info().currsize == 0
+    assert tables.cache_info().currsize == 0 and keys == []
     for mode in SignMode:
         search_half_relations(SearchQuery(Fraction(1, 24), 4, 40, mode, None))
-    assert tables.cache_info().currsize == 0 and keys == []
+    assert set(keys) == {(1, 40, search_module._positions(4, 40, mode)[2][0], None)
+                         for mode in SignMode}
+    keys.clear()
     for mode in SignMode:
         for tau, bound in ((Fraction(1, 2), 40), (Fraction(7, 12), 12), (Fraction(-5, 8), 8)):
             search_half_relations(SearchQuery(tau, 4, bound, mode, None))
-    assert keys and all(len(key) == 4 and key[0] == 1 and key[3] < key[1] for key in keys)
+    assert keys and all(key[0] == 1 and key[3] is not None and key[3] < key[1] for key in keys)
     capped = tables.cache_info().currsize
     search_half_relations(SearchQuery(Fraction(1, 12), 4, 8))  # 12 > 8: cut
-    assert (12, 8, search_module._positions(4, 8, SignMode.NONZERO_ANY)[2][0]) in keys
+    assert (12, 8, search_module._positions(4, 8, SignMode.NONZERO_ANY)[2][0], None) in keys
     assert tables.cache_info().currsize > capped
 
 
+def test_every_leaf_from_length_four_on_reads_one_cut_table(monkeypatch):
+    # the leaf's a come from one source: at 1/24 with bound 40, where q <=
+    # bound cuts nothing and 2q//|p| = 48 >= bound caps nothing, each
+    # length-4 leaf still reads its table once, and so does each length-5
+    # leaf at 1/12 with bound 8; the length-3 leaf reads none
+    leaves, calls = [], []
+    real_dfs, real_table = search_module._dfs, search_module._cut_table
+
+    def spy(p, q, r, exps, n11, n12, n21, n22, positions, bound, out):
+        l = len(positions) - 1
+        if len(exps) + 1 >= l - 2:  # the call that runs the solve loop
+            leaves.append(l)
+        before = len(calls)
+        real_dfs(p, q, r, exps, n11, n12, n21, n22, positions, bound, out)
+        if len(exps) + 1 >= l - 2:
+            assert len(calls) - before == (l >= 4)
+
+    def table_spy(*args):
+        calls.append(args)
+        return real_table(*args)
+
+    monkeypatch.setattr(search_module, "_dfs", spy)  # _dfs recurses through it
+    monkeypatch.setattr(search_module, "_cut_table", table_spy)
+    for mode in SignMode:
+        search_half_relations(SearchQuery(Fraction(1, 24), 4, 40, mode, None))
+    search_half_relations(SearchQuery(Fraction(1, 12), 5, 8, SignMode.NONZERO_ANY, None))
+    assert {3, 4, 5} <= set(leaves)
+    assert len(calls) == sum(l >= 4 for l in leaves) > 0
+
+
 def test_the_cut_cache_stays_bounded_over_a_sweep(monkeypatch):
-    # a table is keyed by (r, bound, middles), and at l = 4 also by the
-    # cap, not by p, a_1 or the end values: a sweep of every tau with these
-    # q at (4, 8), in all three modes, keeps at most one uncapped table per
-    # divisor r > 8 of a q and per middle list (the +- one, or the positive
-    # one), at most one capped table per such r or r = 1, per middle list
-    # and per cap 1..7, and the cache never holds more than CUT_CACHE_SIZE
+    # a table is keyed by (r, bound, middles, cap), with the cap None
+    # unless l = 4 and 2q//|p| < bound, not by p, a_1 or the end values: a
+    # sweep of every tau with these q at (4, 8), in all three modes, keeps
+    # at most one uncapped table per divisor r > 8 of a q or r = 1 and per
+    # middle list (the +- one, or the positive one), at most one capped
+    # table per such r, per middle list and per cap 1..7, and the cache
+    # never holds more than CUT_CACHE_SIZE
     tables = search_module._cut_table
     keys = set()
 
@@ -1023,10 +1057,10 @@ def test_the_cut_cache_stays_bounded_over_a_sweep(monkeypatch):
                 for mode in SignMode:
                     search_half_relations(SearchQuery(Fraction(p, q), 4, bound, mode, None))
     divisors = {r for q in qs for r in range(bound + 1, q + 1) if q % r == 0}
-    uncapped = [key for key in keys if len(key) == 3]
-    capped = [key for key in keys if len(key) == 4]
-    assert 0 < len(uncapped) <= 2 * len(divisors)
-    assert {r for r, *_ in uncapped} <= divisors
+    uncapped = [key for key in keys if key[3] is None]
+    capped = [key for key in keys if key[3] is not None]
+    assert 0 < len(uncapped) <= 2 * (len(divisors) + 1)
+    assert {r for r, *_ in uncapped} <= divisors | {1}
     assert 0 < len(capped) <= 2 * (len(divisors) + 1) * (bound - 1)
     assert {r for r, *_ in capped} <= divisors | {1}
     assert {cap for *_, cap in capped} <= set(range(1, bound))
